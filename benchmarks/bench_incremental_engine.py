@@ -75,7 +75,7 @@ def test_warm_diagnosis_timed(benchmark):
 
     config = FChainConfig()
     store = synthetic_store(samples=4000, components=COMPONENTS, metrics=1)
-    master = FChainMaster(config, seed=7, incremental=True)
+    master = FChainMaster(config, seed=7)
     master.slave.sync_with_store(store, store.end)
     t_v = store.end - config.analysis_grace - 1
     master.diagnose(store, t_v)

@@ -63,7 +63,7 @@ def _best_diagnosis_seconds(telemetry: str, repeats: int = REPEATS) -> float:
     store = synthetic_store(
         samples=SAMPLES, components=COMPONENTS, metrics=METRICS, seed=7
     )
-    master = FChainMaster(config, seed=7, incremental=True)
+    master = FChainMaster(config, seed=7)
     master.slave.sync_with_store(store, store.end)
     # Distinct violation times defeat the per-window caches, so every
     # repeat pays the full analysis (the path telemetry instruments).
@@ -126,7 +126,7 @@ def test_off_mode_diagnosis_timed(benchmark):
     store = synthetic_store(
         samples=SAMPLES, components=COMPONENTS, metrics=METRICS, seed=7
     )
-    master = FChainMaster(config, seed=7, incremental=True)
+    master = FChainMaster(config, seed=7)
     master.slave.sync_with_store(store, store.end)
     t_v = store.end - config.analysis_grace - 1
     master.diagnose(store, t_v)

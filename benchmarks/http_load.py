@@ -24,6 +24,7 @@ import sys
 import time
 from typing import Dict, List
 
+from repro.cli import add_expect_options, expectations_met
 from repro.edge.client import EdgeClient, split_address
 from repro.edge.ingest import PERFORMANCE_COMPONENT
 
@@ -75,8 +76,7 @@ def main(argv: List[str] = None) -> int:
         "--timeout", type=float, default=300.0,
         help="seconds to wait for the pipeline to drain",
     )
-    parser.add_argument("--expect-incidents", type=int, default=None)
-    parser.add_argument("--expect-culprit", default=None)
+    add_expect_options(parser)
     parser.add_argument(
         "--shutdown", action="store_true",
         help="POST /v1/shutdown once the checks are done",
@@ -114,7 +114,6 @@ def main(argv: List[str] = None) -> int:
     )
 
     incidents = client.incidents()
-    ok = True
     for incident in incidents:
         diagnosis = client.diagnosis(incident["id"])["diagnosis"]
         print(
@@ -122,25 +121,7 @@ def main(argv: List[str] = None) -> int:
             f"t={incident['violation_tick']} faulty={incident['faulty']} "
             f"confidence={diagnosis.get('confidence')}"
         )
-    if args.expect_incidents is not None:
-        if len(incidents) != args.expect_incidents:
-            print(
-                f"FAIL expected exactly {args.expect_incidents} "
-                f"incident(s), got {len(incidents)}"
-            )
-            ok = False
-    if args.expect_culprit is not None:
-        if not incidents:
-            print(f"FAIL no incident names culprit {args.expect_culprit!r}")
-            ok = False
-        for incident in incidents:
-            if args.expect_culprit not in incident["faulty"]:
-                print(
-                    f"FAIL incident #{incident['id']} pinpointed "
-                    f"{incident['faulty']}, expected "
-                    f"{args.expect_culprit!r}"
-                )
-                ok = False
+    ok = expectations_met(args, ((None, i["id"], i["faulty"]) for i in incidents))
 
     if args.shutdown:
         client.shutdown()

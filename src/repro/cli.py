@@ -450,7 +450,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.incidents:
         print(f"incident records appended to {args.incidents}")
     ok = not pipeline.failures
-    ok &= _expected_incidents_ok(args, incidents)
+    ok &= expectations_met(
+        args, ((None, i.index, i.faulty) for i in incidents)
+    )
     return 0 if ok else 1
 
 
@@ -487,12 +489,37 @@ def cmd_replay(args: argparse.Namespace) -> int:
     _print_loop_outcome(pipeline, incidents)
 
     ok = not pipeline.failures
-    ok &= _expected_incidents_ok(args, incidents)
+    ok &= expectations_met(
+        args, ((None, i.index, i.faulty) for i in incidents)
+    )
     return 0 if ok else 1
 
 
-def _expected_incidents_ok(args: argparse.Namespace, incidents) -> bool:
-    """Apply the CI soak assertions (--expect-incidents/--expect-culprit)."""
+def add_expect_options(parser, *, tenant: bool = False) -> None:
+    """Declare the CI soak assertions checked by :func:`expectations_met`."""
+    parser.add_argument(
+        "--expect-incidents", type=int, default=None,
+        help="exit non-zero unless exactly this many incidents occurred "
+        "(the CI soak assertion)",
+    )
+    if tenant:
+        parser.add_argument(
+            "--expect-tenant", default=None,
+            help="exit non-zero unless all incidents belong to this tenant",
+        )
+    parser.add_argument(
+        "--expect-culprit", default=None,
+        help="exit non-zero unless every incident pinpoints this component",
+    )
+
+
+def expectations_met(args: argparse.Namespace, incidents) -> bool:
+    """Apply the soak assertions, printing one ``FAIL`` line per miss.
+
+    ``incidents`` are ``(tenant, number, faulty)`` triples — the tenant
+    is ``None`` on the single-application paths.
+    """
+    incidents = list(incidents)
     ok = True
     if args.expect_incidents is not None and len(incidents) != args.expect_incidents:
         print(
@@ -500,15 +527,25 @@ def _expected_incidents_ok(args: argparse.Namespace, incidents) -> bool:
             f"got {len(incidents)}"
         )
         ok = False
+    expect_tenant = getattr(args, "expect_tenant", None)
+    if expect_tenant is not None:
+        tenants = {tenant for tenant, _, _ in incidents}
+        if expect_tenant not in tenants:
+            print(f"FAIL no incident for tenant {expect_tenant!r}")
+            ok = False
+        others = sorted(tenants - {expect_tenant})
+        if others:
+            print(f"FAIL cross-tenant incidents for {others}")
+            ok = False
     if args.expect_culprit is not None:
         if not incidents:
             print(f"FAIL no incident names culprit {args.expect_culprit!r}")
             ok = False
-        for incident in incidents:
-            if args.expect_culprit not in incident.faulty:
+        for _, number, faulty in incidents:
+            if args.expect_culprit not in faulty:
                 print(
-                    f"FAIL incident #{incident.index} pinpointed "
-                    f"{incident.faulty}, expected {args.expect_culprit!r}"
+                    f"FAIL incident #{number} pinpointed "
+                    f"{faulty}, expected {args.expect_culprit!r}"
                 )
                 ok = False
     return ok
@@ -561,9 +598,11 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         f"components on {manifest.shards} {manifest.backend} shard(s), "
         f"{args.ticks} ticks, {len(manifest.faults)} injected fault(s)"
     )
-    result = run_manifest(manifest, args.ticks, sinks=sinks)
-    if handle is not None:
-        handle.close()
+    try:
+        result = run_manifest(manifest, args.ticks, sinks=sinks)
+    finally:
+        if handle is not None:
+            handle.close()
     supervisor = result.supervisor
     incidents = supervisor.incidents
     total = sum(len(v) for v in incidents.values())
@@ -583,32 +622,14 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         print(f"  ERROR shard {shard} tenant {tenant}: {message}")
 
     ok = not supervisor.failures
-    if args.expect_incidents is not None and total != args.expect_incidents:
-        print(
-            f"FAIL expected exactly {args.expect_incidents} incident(s), "
-            f"got {total}"
-        )
-        ok = False
-    if args.expect_tenant is not None:
-        others = sorted(set(incidents) - {args.expect_tenant})
-        if args.expect_tenant not in incidents:
-            print(f"FAIL no incident for tenant {args.expect_tenant!r}")
-            ok = False
-        if others:
-            print(f"FAIL cross-tenant incidents for {others}")
-            ok = False
-    if args.expect_culprit is not None:
-        flat = [i for v in incidents.values() for i in v]
-        if not flat:
-            print(f"FAIL no incident names culprit {args.expect_culprit!r}")
-            ok = False
-        for incident in flat:
-            if args.expect_culprit not in incident.faulty:
-                print(
-                    f"FAIL incident #{incident.index} pinpointed "
-                    f"{incident.faulty}, expected {args.expect_culprit!r}"
-                )
-                ok = False
+    ok &= expectations_met(
+        args,
+        (
+            (tenant, incident.index, incident.faulty)
+            for tenant, found in incidents.items()
+            for incident in found
+        ),
+    )
     return 0 if ok else 1
 
 
@@ -923,15 +944,7 @@ def main(argv: List[str] = None) -> int:
         help="corrupt the live feed (gaps, NaN readings, delayed "
         "delivery) with this chaos seed",
     )
-    serve.add_argument(
-        "--expect-incidents", type=int, default=None,
-        help="exit non-zero unless exactly this many incidents occurred "
-        "(the CI soak assertion)",
-    )
-    serve.add_argument(
-        "--expect-culprit", default=None,
-        help="exit non-zero unless every incident names this component",
-    )
+    add_expect_options(serve)
     _add_service_options(serve)
     serve.set_defaults(func=cmd_serve)
 
@@ -954,16 +967,7 @@ def main(argv: List[str] = None) -> int:
         "--sustain", type=int, default=10,
         help="consecutive seconds above threshold before a violation",
     )
-    replay.add_argument(
-        "--expect-incidents", type=int, default=None,
-        help="exit non-zero unless exactly this many incidents occurred "
-        "(the CI soak assertion)",
-    )
-    replay.add_argument(
-        "--expect-culprit", default=None,
-        help="exit non-zero unless every incident pinpoints this "
-        "component (the CI soak assertion)",
-    )
+    add_expect_options(replay)
     _add_service_options(replay)
     replay.set_defaults(func=cmd_replay)
 
@@ -994,19 +998,7 @@ def main(argv: List[str] = None) -> int:
         "--incidents", default=None,
         help="append tenant-labeled incidents to this JSONL file",
     )
-    fleet.add_argument(
-        "--expect-incidents", type=int, default=None,
-        help="exit non-zero unless exactly this many incidents occurred "
-        "(the CI soak assertion)",
-    )
-    fleet.add_argument(
-        "--expect-tenant", default=None,
-        help="exit non-zero unless all incidents belong to this tenant",
-    )
-    fleet.add_argument(
-        "--expect-culprit", default=None,
-        help="exit non-zero unless every incident pinpoints this component",
-    )
+    add_expect_options(fleet, tenant=True)
     fleet.set_defaults(func=cmd_fleet)
 
     edge = sub.add_parser(

@@ -17,9 +17,10 @@ the look-back window instead of replaying the full metric history
 through fresh models. Expensive per-window CUSUM/bootstrap intermediates
 are cached keyed by ``(component, metric, window)`` — the store is
 append-only, so a window's samples never change and the cache is exact.
-The replay path of the original implementation remains available via
-``FChainMaster(..., incremental=False)`` and produces bit-identical
-results (the equivalence is asserted by
+A master that has seen nothing yet replays the recorded history into
+fresh models on its first diagnosis, so constructing a new
+``FChainMaster`` per diagnosis *is* the original replay engine; its
+results are bit-identical to the warm engine's (asserted by
 ``tests/core/test_incremental_engine.py``).
 """
 
@@ -580,13 +581,10 @@ class FChainSlave:
 class FChainMaster:
     """Master-side integrated fault diagnosis and validation.
 
-    By default the master owns one persistent incremental
-    :class:`FChainSlave` whose warm state is reused across diagnoses of
-    the same store, and fans per-component analyses out through a
-    :class:`~repro.core.engine.SlavePool` when ``jobs >= 2``. Passing
-    ``incremental=False`` restores the original replay engine — a fresh
-    slave per ``diagnose`` call — which is retained as the equivalence
-    baseline.
+    The master owns one persistent :class:`FChainSlave` whose warm
+    state is reused across diagnoses of the same store, and fans
+    per-component analyses out through a
+    :class:`~repro.core.engine.SlavePool` when ``jobs >= 2``.
     """
 
     def __init__(
@@ -597,26 +595,17 @@ class FChainMaster:
         *,
         jobs: Optional[int] = None,
         slave_timeout: Optional[float] = None,
-        incremental: bool = True,
         topology: Optional[OnlineTopology] = None,
     ) -> None:
         self.config = (config or FChainConfig()).validate()
         self.dependency_graph = dependency_graph
         self.topology = topology
-        self.seed = seed
         self.jobs = jobs
         self.slave_timeout = slave_timeout
-        self.incremental = incremental
         self.tracer = make_tracer(self.config.telemetry)
-        self._slave: Optional[FChainSlave] = (
-            FChainSlave(self.config, seed=seed) if incremental else None
-        )
+        #: The persistent slave: its models stay warm across diagnoses.
+        self.slave = FChainSlave(self.config, seed=seed)
         self._pool: Optional[SlavePool] = None
-
-    @property
-    def slave(self) -> Optional[FChainSlave]:
-        """The persistent incremental slave (None in replay mode)."""
-        return self._slave
 
     def close(self) -> None:
         """Release pooled resources (cached worker processes)."""
@@ -711,21 +700,14 @@ class FChainMaster:
         """
         if violation_time <= store.start:
             raise DiagnosisError("violation time precedes recorded history")
-        slave = self._slave
-        if slave is None:
-            # Replay mode: a fresh slave (and pool) per diagnosis is the
-            # whole point of the equivalence baseline.
-            slave = FChainSlave(self.config, seed=self.seed)
-            pool = SlavePool(slave, jobs=self.jobs, timeout=self.slave_timeout)
-        else:
-            if self._pool is None:
-                # Cached across diagnoses so the process executor reuses
-                # its warm worker processes instead of re-forking a pool
-                # per violation.
-                self._pool = SlavePool(
-                    slave, jobs=self.jobs, timeout=self.slave_timeout
-                )
-            pool = self._pool
+        if self._pool is None:
+            # Cached across diagnoses so the process executor reuses
+            # its warm worker processes instead of re-forking a pool
+            # per violation.
+            self._pool = SlavePool(
+                self.slave, jobs=self.jobs, timeout=self.slave_timeout
+            )
+        pool = self._pool
         graph = self._diagnosis_graph()
         scope = self._scope(graph, store, origin)
         trace = self.tracer.span(
@@ -812,8 +794,6 @@ class FChain:
             parallel; default serial).
         slave_timeout: Optional per-slave analysis timeout in seconds
             (parallel mode only); timed-out components are ``skipped``.
-        incremental: Keep slave state warm across diagnoses (default).
-            ``False`` restores the original replay-per-diagnosis engine.
         topology: Online learned :class:`~repro.core.topology.OnlineTopology`
             whose weighted snapshot replaces ``dependency_graph`` when the
             latter is None, and which powers neighborhood-scoped dispatch
@@ -828,7 +808,6 @@ class FChain:
         *,
         jobs: Optional[int] = None,
         slave_timeout: Optional[float] = None,
-        incremental: bool = True,
         topology: Optional[OnlineTopology] = None,
     ) -> None:
         self.config = (config or FChainConfig()).validate()
@@ -838,7 +817,6 @@ class FChain:
             seed=seed,
             jobs=jobs,
             slave_timeout=slave_timeout,
-            incremental=incremental,
             topology=topology,
         )
 
@@ -865,22 +843,13 @@ class FChain:
     # ------------------------------------------------------------------
     def observe(self, component: ComponentId, metric: Metric, value: float) -> None:
         """Feed one 1 Hz sample into the persistent slave's models."""
-        self._require_slave().observe(component, metric, value)
+        self.master.slave.observe(component, metric, value)
 
     def observe_many(
         self, component: ComponentId, metric: Metric, values: Iterable[float]
     ) -> None:
         """Feed a batch of consecutive samples into the slave's models."""
-        self._require_slave().observe_many(component, metric, values)
-
-    def _require_slave(self) -> FChainSlave:
-        slave = self.master.slave
-        if slave is None:
-            raise DiagnosisError(
-                "streaming observation requires the incremental engine "
-                "(construct FChain with incremental=True)"
-            )
-        return slave
+        self.master.slave.observe_many(component, metric, values)
 
     # ------------------------------------------------------------------
     # Localization API

@@ -5,9 +5,9 @@ must localize within seconds of the SLO violation even after hours of
 recorded history. This module builds deterministic synthetic stores of
 arbitrary length and times the two diagnosis engines against each other:
 
-* **replay** (``incremental=False``) — the original engine; every
-  diagnosis replays the full per-metric history through fresh Markov
-  models, so latency grows with the recorded history;
+* **replay** (a fresh ``FChainMaster`` per diagnosis) — the original
+  engine; every diagnosis replays the full per-metric history through
+  fresh Markov models, so latency grows with the recorded history;
 * **incremental** — the warm engine; the persistent slave's models and
   error streams are already caught up, so a diagnosis costs only the
   look-back-window analysis.
@@ -232,15 +232,16 @@ def measure_latency(
         violation_times = [last - i for i in range(repeats)]
     metrics = len(store.metrics_for(store.components[0]))
 
-    replay = FChainMaster(config, seed=seed, incremental=False)
     replay_seconds = []
     replay_results = []
     for t_v in violation_times:
         started = time.perf_counter()
-        replay_results.append(replay.diagnose(store, t_v))
+        replay_results.append(
+            FChainMaster(config, seed=seed).diagnose(store, t_v)
+        )
         replay_seconds.append(time.perf_counter() - started)
 
-    incremental = FChainMaster(config, seed=seed, jobs=jobs, incremental=True)
+    incremental = FChainMaster(config, seed=seed, jobs=jobs)
     started = time.perf_counter()
     incremental.slave.sync_with_store(store, store.end)
     warmup_seconds = time.perf_counter() - started

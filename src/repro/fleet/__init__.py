@@ -21,12 +21,7 @@ from repro.fleet.manifest import (
 )
 from repro.fleet.ring import DEFAULT_VNODES, HashRing
 from repro.fleet.supervisor import FleetConfig, FleetMetrics, FleetSupervisor
-from repro.fleet.tenant import (
-    FleetTrigger,
-    TenantRuntime,
-    TenantSnapshot,
-    TenantSpec,
-)
+from repro.fleet.tenant import TenantRuntime, TenantSnapshot, TenantSpec
 from repro.fleet.worker import ShardWorker
 
 __all__ = [
@@ -38,7 +33,6 @@ __all__ = [
     "FleetMetrics",
     "FleetRunResult",
     "FleetSupervisor",
-    "FleetTrigger",
     "HashRing",
     "ShardWorker",
     "TenantRuntime",

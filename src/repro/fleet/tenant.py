@@ -3,17 +3,15 @@
 A *tenant* is one monitored application: its own tolerant
 :class:`~repro.monitoring.store.MetricStore`, its own warm
 :class:`~repro.core.fchain.FChain` slave models and its own SLO
-detector — exactly the state today's single-app
-:class:`~repro.service.pipeline.OnlinePipeline` owns.
-:class:`TenantRuntime` is that pipeline's per-tick state machine with
-the threading stripped out: ``process()`` returns the triggers that
-became ready instead of feeding a private queue, so the shard worker
-can dispatch them *fairly across its tenants* (see
-:mod:`repro.fleet.worker`). The state machine itself — watermarked
-tolerant ingest, non-blocking warm sync, rising-edge + cooldown dedup,
-analysis-grace wait — is semantically identical, which is what makes a
-fleet of one tenant produce bit-identical diagnoses to the standalone
-pipeline (pinned by ``tests/fleet/test_equivalence.py``).
+detector, ticked by the same :class:`~repro.service.tick.TickCore` the
+single-app :class:`~repro.service.pipeline.OnlinePipeline` drives — one
+rule set, two drivers. Where the pipeline owns a private queue and
+worker thread, :class:`TenantRuntime` owns neither: ``process()``
+returns the triggers the core released and ``diagnose()`` runs one, so
+the shard worker can dispatch *fairly across its tenants* (see
+:mod:`repro.fleet.worker`). What the runtime adds to the core is how a
+tenant is built from its picklable :class:`TenantSpec`, a recent window
+of per-tick wall times, and relocation.
 
 Relocation: :meth:`TenantRuntime.export_state` snapshots the store
 through the zero-copy shared-memory export and pickles the small
@@ -28,12 +26,12 @@ the models that never moved.
 
 from __future__ import annotations
 
-import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
-from repro.common.types import ComponentId, Metric
+from repro.common.types import ComponentId
 from repro.core.config import FChainConfig
 from repro.core.fchain import FChain
 from repro.core.topology import OnlineTopology
@@ -44,9 +42,14 @@ from repro.monitoring.shared import (
     materialize_store,
 )
 from repro.monitoring.slo import SLODetector
-from repro.monitoring.store import DEFAULT_RETENTION, IngestBatch, MetricStore
+from repro.monitoring.store import DEFAULT_RETENTION, MetricStore
 from repro.service.incident import Incident
 from repro.service.sources import TickBatch
+from repro.service.tick import TickCore, Trigger
+
+#: Per-tick wall times kept per tenant — a recent window, so a
+#: long-lived fleet's stats stay bounded.
+TICK_SECONDS_WINDOW = 4096
 
 
 @dataclass(frozen=True)
@@ -93,15 +96,6 @@ class TenantSpec:
 
 
 @dataclass
-class FleetTrigger:
-    """One deduplicated violation awaiting (or undergoing) diagnosis."""
-
-    violation_tick: int
-    detected_at: float  # time.monotonic() at SLO detection
-    dispatched_tick: Optional[int] = None
-
-
-@dataclass
 class TenantSnapshot:
     """A relocating tenant's full state, in transit between shards.
 
@@ -117,7 +111,7 @@ class TenantSnapshot:
     detector: SLODetector
     violating: bool
     last_trigger: Optional[int]
-    pending: List[FleetTrigger]
+    pending: List[Trigger]
     counters: Dict[str, int]
     #: The learned online topology, carried wholesale (its state is a
     #: few small dicts — cheap to pickle next to the store handle).
@@ -125,11 +119,13 @@ class TenantSnapshot:
 
 
 class TenantRuntime:
-    """One tenant's live pipeline state on a shard worker.
+    """One tenant's live tick core on a shard worker.
 
-    Mirrors :class:`~repro.service.pipeline.OnlinePipeline.process`
-    stage for stage; see the module docstring for why it is a separate
-    class rather than a refactor of the pipeline.
+    Attributes:
+        core: The tenant's :class:`~repro.service.tick.TickCore` (tick
+            rules, dedup state, counters).
+        tick_seconds: Wall time of the most recent
+            :data:`TICK_SECONDS_WINDOW` ``process()`` calls.
     """
 
     def __init__(
@@ -140,161 +136,48 @@ class TenantRuntime:
         detector: Optional[SLODetector] = None,
     ) -> None:
         self.spec = spec
-        self.config = spec.config.validate()
         self.store = store if store is not None else MetricStore(
             start=spec.start,
             policy=spec.policy or DataQualityPolicy(),
             retention=spec.retention,
         )
-        self.detector = detector if detector is not None else spec.detector
-        self.topology: Optional[OnlineTopology] = (
-            OnlineTopology(halflife=spec.topology_halflife)
-            if spec.topology_halflife is not None
-            else None
-        )
         self.fchain = FChain(
-            self.config,
+            spec.config,
             seed=spec.seed,
             jobs=spec.jobs,
             slave_timeout=spec.slave_timeout,
-            topology=self.topology,
+            topology=(
+                OnlineTopology(halflife=spec.topology_halflife)
+                if spec.topology_halflife is not None
+                else None
+            ),
         )
-        # Serializes slave mutation between the shard's ingest loop
-        # (warm sync, try-acquire only) and its diagnosis thread.
-        self._slave_lock = threading.Lock()
-        self._pending: List[FleetTrigger] = []
-        self._last_trigger: Optional[int] = None
-        self._violating = False
+        self.core = TickCore(
+            self.store,
+            self.fchain,
+            detector if detector is not None else spec.detector,
+            origin=spec.origin,
+        )
         # The source-side shared-memory export of an in-flight
         # relocation; closed when the supervisor sends "release".
         self._export: Optional[SharedStoreExport] = None
+        self.tick_seconds: Deque[float] = deque(maxlen=TICK_SECONDS_WINDOW)
 
-        self.ticks = 0
-        self.triggered = 0
-        self.warm_sync_skipped = 0
-        self.incident_count = 0
-        self.tick_seconds: List[float] = []
+    @property
+    def topology(self) -> Optional[OnlineTopology]:
+        return self.core.topology
 
-    # ------------------------------------------------------------------
-    # Ingest-side stages (one call per tick, on the shard serve loop)
-    # ------------------------------------------------------------------
-    def process(self, batch: TickBatch) -> List[FleetTrigger]:
-        """One tick: ingest → warm sync → SLO edge → grace flush.
-
-        Returns the triggers whose post-violation grace data arrived
-        this tick, ``dispatched_tick`` already stamped — the caller owns
-        queueing them (with its own budget and fairness rules).
-        """
+    def process(self, batch: TickBatch) -> List[Trigger]:
+        """One timed tick of the core; returns the ready triggers — the
+        caller owns queueing them (with its own budget and fairness)."""
         started = time.perf_counter()
-        t = int(batch.time)
-        self.store.ingest(
-            IngestBatch(samples=batch.samples, watermark=t + 1)
-        )
-        self._learn_topology(t, batch)
-        self._warm_sync()
-        rising = False
-        if batch.performance is not None:
-            status = self.detector.observe(t, batch.performance)
-            rising = status.violated and not self._violating
-            self._violating = status.violated
-        if rising:
-            self._on_violation(t)
-        ready = self._flush_ready()
-        self.ticks += 1
+        ready = self.core.process(batch)
         self.tick_seconds.append(time.perf_counter() - started)
         return ready
 
-    def _learn_topology(self, t: int, batch: TickBatch) -> None:
-        """Feed one tick's evidence into the tenant's online topology.
-
-        Mirrors ``OnlinePipeline._learn_topology``: traffic counts are
-        the edge-creating channel, the ``network_out`` samples
-        corroborate known edges through delta co-movement.
-        """
-        if self.topology is None:
-            return
-        if batch.edges:
-            self.topology.observe_traffic(t, batch.edges)
-        signals = {
-            sample.component: sample.value
-            for sample in batch.samples
-            if sample.metric == Metric.NETWORK_OUT
-        }
-        if signals:
-            self.topology.observe_comovement(t, signals)
-
-    def _warm_sync(self) -> None:
-        """Catch the slave models up — never waiting on a diagnosis."""
-        slave = self.fchain.master.slave
-        if slave is None:
-            return
-        if not self._slave_lock.acquire(blocking=False):
-            self.warm_sync_skipped += 1
-            return
-        try:
-            slave.sync_with_store(self.store, self.store.end)
-        finally:
-            self._slave_lock.release()
-
-    def _on_violation(self, t: int) -> None:
-        cooldown = self.config.service_cooldown
-        if (
-            self._last_trigger is not None
-            and t - self._last_trigger < cooldown
-        ):
-            return  # flapping within the window folds into the incident
-        self._last_trigger = t
-        self.triggered += 1
-        self._pending.append(
-            FleetTrigger(violation_tick=t, detected_at=time.monotonic())
-        )
-
-    def _flush_ready(self) -> List[FleetTrigger]:
-        if not self._pending:
-            return []
-        grace = self.config.analysis_grace
-        ready: List[FleetTrigger] = []
-        waiting: List[FleetTrigger] = []
-        for trigger in self._pending:
-            if self.store.end >= trigger.violation_tick + grace + 1:
-                trigger.dispatched_tick = self.store.end - 1
-                ready.append(trigger)
-            else:
-                waiting.append(trigger)
-        self._pending = waiting
-        return ready
-
-    def flush_pending(self) -> List[FleetTrigger]:
-        """Drain-time flush: grace data will never arrive — diagnose on
-        what was recorded (mirrors ``OnlinePipeline.close``)."""
-        pending, self._pending = self._pending, []
-        for trigger in pending:
-            trigger.dispatched_tick = self.store.end - 1
-        return pending
-
-    # ------------------------------------------------------------------
-    # Diagnosis side (on the shard's dispatch thread)
-    # ------------------------------------------------------------------
-    def diagnose(self, trigger: FleetTrigger) -> Incident:
+    def diagnose(self, trigger: Trigger) -> Incident:
         """Run one localization; raises on engine failure."""
-        with self._slave_lock:
-            diagnosis = self.fchain.localize(
-                self.store,
-                violation_time=trigger.violation_tick,
-                origin=self.spec.origin,
-            )
-        incident = Incident(
-            index=self.incident_count,
-            violation_tick=trigger.violation_tick,
-            dispatched_tick=trigger.dispatched_tick
-            if trigger.dispatched_tick is not None
-            else trigger.violation_tick,
-            trigger_latency_seconds=time.monotonic() - trigger.detected_at,
-            diagnosis=diagnosis,
-            quality=diagnosis.confidence,
-        )
-        self.incident_count += 1
-        return incident
+        return self.core.diagnose(trigger)
 
     # ------------------------------------------------------------------
     # Relocation
@@ -307,20 +190,21 @@ class TenantRuntime:
         segment by name, possibly from another process.
         """
         self._export = SharedStoreExport(self.store)
+        core = self.core
         return TenantSnapshot(
             spec=self.spec,
             handle=self._export.handle,
-            detector=self.detector,
-            violating=self._violating,
-            last_trigger=self._last_trigger,
-            pending=list(self._pending),
+            detector=core.detector,
+            violating=core.violating,
+            last_trigger=core.last_trigger,
+            pending=list(core.pending),
             counters={
-                "ticks": self.ticks,
-                "triggered": self.triggered,
-                "warm_sync_skipped": self.warm_sync_skipped,
-                "incident_count": self.incident_count,
+                "ticks": core.ticks,
+                "triggered": core.triggered,
+                "warm_sync_skipped": core.warm_sync_skipped,
+                "incident_count": core.incident_count,
             },
-            topology=self.topology,
+            topology=core.topology,
         )
 
     def release(self) -> None:
@@ -338,26 +222,24 @@ class TenantRuntime:
             snapshot.handle, retention=spec.retention
         )
         runtime = cls(spec, store=store, detector=snapshot.detector)
-        runtime._violating = snapshot.violating
-        runtime._last_trigger = snapshot.last_trigger
-        runtime._pending = list(snapshot.pending)
-        runtime.ticks = snapshot.counters.get("ticks", 0)
-        runtime.triggered = snapshot.counters.get("triggered", 0)
-        runtime.warm_sync_skipped = snapshot.counters.get(
-            "warm_sync_skipped", 0
-        )
-        runtime.incident_count = snapshot.counters.get("incident_count", 0)
+        core = runtime.core
+        core.violating = snapshot.violating
+        core.last_trigger = snapshot.last_trigger
+        core.pending = list(snapshot.pending)
+        core.ticks = snapshot.counters["ticks"]
+        core.triggered = snapshot.counters["triggered"]
+        core.warm_sync_skipped = snapshot.counters["warm_sync_skipped"]
+        core.incident_count = snapshot.counters["incident_count"]
         if snapshot.topology is not None:
             # The learned graph relocates wholesale: edge confidences
             # are part of diagnosis state, and re-learning from scratch
             # on the target shard would widen every scoped diagnosis
             # until the graph re-converged.
-            runtime.topology = snapshot.topology
             runtime.fchain.master.topology = snapshot.topology
         # Warm the models from the rebuilt store: update_many chunk
         # invariance makes this bit-identical to models that streamed
         # the same history tick by tick and never moved.
-        runtime._warm_sync()
+        core.warm_sync()
         return runtime
 
     def close(self) -> None:
@@ -365,7 +247,6 @@ class TenantRuntime:
 
 
 __all__ = [
-    "FleetTrigger",
     "TenantRuntime",
     "TenantSnapshot",
     "TenantSpec",

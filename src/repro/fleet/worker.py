@@ -33,12 +33,8 @@ import threading
 from collections import OrderedDict, deque
 from typing import Deque, Dict, Optional, Tuple
 
-from repro.fleet.tenant import (
-    FleetTrigger,
-    TenantRuntime,
-    TenantSnapshot,
-    TenantSpec,
-)
+from repro.fleet.tenant import TenantRuntime, TenantSnapshot, TenantSpec
+from repro.service.tick import Trigger
 
 #: Sent by the dispatch loop's condition wait to bound drain latency.
 _DISPATCH_POLL_SECONDS = 0.1
@@ -61,7 +57,7 @@ class ShardWorker:
         self.runtimes: Dict[str, TenantRuntime] = {}
         #: Tenants exported for relocation, still owning their segment.
         self._parked: Dict[str, TenantRuntime] = {}
-        self._queues: "OrderedDict[str, Deque[FleetTrigger]]" = OrderedDict()
+        self._queues: "OrderedDict[str, Deque[Trigger]]" = OrderedDict()
         self._cv = threading.Condition()
         self._dispatcher: Optional[threading.Thread] = None
         self._draining = False
@@ -159,7 +155,7 @@ class ShardWorker:
 
     def _handle_drain(self) -> None:
         for tenant, runtime in self.runtimes.items():
-            for trigger in runtime.flush_pending():
+            for trigger in runtime.core.flush_pending():
                 # Drain-time triggers bypass the budget, mirroring the
                 # pipeline's blocking put on close().
                 self._enqueue(tenant, trigger, budgeted=False)
@@ -182,7 +178,7 @@ class ShardWorker:
     # Fair dispatch
     # ------------------------------------------------------------------
     def _enqueue(
-        self, tenant: str, trigger: FleetTrigger, *, budgeted: bool = True
+        self, tenant: str, trigger: Trigger, *, budgeted: bool = True
     ) -> None:
         with self._cv:
             pending = self._queues.get(tenant)
@@ -204,7 +200,7 @@ class ShardWorker:
             )
             self._dispatcher.start()
 
-    def _next_trigger(self) -> Optional[Tuple[str, FleetTrigger]]:
+    def _next_trigger(self) -> Optional[Tuple[str, Trigger]]:
         """Round-robin: first tenant with work, rotated to the back."""
         for tenant in list(self._queues):
             pending = self._queues[tenant]
@@ -241,11 +237,12 @@ class ShardWorker:
     def _stats(self) -> Dict:
         tenants: Dict[str, Dict] = {}
         for tenant, runtime in self.runtimes.items():
+            core = runtime.core
             tenants[tenant] = {
-                "ticks": runtime.ticks,
-                "triggered": runtime.triggered,
-                "incidents": runtime.incident_count,
-                "warm_sync_skipped": runtime.warm_sync_skipped,
+                "ticks": core.ticks,
+                "triggered": core.triggered,
+                "incidents": core.incident_count,
+                "warm_sync_skipped": core.warm_sync_skipped,
                 "shed": self.shed.get(tenant, 0),
                 "tick_seconds": list(runtime.tick_seconds),
             }

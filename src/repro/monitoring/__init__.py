@@ -24,7 +24,6 @@ from repro.monitoring.slo import (
     SLODetector,
     SLOStatus,
 )
-from repro.monitoring.spill import SegmentSpill
 from repro.monitoring.store import IngestBatch, IngestRun, MetricStore
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "MetricStore",
     "ProgressSLO",
     "STRICT_POLICY",
-    "SegmentSpill",
     "SeriesQuality",
     "SLODetector",
     "SLOStatus",

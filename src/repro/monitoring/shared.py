@@ -201,7 +201,6 @@ def materialize_store(
     handle: SharedStoreHandle,
     *,
     retention: int = DEFAULT_RETENTION,
-    spill=None,
 ) -> MetricStore:
     """Rebuild a *writable* ``MetricStore`` from an exported snapshot.
 
@@ -227,24 +226,17 @@ def materialize_store(
             start=handle.start,
             policy=handle.policy,
             retention=retention,
-            spill=spill,
         )
         for component, metric_value, offset, count, first_slot in (
             handle.layout
         ):
-            key = (component, Metric(metric_value))
-            ring = store._ring(key)
+            ring = store._ring((component, Metric(metric_value)))
             if first_slot > 0:
                 # Evicted history: values are gone, but the head must
                 # land on the same absolute slot as the source ring.
-                ring.append_run(
-                    np.full(first_slot, np.nan), KIND_MISSING, None, key
-                )
+                ring.append_run(np.full(first_slot, np.nan), KIND_MISSING)
             ring.append_run(
-                np.array(flat[offset : offset + count]),
-                KIND_OBSERVED,
-                None,
-                key,
+                np.array(flat[offset : offset + count]), KIND_OBSERVED
             )
         for component, metric_value, qual in handle.quality:
             key = (component, Metric(metric_value))

@@ -22,9 +22,7 @@ Rings grow by doubling (old buffers are left behind intact, so
 previously returned views stay valid) until they reach the store's
 ``retention``; past that point the ring stops allocating and retains
 the newest ``retention`` samples by overwriting the oldest — steady
-state ingest is allocation-free. Slots about to be overwritten can
-optionally be archived first through an mmap-backed
-:class:`~repro.monitoring.spill.SegmentSpill` for replay durability.
+state ingest is allocation-free.
 
 There is one write surface: :meth:`MetricStore.ingest` accepts either
 an :class:`IngestBatch` (per-sample points, vectorized contiguous runs,
@@ -58,7 +56,6 @@ from repro.monitoring.quality import (
     STRICT_POLICY,
     SeriesQuality,
 )
-from repro.monitoring.spill import SegmentSpill
 
 _Key = Tuple[ComponentId, Metric]
 
@@ -180,44 +177,27 @@ class _Ring:
         kinds[:n] = self.kinds[:n]
         self.values, self.kinds, self.cap = values, kinds, cap
 
-    def append_one(
-        self,
-        value: float,
-        kind: int,
-        spill: Optional[SegmentSpill],
-        key: _Key,
-    ) -> None:
+    def append_one(self, value: float, kind: int) -> None:
         """Append a single sample at the head (the 1 Hz hot path)."""
         self._check_writable()
         s = self.head
         cap = self.cap
-        if s >= cap:
-            if cap < self.limit:
-                self._grow(s + 1)
-                cap = self.cap
-            elif spill is not None:
-                evicted = s - cap
-                spill.append(key, evicted, self.view(evicted, evicted + 1))
+        if s >= cap and cap < self.limit:
+            self._grow(s + 1)
+            cap = self.cap
         p = s % cap
         self.values[p] = value
         self.values[p + cap] = value
         self.kinds[p] = kind
         self.head = s + 1
 
-    def append_run(
-        self,
-        values: np.ndarray,
-        kind: int,
-        spill: Optional[SegmentSpill],
-        key: _Key,
-    ) -> int:
+    def append_run(self, values: np.ndarray, kind: int) -> int:
         """Append a contiguous run at the head; returns the first slot
         actually written.
 
         If the run is longer than the ring capacity, only its newest
         ``cap`` samples are stored — the earlier ones are evicted on
-        arrival (and are *not* spilled; spill archives only slots that
-        were stored first).
+        arrival.
         """
         self._check_writable()
         n = len(values)
@@ -226,12 +206,6 @@ class _Ring:
             self._grow(s + n)
         cap = self.cap
         new_head = s + n
-        if spill is not None:
-            old_first = max(0, s - cap)
-            new_first = max(0, new_head - cap)
-            end = min(new_first, s)
-            if end > old_first:
-                spill.append(key, old_first, self.view(old_first, end))
         write_start = max(s, new_head - cap)
         run = values[write_start - s :]
         p = write_start % cap
@@ -314,9 +288,8 @@ class MetricStore:
     methods remain as deprecated wrappers for one release.
 
     Retention: each series keeps at most ``retention`` samples; once a
-    ring is full the oldest slot is overwritten by the newest
-    (optionally archived first when ``spill`` is given). Reads clip to
-    the retained range — :meth:`series` returns a view whose ``start``
+    ring is full the oldest slot is overwritten by the newest. Reads clip
+    to the retained range — :meth:`series` returns a view whose ``start``
     reflects any evicted prefix. Views stay valid while their window
     stays retained; a view still holding the oldest retained slots
     observes the overwrite once the ring wraps past them.
@@ -334,14 +307,12 @@ class MetricStore:
         policy: Optional[DataQualityPolicy] = None,
         *,
         retention: int = DEFAULT_RETENTION,
-        spill: Optional[SegmentSpill] = None,
     ) -> None:
         if retention < 1:
             raise DataQualityError("retention must be >= 1 sample")
         self.start = start
         self.policy = policy
         self.retention = int(retention)
-        self.spill = spill
         self._series: Dict[_Key, _Ring] = {}
         self._length = 0
         self._quality: Dict[_Key, SeriesQuality] = {}
@@ -455,7 +426,7 @@ class MetricStore:
             self._fill_gap(
                 key, ring, qual, ring.head, slot, float(values[0]), policy
             )
-        write_start = ring.append_run(values, KIND_OBSERVED, self.spill, key)
+        write_start = ring.append_run(values, KIND_OBSERVED)
         if bad is None:
             qual.observed += n
         else:
@@ -509,21 +480,21 @@ class MetricStore:
         slot = time - self.start
         head = ring.head
         if slot == head:
-            self._append_sample(key, ring, qual, value)
+            self._append_sample(ring, qual, value)
         elif slot > head:
             self._fill_gap(key, ring, qual, head, slot, value, policy)
-            self._append_sample(key, ring, qual, value)
+            self._append_sample(ring, qual, value)
         else:
             self._backfill(key, ring, qual, slot, value, policy)
 
     def _append_sample(
-        self, key: _Key, ring: _Ring, qual: SeriesQuality, value: float
+        self, ring: _Ring, qual: SeriesQuality, value: float
     ) -> None:
         if math.isnan(value):
-            ring.append_one(value, KIND_MISSING, self.spill, key)
+            ring.append_one(value, KIND_MISSING)
             qual.missing += 1
         else:
-            ring.append_one(value, KIND_OBSERVED, self.spill, key)
+            ring.append_one(value, KIND_OBSERVED)
             qual.observed += 1
 
     def _fill_gap(
@@ -553,19 +524,19 @@ class MetricStore:
         if fillable and policy.fill == "interpolate" and math.isfinite(arriving):
             step = (arriving - prev) / (gap + 1)
             pad = prev + step * np.arange(1, gap + 1, dtype=np.float64)
-            ring.append_run(pad, KIND_INTERPOLATED, self.spill, key)
+            ring.append_run(pad, KIND_INTERPOLATED)
             qual.filled_interpolated += gap
             self._metrics().filled.inc(gap, method="interpolate")
         elif fillable:
             # Forward fill — also the fallback when the sample closing
             # the gap is itself invalid (nothing to interpolate toward).
             pad = np.full(gap, prev, dtype=np.float64)
-            ring.append_run(pad, KIND_FORWARD, self.spill, key)
+            ring.append_run(pad, KIND_FORWARD)
             qual.filled_forward += gap
             self._metrics().filled.inc(gap, method="forward")
         else:
             pad = np.full(gap, math.nan, dtype=np.float64)
-            ring.append_run(pad, KIND_MISSING, self.spill, key)
+            ring.append_run(pad, KIND_MISSING)
             qual.missing += gap
             self._metrics().gap_ticks.inc(gap)
 
@@ -727,20 +698,6 @@ class MetricStore:
             raise KeyError(f"no samples for {component}/{metric}")
         return self.start + ring.first
 
-    def spilled_series(
-        self, component: ComponentId, metric: Metric
-    ) -> Optional[TimeSeries]:
-        """Evicted history archived by the spill, as a memory-mapped
-        :class:`~repro.common.timeseries.TimeSeries` (``None`` when
-        nothing was spilled or no spill is configured)."""
-        if self.spill is None:
-            return None
-        got = self.spill.read(component, metric)
-        if got is None:
-            return None
-        slot, values = got
-        return TimeSeries(values, start=self.start + slot)
-
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
@@ -765,7 +722,7 @@ class MetricStore:
             for metric, values in metrics.items():
                 arr = np.array(list(values), dtype=np.float64)
                 key = (component, metric)
-                store._ring(key).append_run(arr, KIND_OBSERVED, None, key)
+                store._ring(key).append_run(arr, KIND_OBSERVED)
                 lengths.add(len(arr))
         if len(lengths) > 1:
             raise ValueError(f"series lengths differ: {sorted(lengths)}")
@@ -778,5 +735,4 @@ __all__ = [
     "IngestBatch",
     "IngestRun",
     "MetricStore",
-    "SegmentSpill",
 ]

@@ -3,75 +3,56 @@
 This is the paper's deployment shape (Sec. II-A): FChain runs *behind* a
 client-side SLO detector, its slave models stay warm on the live 1 Hz
 metric stream, and the master is invoked the moment a sustained
-violation is declared. :class:`OnlinePipeline` wires the existing pieces
-into that loop:
-
-1. **Ingest** — every :class:`~repro.service.sources.TickBatch` from the
-   feed goes through the tolerant :meth:`MetricStore.ingest` path, so
-   gaps, NaN readings, clock skew and late delivery are handled by the
-   data-quality policy, not by the loop.
-2. **Warm-up** — the persistent slave's Markov models are synced with
-   the store each tick (``sync_with_store``), keeping diagnosis cost
-   O(look-back window) no matter how long the loop has run.
-3. **Detect** — the batch's performance signal feeds the loop's
-   :class:`~repro.monitoring.slo.SLODetector`.
-4. **Dispatch** — a *rising edge* of the violation signal (subject to
-   the ``service_cooldown`` dedup window) creates one trigger; the
-   trigger waits until the post-violation ``analysis_grace`` data has
-   been recorded, then enters a bounded queue consumed by a single
-   background diagnosis worker.
+violation is declared. The per-tick rules — tolerant watermarked ingest,
+topology learning, try-lock warm sync, rising-edge + cooldown dedup,
+analysis-grace wait, incident stamping — live in
+:class:`~repro.service.tick.TickCore`, shared with the fleet layer.
+:class:`OnlinePipeline` is the single-application *driver* around that
+core: it pulls batches off a feed, wraps each tick in a ``service_tick``
+span, pushes the triggers the core releases into a bounded queue, and
+runs one background worker that hands them back to the core for
+diagnosis and delivers the incidents to the sinks.
 
 Backpressure invariant: **ingest never blocks on diagnosis.** The
 dispatch queue is bounded (``service_queue_depth``); when it is full, a
 new trigger is *shed* with a counted drop rather than making the feed
-wait. The per-tick warm-up sync is skipped (not awaited) while a
-diagnosis holds the slave — the slave catches itself up inside
-``analyze`` or on the next free tick.
+wait. (The core's warm-up sync likewise skips, never waits, while a
+diagnosis holds the slave.)
 
-Shutdown is graceful: :meth:`close` flushes triggers still waiting for
-grace data, drains the queue, joins the worker and closes the sinks.
+Shutdown is graceful: :meth:`OnlinePipeline.close` flushes triggers
+still waiting for grace data, drains the queue, joins the worker and
+closes the sinks — also when the feed or a tick raises out of
+:meth:`OnlinePipeline.run`.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import time
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import networkx as nx
 
 from repro.common.errors import ReproError
-from repro.common.types import ComponentId, Metric
+from repro.common.types import ComponentId
 from repro.core.config import FChainConfig
 from repro.core.fchain import FChain
 from repro.core.topology import OnlineTopology
 from repro.monitoring.quality import DataQualityPolicy
 from repro.monitoring.slo import SLODetector
-from repro.monitoring.store import IngestBatch, MetricStore
+from repro.monitoring.store import MetricStore
 from repro.obs.trace import (
     STAGE_DISPATCH,
     STAGE_DRAIN,
     STAGE_SERVICE_TICK,
-    STAGE_SLO_EVAL,
-    STAGE_STORE_SYNC,
     make_tracer,
 )
 from repro.service.incident import Incident, ServiceMetrics
 from repro.service.sources import TickBatch
+from repro.service.tick import TickCore, Trigger
 
 #: Queue item that tells the diagnosis worker to exit.
 _SENTINEL = None
-
-
-@dataclass
-class _Trigger:
-    """One deduplicated violation awaiting (or undergoing) diagnosis."""
-
-    violation_tick: int
-    detected_at: float  # time.monotonic() at SLO detection
-    dispatched_tick: Optional[int] = None
 
 
 class OnlinePipeline:
@@ -151,8 +132,6 @@ class OnlinePipeline:
                 "construct the store with MetricStore(policy=...)"
             )
         self.store = store
-        self.topology = topology
-        self.origin = origin
         self.fchain = FChain(
             self.config,
             dependency_graph,
@@ -161,6 +140,7 @@ class OnlinePipeline:
             slave_timeout=slave_timeout,
             topology=topology,
         )
+        self.core = TickCore(store, self.fchain, detector, origin=origin)
         self.sinks = list(sinks)
         self.tracer = make_tracer(self.config.telemetry, registry=registry)
         self._registry = registry
@@ -170,60 +150,57 @@ class OnlinePipeline:
             maxsize=self.config.service_queue_depth
         )
         self._worker: Optional[threading.Thread] = None
-        # Serializes slave-state mutation between the ingest thread's
-        # warm-up sync and the worker's diagnosis. The ingest side only
-        # ever try-acquires it — see _warm_sync.
-        self._slave_lock = threading.Lock()
-        self._pending: List[_Trigger] = []
-        self._last_trigger: Optional[int] = None
-        self._violating = False
         self._closed = False
 
         self.incidents: List[Incident] = []
         self.failures: List[Tuple[int, Exception]] = []
-        self.ticks = 0
-        self.triggered = 0
         self.dropped = 0
-        self.warm_sync_skipped = 0
+
+    @property
+    def topology(self) -> Optional[OnlineTopology]:
+        return self.core.topology
+
+    @property
+    def ticks(self) -> int:
+        return self.core.ticks
+
+    @property
+    def triggered(self) -> int:
+        return self.core.triggered
+
+    @property
+    def warm_sync_skipped(self) -> int:
+        return self.core.warm_sync_skipped
 
     # ------------------------------------------------------------------
     # Driving the loop
     # ------------------------------------------------------------------
     def run(self, max_ticks: Optional[int] = None) -> List[Incident]:
-        """Consume the feed (optionally bounded), drain, return incidents."""
+        """Consume the feed (optionally bounded), drain, return incidents.
+
+        The drain also runs when the feed or a tick raises (the
+        exception still propagates): already-dispatched incidents reach
+        the sinks, the worker is joined and the sinks are closed.
+        """
         processed = 0
-        for batch in self.feed:
-            self.process(batch)
-            processed += 1
-            if max_ticks is not None and processed >= max_ticks:
-                break
-        self.close()
+        try:
+            for batch in self.feed:
+                self.process(batch)
+                processed += 1
+                if max_ticks is not None and processed >= max_ticks:
+                    break
+        finally:
+            self.close()
         return list(self.incidents)
 
     def process(self, batch: TickBatch) -> None:
-        """Feed one tick's batch through ingest → SLO → dispatch."""
+        """Feed one tick's batch through the core, dispatch what is ready."""
         if self._closed:
             raise ReproError("the pipeline is closed")
-        t = int(batch.time)
         tracer = self.tracer
-        with tracer.span(STAGE_SERVICE_TICK, tick=t) as tick_span:
-            self.store.ingest(
-                IngestBatch(samples=batch.samples, watermark=t + 1)
-            )
-            tick_span.count("samples_ingested", len(batch.samples))
-            self._learn_topology(t, batch)
-            self._warm_sync(tick_span)
-            with tick_span.child(STAGE_SLO_EVAL) as slo_span:
-                rising = False
-                if batch.performance is not None:
-                    status = self.detector.observe(t, batch.performance)
-                    rising = status.violated and not self._violating
-                    self._violating = status.violated
-                    slo_span.tag(violated=status.violated)
-            if rising:
-                self._on_violation(t)
-            self._flush_ready(tick_span)
-            self.ticks += 1
+        with tracer.span(STAGE_SERVICE_TICK, tick=int(batch.time)) as tick_span:
+            for trigger in self.core.process(batch, tick_span):
+                self._dispatch(trigger, tick_span)
         if tracer.enabled:
             tracer.observe(tick_span)
 
@@ -243,9 +220,8 @@ class OnlinePipeline:
             # Triggers still waiting for grace data will never see it —
             # diagnose on what was recorded. Ingest has stopped, so a
             # blocking put cannot stall anything but the drain itself.
-            pending, self._pending = self._pending, []
+            pending = self.core.flush_pending()
             for trigger in pending:
-                trigger.dispatched_tick = self.store.end - 1
                 self._ensure_worker()
                 self._queue.put(trigger)
             drain_span.count("pending_flushed", len(pending))
@@ -264,83 +240,13 @@ class OnlinePipeline:
                 close()
 
     # ------------------------------------------------------------------
-    # Ingest-side stages
+    # Dispatch
     # ------------------------------------------------------------------
-    def _warm_sync(self, tick_span) -> None:
-        """Keep the slave's models caught up — without ever waiting.
-
-        The worker holds ``_slave_lock`` for the duration of a
-        diagnosis; blocking here would stall ingest behind it, which is
-        exactly the backpressure inversion the loop must not have. A
-        skipped sync costs nothing: ``analyze`` syncs the look-back
-        window itself, and the next free tick catches the rest up.
-        """
-        slave = self.fchain.master.slave
-        if slave is None:
-            return
-        if not self._slave_lock.acquire(blocking=False):
-            self.warm_sync_skipped += 1
-            return
-        try:
-            with tick_span.child(STAGE_STORE_SYNC):
-                slave.sync_with_store(self.store, self.store.end)
-        finally:
-            self._slave_lock.release()
-
-    def _learn_topology(self, t: int, batch: TickBatch) -> None:
-        """Feed one tick's evidence into the online topology, if any.
-
-        Traffic counts are the primary channel (they create and refresh
-        edges); the per-component ``network_out`` samples corroborate
-        already-known edges through delta co-movement. Both are cheap —
-        a dict pass per tick — and run on the ingest thread, so the
-        learned graph is always current when a diagnosis snapshots it.
-        """
-        if self.topology is None:
-            return
-        if batch.edges:
-            self.topology.observe_traffic(t, batch.edges)
-        signals = {
-            sample.component: sample.value
-            for sample in batch.samples
-            if sample.metric == Metric.NETWORK_OUT
-        }
-        if signals:
-            self.topology.observe_comovement(t, signals)
-
-    def _on_violation(self, t: int) -> None:
-        """A rising violation edge: dedup against the cooldown window."""
-        cooldown = self.config.service_cooldown
-        if (
-            self._last_trigger is not None
-            and t - self._last_trigger < cooldown
-        ):
-            return  # flapping within the window folds into the incident
-        self._last_trigger = t
-        self.triggered += 1
-        self._pending.append(
-            _Trigger(violation_tick=t, detected_at=time.monotonic())
-        )
-
-    def _flush_ready(self, tick_span) -> None:
-        """Dispatch triggers whose post-violation grace data arrived."""
-        if not self._pending:
-            return
-        grace = self.config.analysis_grace
-        waiting: List[_Trigger] = []
-        for trigger in self._pending:
-            if self.store.end >= trigger.violation_tick + grace + 1:
-                self._dispatch(trigger, tick_span)
-            else:
-                waiting.append(trigger)
-        self._pending = waiting
-
-    def _dispatch(self, trigger: _Trigger, tick_span) -> None:
-        """Enqueue one trigger — or shed it if the queue is full."""
+    def _dispatch(self, trigger: Trigger, tick_span) -> None:
+        """Enqueue one ready trigger — or shed it if the queue is full."""
         with tick_span.child(
             STAGE_DISPATCH, violation_tick=trigger.violation_tick
         ) as dispatch_span:
-            trigger.dispatched_tick = self.store.end - 1
             self._ensure_worker()
             try:
                 self._queue.put_nowait(trigger)
@@ -370,27 +276,12 @@ class OnlinePipeline:
             finally:
                 self._queue.task_done()
 
-    def _diagnose(self, trigger: _Trigger) -> None:
+    def _diagnose(self, trigger: Trigger) -> None:
         try:
-            with self._slave_lock:
-                diagnosis = self.fchain.localize(
-                    self.store,
-                    violation_time=trigger.violation_tick,
-                    origin=self.origin,
-                )
+            incident = self.core.diagnose(trigger)
         except Exception as error:  # keep the loop alive
             self.failures.append((trigger.violation_tick, error))
             return
-        incident = Incident(
-            index=len(self.incidents),
-            violation_tick=trigger.violation_tick,
-            dispatched_tick=trigger.dispatched_tick
-            if trigger.dispatched_tick is not None
-            else trigger.violation_tick,
-            trigger_latency_seconds=time.monotonic() - trigger.detected_at,
-            diagnosis=diagnosis,
-            quality=diagnosis.confidence,
-        )
         self.incidents.append(incident)
         self._service_metrics().incidents.inc(1, quality=incident.quality)
         for sink in self.sinks:

@@ -169,10 +169,3 @@ class TestStreamingFacade:
             many.master.slave._streams[("c", Metric.CPU_USAGE)].view(),
             one.master.slave._streams[("c", Metric.CPU_USAGE)].view(),
         )
-
-    def test_replay_engine_rejects_observe(self):
-        from repro.common.errors import DiagnosisError
-
-        fchain = FChain(incremental=False)
-        with pytest.raises(DiagnosisError, match="incremental"):
-            fchain.observe("c", Metric.CPU_USAGE, 1.0)

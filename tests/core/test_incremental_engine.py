@@ -65,11 +65,17 @@ def _diagnosis_key(result):
 
 
 def assert_engines_equivalent(store, violation, seed):
-    """Replay vs cold-warm vs cache-warm incremental, all identical."""
-    replay = FChainMaster(FChainConfig(), seed=seed, incremental=False)
-    expected = replay.diagnose(store, violation)
+    """Replay vs stream-warmed vs cache-warm, all identical."""
+    # Replay: a fresh master per diagnosis pushes the recorded history
+    # through fresh models inside ``analyze``.
+    expected = FChainMaster(FChainConfig(), seed=seed).diagnose(
+        store, violation
+    )
 
-    warm = FChainMaster(FChainConfig(), seed=seed, incremental=True)
+    # Warm: the persistent slave streamed the whole store beforehand, as
+    # the online loop does tick by tick.
+    warm = FChainMaster(FChainConfig(), seed=seed)
+    warm.slave.sync_with_store(store, store.end)
     first = warm.diagnose(store, violation)
     # Second warm diagnosis is served from the per-window caches and the
     # already-synced models; it must not drift.
@@ -165,10 +171,10 @@ class TestSlavePool:
     def test_parallel_matches_serial(self, rubis_cpuhog_run):
         app, violation = rubis_cpuhog_run
         serial = FChainMaster(
-            FChainConfig(), seed=101, jobs=1, incremental=True
+            FChainConfig(), seed=101, jobs=1
         ).diagnose(app.store, violation)
         parallel = FChainMaster(
-            FChainConfig(), seed=101, jobs=4, incremental=True
+            FChainConfig(), seed=101, jobs=4
         ).diagnose(app.store, violation)
         assert _diagnosis_key(parallel) == _diagnosis_key(serial)
 

@@ -56,13 +56,13 @@ class TestExecutorIdentity:
         violation = store.end - 5
 
         serial = FChainMaster(
-            THREAD_CONFIG, seed=3, incremental=True
+            THREAD_CONFIG, seed=3
         ).diagnose(store, violation)
         threaded = FChainMaster(
-            THREAD_CONFIG, seed=3, jobs=3, incremental=True
+            THREAD_CONFIG, seed=3, jobs=3
         ).diagnose(store, violation)
         procs = FChainMaster(
-            PROCESS_CONFIG, seed=3, jobs=2, incremental=True
+            PROCESS_CONFIG, seed=3, jobs=2
         ).diagnose(store, violation)
 
         assert _result_key(serial) == _result_key(threaded)
@@ -77,10 +77,10 @@ class TestExecutorIdentity:
         shallow = _wrapped_store(retention=1_024)
         deep = _wrapped_store(retention=256)
         violation = shallow.end - 5
-        left = FChainMaster(THREAD_CONFIG, seed=3, incremental=True).diagnose(
+        left = FChainMaster(THREAD_CONFIG, seed=3).diagnose(
             shallow, violation
         )
-        right = FChainMaster(THREAD_CONFIG, seed=3, incremental=True).diagnose(
+        right = FChainMaster(THREAD_CONFIG, seed=3).diagnose(
             deep, violation
         )
         assert _result_key(left) == _result_key(right)

@@ -19,10 +19,10 @@ from repro.fleet import (
     manifest_from_dict,
     run_manifest,
 )
-from repro.fleet.tenant import FleetTrigger
 from repro.monitoring.slo import LatencySLO
 from repro.obs.registry import MetricsRegistry
 from repro.service.sources import TickBatch
+from repro.service.tick import Trigger
 
 
 def _manifest(count=6, shards=2, fault_tenant=None, **overrides):
@@ -236,22 +236,22 @@ class TestShardWorkerFairness:
     def test_budget_sheds_excess_triggers(self):
         worker = self._worker(budget=2)
         for i in range(5):
-            worker._enqueue("noisy", FleetTrigger(i, 0.0))
+            worker._enqueue("noisy", Trigger(i, 0.0))
         assert len(worker._queues["noisy"]) == 2
         assert worker.shed["noisy"] == 3
 
     def test_drain_triggers_bypass_budget(self):
         worker = self._worker(budget=1)
-        worker._enqueue("t", FleetTrigger(0, 0.0))
-        worker._enqueue("t", FleetTrigger(1, 0.0), budgeted=False)
+        worker._enqueue("t", Trigger(0, 0.0))
+        worker._enqueue("t", Trigger(1, 0.0), budgeted=False)
         assert len(worker._queues["t"]) == 2
 
     def test_dispatch_is_round_robin_across_tenants(self):
         worker = self._worker()
         for tick in range(3):
-            worker._enqueue("a", FleetTrigger(tick, 0.0))
-        worker._enqueue("b", FleetTrigger(0, 0.0))
-        worker._enqueue("c", FleetTrigger(0, 0.0))
+            worker._enqueue("a", Trigger(tick, 0.0))
+        worker._enqueue("b", Trigger(0, 0.0))
+        worker._enqueue("c", Trigger(0, 0.0))
         order = []
         while True:
             item = worker._next_trigger()

@@ -2,8 +2,8 @@
 
 Covers the behavior the dict-backed store never had to define: bounded
 retention with overwrite, reads across the physical wrap seam, backfill
-into evicted history, misaligned ticks, the strict ingest preset,
-segment spill, and shared-memory export of a wrapped store.
+into evicted history, misaligned ticks, the strict ingest preset, and
+shared-memory export of a wrapped store.
 """
 
 import numpy as np
@@ -13,12 +13,7 @@ from repro.common.errors import DataQualityError
 from repro.common.types import Metric, MetricSample
 from repro.monitoring.quality import DataQualityPolicy
 from repro.monitoring.shared import SharedStoreExport, attach_store
-from repro.monitoring.store import (
-    IngestBatch,
-    IngestRun,
-    MetricStore,
-    SegmentSpill,
-)
+from repro.monitoring.store import IngestBatch, IngestRun, MetricStore
 
 CPU = Metric.CPU_USAGE
 
@@ -216,27 +211,6 @@ class TestDeprecationCycleFinished:
                 f"MetricStore.{name}() was scheduled for removal after "
                 "one deprecation release — write through ingest()"
             )
-
-
-class TestSegmentSpill:
-    def test_evicted_slots_round_trip(self, tmp_path):
-        spill = SegmentSpill(tmp_path, segment_slots=4)
-        store = MetricStore(retention=8, spill=spill)
-        _tick_by_tick(store, "c", range(20))
-        assert spill.slots_spilled("c", CPU) == 12
-        archived = store.spilled_series("c", CPU)
-        assert archived.start == 0
-        np.testing.assert_array_equal(
-            np.asarray(archived.values), np.arange(12.0)
-        )
-        live = store.series("c", CPU)
-        assert live.start == 12
-        np.testing.assert_array_equal(live.values, np.arange(12.0, 20.0))
-
-    def test_no_spill_configured_returns_none(self):
-        store = MetricStore(retention=8)
-        _tick_by_tick(store, "c", range(20))
-        assert store.spilled_series("c", CPU) is None
 
 
 class TestSharedWrappedStore:

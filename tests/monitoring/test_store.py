@@ -2,7 +2,7 @@
 
 Writes go through the unified ``ingest(IngestBatch(...))`` entry point;
 the deprecated ``record``/``advance`` wrappers and the ring-specific
-semantics (retention, wraparound, spill) are covered in
+semantics (retention, wraparound) are covered in
 ``test_ring.py``.
 """
 

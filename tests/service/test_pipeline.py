@@ -187,6 +187,44 @@ class TestDrain:
         assert not closer.is_alive()
         assert len(pipeline.incidents) == 1
 
+    def test_run_drains_when_the_feed_raises(self):
+        class Sink:
+            def __init__(self):
+                self.seen = []
+                self.closed = False
+
+            def __call__(self, incident):
+                self.seen.append(incident)
+
+            def close(self):
+                self.closed = True
+
+        def feed():
+            # One violation, its grace data, then the source falls over.
+            for t, value in enumerate([1.0] + [0.01] * 4):
+                yield TickBatch(time=t, performance=value)
+            raise OSError("feed went away")
+
+        sink = Sink()
+        pipeline = OnlinePipeline(
+            feed(),
+            LatencySLO(0.1, sustain=1),
+            config=FChainConfig(analysis_grace=GRACE),
+            sinks=[sink],
+        )
+        pipeline.fchain.localize = lambda store, violation_time=None, origin=None: (
+            FakeDiagnosis()
+        )
+        with pytest.raises(OSError, match="feed went away"):
+            pipeline.run()
+        # The exception propagated, but the loop still drained: the
+        # already-dispatched incident was delivered, the sink closed and
+        # the worker joined.
+        assert pipeline._closed
+        assert [i.violation_tick for i in sink.seen] == [0]
+        assert sink.closed
+        assert pipeline._worker is None
+
     def test_close_is_idempotent_and_process_after_close_raises(self):
         pipeline = make_pipeline()
         pipeline.close()

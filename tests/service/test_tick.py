@@ -1,0 +1,267 @@
+"""The tick rules, each asserted once — on the core both drivers share.
+
+``TickCore`` is driven directly with a stubbed ``fchain.localize``:
+no queue, no worker thread, no shard. What the drivers add on top
+(bounded-queue shedding, drain, fair dispatch, relocation) is covered in
+``test_pipeline.py`` and ``tests/fleet``.
+"""
+
+import threading
+import time
+
+import pytest
+
+from repro.common.types import Metric, MetricSample
+from repro.core.config import FChainConfig
+from repro.core.fchain import FChain
+from repro.monitoring.quality import DataQualityPolicy
+from repro.monitoring.slo import LatencySLO
+from repro.monitoring.store import MetricStore
+from repro.obs.registry import MetricsRegistry
+from repro.service import OnlinePipeline, TickBatch
+from repro.service.tick import TickCore, Trigger
+
+#: Small grace so triggers are released after two more ticks.
+GRACE = 2
+CPU = Metric.CPU_USAGE
+
+
+class FakeDiagnosis:
+    """The minimal surface an Incident reads off a diagnosis."""
+
+    faulty = frozenset({"db"})
+    confidence = "full"
+
+
+class RecordingTopology:
+    """Stands in for OnlineTopology: records what the tick feeds it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def observe_traffic(self, t, edges):
+        self.calls.append(("traffic", t, dict(edges)))
+
+    def observe_comovement(self, t, signals):
+        self.calls.append(("comovement", t, dict(signals)))
+
+
+def make_core(*, topology=None, origin=None, **settings):
+    settings = {"analysis_grace": GRACE, "service_cooldown": 5, **settings}
+    fchain = FChain(FChainConfig(**settings), topology=topology)
+    fchain.localize = lambda store, violation_time=None, origin=None: (
+        FakeDiagnosis()
+    )
+    return TickCore(
+        MetricStore(policy=DataQualityPolicy()),
+        fchain,
+        LatencySLO(0.1, sustain=1),
+        origin=origin,
+    )
+
+
+def drive(core, performance, start=0):
+    """One empty batch per value of the performance signal; returns the
+    ``(tick, ready triggers)`` pairs of the ticks that released any."""
+    released = []
+    for offset, value in enumerate(performance):
+        t = start + offset
+        ready = core.process(TickBatch(time=t, performance=value))
+        if ready:
+            released.append((t, ready))
+    return released
+
+
+class TestDedup:
+    def test_only_a_rising_edge_triggers(self):
+        core = make_core()
+        released = drive(core, [0.01] * 3 + [1.0] * 10 + [0.01] * 3)
+        assert core.ticks == 16
+        assert core.triggered == 1
+        assert [[t.violation_tick for t in ready] for _, ready in released] == [[3]]
+
+    def test_cooldown_folds_flapping_into_one_trigger(self):
+        core = make_core(service_cooldown=10)
+        # Rising edges at 0, 4 (inside the 10-tick window) and 18.
+        signal = [1.0, 1.0, 0.01, 0.01] + [1.0, 0.01] + [0.01] * 12 + [1.0]
+        released = drive(core, signal)
+        released += [(None, core.flush_pending())]
+        assert core.triggered == 2
+        assert [t.violation_tick for _, ready in released for t in ready] == [0, 18]
+
+
+class TestGrace:
+    def test_trigger_waits_for_grace_then_is_stamped(self):
+        core = make_core()
+        released = drive(core, [0.01, 0.01] + [1.0] * 5)
+        # Violation at t=2: nothing is released at ticks 2 and 3, and at
+        # tick 2 + GRACE the stamp is the newest recorded tick.
+        assert len(released) == 1
+        tick, (trigger,) = released[0]
+        assert tick == 2 + GRACE
+        assert trigger.violation_tick == 2
+        assert trigger.dispatched_tick == 2 + GRACE
+        assert not core.pending
+
+    def test_flush_pending_stamps_what_was_recorded(self):
+        core = make_core()
+        assert drive(core, [0.01, 0.01, 1.0]) == []
+        assert [t.dispatched_tick for t in core.pending] == [None]
+        (trigger,) = core.flush_pending()
+        assert trigger.violation_tick == 2
+        assert trigger.dispatched_tick == core.store.end - 1 == 2
+        assert core.flush_pending() == []
+
+
+class TestWarmSync:
+    def test_sync_is_skipped_with_a_count_while_a_diagnosis_runs(self):
+        core = make_core()
+        started = threading.Event()
+        release = threading.Event()
+
+        def held_open(store, violation_time=None, origin=None):
+            started.set()
+            assert release.wait(10), "test never released the stub"
+            return FakeDiagnosis()
+
+        core.fchain.localize = held_open
+        diagnosis = threading.Thread(
+            target=core.diagnose, args=(Trigger(0, time.monotonic(), 0),)
+        )
+        diagnosis.start()
+        assert started.wait(10)
+        slave = core.fchain.master.slave
+        try:
+            core.process(
+                TickBatch(time=0, samples=[MetricSample("c", CPU, 0, 1.0)])
+            )
+            # The tick went through without waiting; only the sync gave way.
+            assert core.ticks == 1
+            assert core.warm_sync_skipped == 1
+            assert slave.model_for("c", CPU) is None
+        finally:
+            release.set()
+            diagnosis.join(10)
+        core.process(
+            TickBatch(time=1, samples=[MetricSample("c", CPU, 1, 1.0)])
+        )
+        assert core.warm_sync_skipped == 1
+        assert slave.model_for("c", CPU) is not None
+
+
+class TestTopologyLearning:
+    def test_traffic_then_network_out_comovement(self):
+        topology = RecordingTopology()
+        core = make_core(topology=topology)
+        assert core.topology is topology
+        core.process(
+            TickBatch(
+                time=0,
+                samples=[
+                    MetricSample("gw", Metric.NETWORK_OUT, 0, 30.0),
+                    MetricSample("gw", CPU, 0, 55.0),
+                    MetricSample("a", Metric.NETWORK_OUT, 0, 28.0),
+                ],
+                edges={("gw", "a"): 5.0},
+            )
+        )
+        # No evidence on a channel, no call on it.
+        core.process(TickBatch(time=1, samples=[MetricSample("gw", CPU, 1, 55.0)]))
+        assert topology.calls == [
+            ("traffic", 0, {("gw", "a"): 5.0}),
+            ("comovement", 0, {"gw": 30.0, "a": 28.0}),
+        ]
+
+
+class TestDiagnose:
+    def test_incident_is_stamped_from_the_trigger(self):
+        core = make_core(origin="gw")
+        calls = []
+        # Replaced after construction: the core must look ``localize``
+        # up on its FChain at call time.
+        core.fchain.localize = (
+            lambda store, violation_time=None, origin=None: calls.append(
+                (store, violation_time, origin)
+            )
+            or FakeDiagnosis()
+        )
+        first = core.diagnose(Trigger(7, time.monotonic(), dispatched_tick=9))
+        second = core.diagnose(Trigger(20, time.monotonic(), dispatched_tick=22))
+        assert calls == [(core.store, 7, "gw"), (core.store, 20, "gw")]
+        assert (first.index, second.index) == (0, 1)
+        assert core.incident_count == 2
+        assert (first.violation_tick, first.dispatched_tick) == (7, 9)
+        assert first.quality == "full"
+        assert first.faulty == ["db"]
+        assert first.trigger_latency_seconds >= 0.0
+
+    def test_engine_failure_propagates_and_burns_no_index(self):
+        core = make_core()
+
+        def explode(store, violation_time=None, origin=None):
+            raise RuntimeError("slave fell over")
+
+        core.fchain.localize = explode
+        with pytest.raises(RuntimeError):
+            core.diagnose(Trigger(3, time.monotonic(), 5))
+        assert core.incident_count == 0
+        # The slave lock was released on the way out.
+        core.warm_sync()
+        assert core.warm_sync_skipped == 0
+
+
+class TestServiceTickSpans:
+    """The ``service_tick`` span tree the pipeline wraps around the core."""
+
+    @pytest.mark.parametrize("telemetry", ["timings", "full"])
+    def test_span_tree(self, telemetry):
+        pipeline = OnlinePipeline(
+            iter(()),
+            LatencySLO(0.1, sustain=1),
+            config=FChainConfig(
+                analysis_grace=GRACE, service_cooldown=5, telemetry=telemetry
+            ),
+            registry=MetricsRegistry(),
+        )
+        pipeline.fchain.localize = (
+            lambda store, violation_time=None, origin=None: FakeDiagnosis()
+        )
+        spans = []
+        pipeline.tracer.observe = spans.append
+        for t, value in enumerate([0.01, 1.0, 1.0, 1.0]):
+            pipeline.process(
+                TickBatch(
+                    time=t,
+                    samples=[
+                        MetricSample("a", CPU, t, 1.0),
+                        MetricSample("b", CPU, t, 2.0),
+                    ],
+                    performance=value,
+                )
+            )
+        pipeline.close()
+
+        ticks = [span for span in spans if span.name == "service_tick"]
+        assert len(ticks) == 4
+        quiet = ["store_sync", "slo_eval"]
+        assert [[c.name for c in tick.children] for tick in ticks] == [
+            quiet, quiet, quiet, quiet + ["dispatch"],
+        ]
+        assert all(span.duration > 0.0 for tick in ticks for span in tick.walk())
+        if telemetry == "timings":
+            # Timings only: no tags, no counters anywhere in the tree.
+            assert not any(
+                span.tags or span.counters
+                for tick in ticks
+                for span in tick.walk()
+            )
+            return
+        assert [tick.tags for tick in ticks] == [{"tick": t} for t in range(4)]
+        assert all(tick.counters == {"samples_ingested": 2} for tick in ticks)
+        assert [tick.children[1].tags for tick in ticks] == [
+            {"violated": False},
+            {"violated": True},
+            {"violated": True},
+            {"violated": True},
+        ]
+        assert ticks[3].children[2].tags == {"violation_tick": 1, "queued": True}
