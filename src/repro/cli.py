@@ -148,202 +148,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Benchmark ingest throughput and diagnosis latency."""
-    from repro.core.config import FChainConfig
-    from repro.eval.bench import (
-        run_benchmark,
-        run_fleet_benchmark,
-        run_http_ingest_benchmark,
-        run_ingest_benchmark,
-        run_service_loop_benchmark,
-        run_topology_benchmark,
-        write_benchmark_json,
-    )
-
-    samples = min(args.samples, 2_000) if args.quick else args.samples
-    repeats = min(args.repeats, 2) if args.quick else args.repeats
-    config = FChainConfig(
-        executor=args.executor,
-        telemetry="full" if args.emit_metrics else "off",
-    )
-
-    print(
-        f"Benchmarking ingest throughput: {samples} samples x "
-        f"{args.components} components x {args.metrics} metrics"
-    )
-    ingest = run_ingest_benchmark(
-        samples=samples,
-        components=args.components,
-        metrics=args.metrics,
-        seed=args.seed,
-        config=config,
-    )
-    print()
-    print(ingest.summary())
-
-    print()
-    print(
-        f"Benchmarking diagnosis latency: {samples} samples x "
-        f"{args.components} components x {args.metrics} metrics, "
-        f"{repeats} repeats, jobs={args.jobs or 1}, "
-        f"executor={args.executor}"
-    )
-    report = run_benchmark(
-        samples=samples,
-        components=args.components,
-        metrics=args.metrics,
-        repeats=repeats,
-        jobs=args.jobs,
-        seed=args.seed,
-        config=config,
-    )
-    print()
-    print(report.summary())
-
-    print()
-    print(
-        f"Benchmarking service loop steady state: {samples} ticks x "
-        f"{args.components} components x {args.metrics} metrics"
-    )
-    service = run_service_loop_benchmark(
-        samples=samples,
-        components=args.components,
-        metrics=args.metrics,
-        seed=args.seed,
-        config=config,
-    )
-    print()
-    print(service.summary())
-
-    print()
-    print(
-        f"Benchmarking HTTP edge ingest: {samples} ticks x "
-        f"{args.components} components x {args.metrics} metrics over "
-        f"loopback"
-    )
-    http_ingest = run_http_ingest_benchmark(
-        samples=samples,
-        components=args.components,
-        metrics=args.metrics,
-        seed=args.seed,
-        config=config,
-    )
-    print()
-    print(http_ingest.summary())
-
-    print()
-    print(
-        f"Benchmarking fleet layer: {args.fleet_tenants} tenants x "
-        f"{args.components} components x 1 metric on "
-        f"{args.fleet_shards} shards"
-    )
-    # Deliberately NOT shrunk by --quick: the regression gate matches
-    # workload parameters against the committed baseline, and the 1 Hz /
-    # fairness acceptance targets are defined at this scale.
-    fleet = run_fleet_benchmark(
-        tenants=args.fleet_tenants,
-        components=args.components,
-        shards=args.fleet_shards,
-        seed=args.seed,
-    )
-    print()
-    print(fleet.summary())
-
-    topology = None
-    if args.topology_services > 0:
-        print()
-        print(
-            f"Benchmarking topology-guided diagnosis: "
-            f"{args.topology_services}-service mesh, top-15 neighborhood"
-        )
-        # Also NOT shrunk by --quick: the subset/culprit/speedup
-        # acceptance targets (and the committed baseline's workload
-        # parameters) are defined on the canonical 100-service mesh run.
-        topology = run_topology_benchmark(services=args.topology_services)
-        print()
-        print(topology.summary())
-
-    if args.json:
-        write_benchmark_json("BENCH_ingest.json", ingest)
-        write_benchmark_json("BENCH_incremental_engine.json", report)
-        write_benchmark_json("BENCH_service_loop.json", service)
-        write_benchmark_json("BENCH_http_ingest.json", http_ingest)
-        write_benchmark_json("BENCH_fleet.json", fleet)
-        if topology is not None:
-            write_benchmark_json("BENCH_topology.json", topology)
-        print(
-            "\nwrote BENCH_ingest.json, BENCH_incremental_engine.json, "
-            "BENCH_service_loop.json, BENCH_http_ingest.json, "
-            "BENCH_fleet.json"
-            + (" and BENCH_topology.json" if topology is not None else "")
-        )
-
-    if args.emit_metrics:
-        from repro.obs import default_registry
-
-        print("\n# --- telemetry metrics (Prometheus text format) ---")
-        print(default_registry().render_prometheus(), end="")
-
-    gate_ok = True
-    if args.check:
-        from repro.eval.regression import (
-            BaselineMismatch,
-            check_against_baselines,
-            format_checks,
-        )
-
-        reports = {
-            "BENCH_ingest.json": ingest.to_json(),
-            "BENCH_incremental_engine.json": report.to_json(),
-            "BENCH_service_loop.json": service.to_json(),
-            "BENCH_http_ingest.json": http_ingest.to_json(),
-            "BENCH_fleet.json": fleet.to_json(),
-        }
-        if topology is not None:
-            reports["BENCH_topology.json"] = topology.to_json()
-        print(f"\nregression gate vs baselines in {args.check}:")
-        try:
-            checks, missing = check_against_baselines(
-                reports,
-                args.check,
-                ops_tolerance=args.tolerance,
-                p99_tolerance=args.p99_tolerance,
-            )
-        except BaselineMismatch as exc:
-            print(f"FAIL {exc}")
-            gate_ok = False
-        else:
-            print(format_checks(checks))
-            for name in missing:
-                print(f"FAIL no committed baseline for {name}")
-            gate_ok = all(c.ok for c in checks) and not missing
-
-    if not fleet.sustained:
-        print("\nFAIL fleet did not sustain the 1 Hz tick target")
-    if not fleet.fairness_ok:
-        print(
-            f"\nFAIL storm fairness: non-storming tenants' p99 rose "
-            f"{fleet.fairness_ratio:.2f}x (bound {fleet.FAIRNESS_BOUND:.1f}x)"
-        )
-    if topology is not None and not topology.gate_ok:
-        print(
-            f"\nFAIL topology scoping: subset_ok={topology.subset_ok} "
-            f"culprit_match={topology.culprit_match} "
-            f"speedup={topology.speedup:.1f}x "
-            f"(target >= {topology.SPEEDUP_TARGET:.1f}x)"
-        )
-    ok = (
-        report.results_match
-        and ingest.stores_match
-        and gate_ok
-        and fleet.sustained
-        and fleet.fairness_ok
-        and (topology is None or topology.gate_ok)
-    )
-    return 0 if ok else 1
-
-
 def _service_config(args) -> "FChainConfig":
     from repro.core.config import FChainConfig
 
@@ -771,71 +575,6 @@ def main(argv: List[str] = None) -> int:
         help="slave fan-out width (default serial)",
     )
     analyze.set_defaults(func=cmd_analyze)
-
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark replay vs incremental diagnosis latency",
-    )
-    bench.add_argument("--samples", type=int, default=10_000)
-    bench.add_argument("--components", type=int, default=8)
-    bench.add_argument("--metrics", type=int, default=3)
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument(
-        "--jobs", type=int, default=None,
-        help="slave fan-out width for the incremental engine",
-    )
-    bench.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="slave pool executor used when --jobs >= 2",
-    )
-    bench.add_argument(
-        "--json", action="store_true",
-        help="write BENCH_ingest.json and BENCH_incremental_engine.json "
-        "to the current directory",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke mode: shrink the history to 2000 samples and the "
-        "repeats to 2",
-    )
-    bench.add_argument(
-        "--fleet-tenants", type=int, default=1_000,
-        help="fleet-benchmark tenant count (not shrunk by --quick: the "
-        "acceptance targets are defined at 1000 tenants)",
-    )
-    bench.add_argument(
-        "--fleet-shards", type=int, default=4,
-        help="fleet-benchmark shard worker count",
-    )
-    bench.add_argument(
-        "--topology-services", type=int, default=100,
-        help="mesh size of the topology benchmark (not shrunk by "
-        "--quick: the subset/culprit/speedup targets are defined at "
-        "100 services; 0 skips the topology benchmark entirely)",
-    )
-    bench.add_argument(
-        "--emit-metrics", action="store_true",
-        help="run with telemetry enabled and print the aggregated "
-        "Prometheus text-format metrics after the benchmarks",
-    )
-    bench.add_argument(
-        "--check", metavar="BASELINE_DIR", default=None,
-        help="compare the fresh ops/s and p99 numbers against committed "
-        "baseline JSON files (e.g. benchmarks/baselines) and exit "
-        "non-zero on regression",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=0.5,
-        help="allowed fractional ops/s drop before --check fails "
-        "(default 0.5 = fail below half the baseline throughput)",
-    )
-    bench.add_argument(
-        "--p99-tolerance", type=float, default=1.5,
-        help="allowed fractional p99 rise before --check fails "
-        "(default 1.5 = fail above 2.5x the baseline p99)",
-    )
-    bench.set_defaults(func=cmd_bench)
 
     trace = sub.add_parser(
         "trace",

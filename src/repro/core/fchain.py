@@ -411,7 +411,9 @@ class FChainSlave:
                         metrics_inconclusive += 1
             changes = []
             for metric, full in windows:
-                with comp_span.child(STAGE_METRIC, metric=metric) as metric_span:
+                with comp_span.child(
+                    STAGE_METRIC, metric=metric.value
+                ) as metric_span:
                     offset = full.start - store.start
                     errors = self._streams[(component, metric)].view(
                         offset + len(full)

@@ -1,67 +1,21 @@
-"""Diagnosis-latency benchmarking on synthetic long-history stores.
+"""The deterministic synthetic store behind ``repro trace`` and the tests.
 
-The paper cares about *online* diagnosis latency (Sec. III-G): FChain
-must localize within seconds of the SLO violation even after hours of
-recorded history. This module builds deterministic synthetic stores of
-arbitrary length and times the two diagnosis engines against each other:
+:func:`synthetic_store` builds a long-history :class:`MetricStore` of
+workload-like series with one step fault near the end, so a diagnosis at
+``store.end - 1`` has a genuine abnormal change to pinpoint. ``repro
+trace``, ``benchmarks/bench_telemetry_overhead.py`` and the equivalence
+tests (edge, fleet, service, chaos, telemetry) all diagnose it.
 
-* **replay** (a fresh ``FChainMaster`` per diagnosis) — the original
-  engine; every diagnosis replays the full per-metric history through
-  fresh Markov models, so latency grows with the recorded history;
-* **incremental** — the warm engine; the persistent slave's models and
-  error streams are already caught up, so a diagnosis costs only the
-  look-back-window analysis.
-
-Shared by the ``repro bench`` CLI subcommand and
-``benchmarks/bench_incremental_engine.py``.
+Performance is measured elsewhere, by one benchmark: the journey
+(``BENCHMARK.json``, ``benchmarks/journey/``).
 """
 
 from __future__ import annotations
 
-import json
-import time
-from dataclasses import dataclass
-from datetime import datetime, timezone
-from typing import Dict, FrozenSet, List, Optional, Sequence
-
 import numpy as np
 
-from repro.common.errors import ReproError
-from repro.common.types import METRIC_NAMES, ComponentId
-from repro.core.config import FChainConfig
-from repro.core.fchain import FChainMaster
-from repro.monitoring.quality import DataQualityPolicy
-from repro.monitoring.store import IngestBatch, IngestRun, MetricStore
-
-
-#: Version of the ``BENCH_*.json`` payload layout. Bump when fields are
-#: renamed or re-scaled; the CI regression gate
-#: (:mod:`repro.eval.regression`) rejects payloads from other versions
-#: rather than comparing incomparable numbers.
-BENCH_SCHEMA_VERSION = 3
-
-#: Single-thread ingest throughput (samples/s) recorded by the
-#: schema-v2 ``BENCH_ingest.json`` baseline immediately before the ring
-#: store rewrite. The rewrite's acceptance bar is >= 10x this figure on
-#: the batched path; the constant is frozen here so the comparison
-#: survives baseline regeneration.
-PRE_REWRITE_INGEST_OPS = 152_953.37
-
-
-def _json_header(benchmark: str) -> Dict:
-    """Common envelope of every benchmark JSON payload."""
-    return {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "benchmark": benchmark,
-    }
-
-
-def _percentile_ms(latencies: Sequence[float], q: float) -> float:
-    """One percentile of a latency list, in milliseconds."""
-    if not latencies:
-        return 0.0
-    return float(np.percentile(np.asarray(latencies), q) * 1e3)
+from repro.common.types import METRIC_NAMES
+from repro.monitoring.store import MetricStore
 
 
 def synthetic_store(
@@ -113,1130 +67,3 @@ def synthetic_store(
             per_metric[metric] = signal
         data[f"c{c}"] = per_metric
     return MetricStore.from_arrays(data)
-
-
-@dataclass
-class LatencyReport:
-    """Outcome of one replay-vs-incremental latency comparison.
-
-    Attributes:
-        samples: History length of the benchmarked store.
-        components: Component count.
-        metrics: Metrics per component.
-        replay_seconds: Per-diagnosis latencies of the replay engine.
-        incremental_seconds: Per-diagnosis latencies of the warm
-            incremental engine (warm-up sync excluded — it models the
-            slave having streamed the history at 1 Hz).
-        warmup_seconds: Cost of the one-time catch-up sync.
-        faulty: Components both engines pinpointed.
-        results_match: Whether the engines produced identical faulty
-            sets, chains and external-factor verdicts on every repeat.
-    """
-
-    samples: int
-    components: int
-    metrics: int
-    replay_seconds: List[float]
-    incremental_seconds: List[float]
-    warmup_seconds: float
-    faulty: FrozenSet[ComponentId]
-    results_match: bool
-
-    @property
-    def replay_best(self) -> float:
-        return min(self.replay_seconds)
-
-    @property
-    def incremental_best(self) -> float:
-        return min(self.incremental_seconds)
-
-    @property
-    def speedup(self) -> float:
-        """Replay latency over warm incremental latency (best-of-N)."""
-        return self.replay_best / max(self.incremental_best, 1e-12)
-
-    def summary(self) -> str:
-        lines = [
-            f"history: {self.samples} samples x {self.components} "
-            f"components x {self.metrics} metrics",
-            f"replay diagnosis:      best {self.replay_best * 1e3:9.1f} ms "
-            f"over {len(self.replay_seconds)} repeats",
-            f"incremental diagnosis: best {self.incremental_best * 1e3:9.1f} ms "
-            f"over {len(self.incremental_seconds)} repeats "
-            f"(one-time warm-up sync {self.warmup_seconds * 1e3:.1f} ms)",
-            f"speedup: {self.speedup:.1f}x",
-            f"pinpointed: {sorted(self.faulty)} "
-            f"(results {'identical' if self.results_match else 'DIVERGED'})",
-        ]
-        return "\n".join(lines)
-
-    def to_json(self) -> Dict:
-        """Machine-readable payload (``repro bench --json``, CI artifact)."""
-        return {
-            **_json_header("incremental_engine"),
-            "samples": self.samples,
-            "components": self.components,
-            "metrics": self.metrics,
-            "replay": {
-                "ops_per_second": 1.0 / max(self.replay_best, 1e-12),
-                "p50_ms": _percentile_ms(self.replay_seconds, 50),
-                "p99_ms": _percentile_ms(self.replay_seconds, 99),
-                "best_ms": self.replay_best * 1e3,
-            },
-            "incremental": {
-                "ops_per_second": 1.0 / max(self.incremental_best, 1e-12),
-                "p50_ms": _percentile_ms(self.incremental_seconds, 50),
-                "p99_ms": _percentile_ms(self.incremental_seconds, 99),
-                "best_ms": self.incremental_best * 1e3,
-                "warmup_ms": self.warmup_seconds * 1e3,
-            },
-            "speedup": self.speedup,
-            "results_match": self.results_match,
-            "faulty": sorted(self.faulty),
-        }
-
-
-def _result_key(result):
-    return (result.faulty, result.chain.links, result.external_factor)
-
-
-def measure_latency(
-    store: MetricStore,
-    *,
-    config: Optional[FChainConfig] = None,
-    repeats: int = 3,
-    jobs: Optional[int] = None,
-    seed: object = 0,
-    violation_times: Optional[Sequence[int]] = None,
-) -> LatencyReport:
-    """Time replay vs warm incremental diagnosis on one store.
-
-    Each repeat diagnoses a slightly different violation time (so the
-    incremental engine cannot trivially serve every repeat from its
-    per-window cache); both engines see the same times and their results
-    are compared for equality.
-
-    Args:
-        store: The store to diagnose.
-        config: FChain configuration (defaults to the paper defaults).
-        repeats: Timed diagnoses per engine.
-        jobs: Fan-out width for the incremental engine's slave pool.
-        seed: Deterministic seed label shared by both engines.
-        violation_times: Explicit violation times; defaults to the last
-            ``repeats`` ticks that keep the analysis grace inside the
-            recorded history.
-    """
-    config = (config or FChainConfig()).validate()
-    if violation_times is None:
-        last = store.end - config.analysis_grace - 1
-        violation_times = [last - i for i in range(repeats)]
-    metrics = len(store.metrics_for(store.components[0]))
-
-    replay_seconds = []
-    replay_results = []
-    for t_v in violation_times:
-        started = time.perf_counter()
-        replay_results.append(
-            FChainMaster(config, seed=seed).diagnose(store, t_v)
-        )
-        replay_seconds.append(time.perf_counter() - started)
-
-    incremental = FChainMaster(config, seed=seed, jobs=jobs)
-    started = time.perf_counter()
-    incremental.slave.sync_with_store(store, store.end)
-    warmup_seconds = time.perf_counter() - started
-    incremental_seconds = []
-    incremental_results = []
-    for t_v in violation_times:
-        started = time.perf_counter()
-        incremental_results.append(incremental.diagnose(store, t_v))
-        incremental_seconds.append(time.perf_counter() - started)
-
-    results_match = all(
-        _result_key(a) == _result_key(b)
-        for a, b in zip(replay_results, incremental_results)
-    )
-    return LatencyReport(
-        samples=store.length,
-        components=len(store.components),
-        metrics=metrics,
-        replay_seconds=replay_seconds,
-        incremental_seconds=incremental_seconds,
-        warmup_seconds=warmup_seconds,
-        faulty=incremental_results[0].faulty,
-        results_match=results_match,
-    )
-
-
-def run_benchmark(
-    *,
-    samples: int = 10_000,
-    components: int = 8,
-    metrics: int = 3,
-    repeats: int = 3,
-    jobs: Optional[int] = None,
-    seed: int = 7,
-    config: Optional[FChainConfig] = None,
-) -> LatencyReport:
-    """Build a synthetic store and run the latency comparison on it."""
-    store = synthetic_store(
-        samples=samples, components=components, metrics=metrics, seed=seed
-    )
-    return measure_latency(
-        store, repeats=repeats, jobs=jobs, seed=seed, config=config
-    )
-
-
-@dataclass
-class IngestReport:
-    """Outcome of one per-sample-vs-batched store-ingest comparison.
-
-    Attributes:
-        samples: History length (ticks) of the benchmarked data.
-        components: Component count.
-        metrics: Metrics per component.
-        chunk: Chunk size (ticks) used by the batched feed.
-        scalar_seconds: Wall time of the per-sample tolerant
-            ``ingest(component, metric, t, value)`` feed.
-        batched_seconds: Wall time of the chunked
-            ``ingest(IngestBatch(runs=...))`` feed.
-        scalar_tick_latencies: Per-tick latencies of the scalar feed (one
-            tick = one sample per monitored series plus the watermark).
-        batched_call_latencies: Per-call latencies of the chunked feed.
-        stores_match: Whether both feeds produced bit-identical stored
-            series (values and start) for every series.
-    """
-
-    samples: int
-    components: int
-    metrics: int
-    chunk: int
-    scalar_seconds: float
-    batched_seconds: float
-    scalar_tick_latencies: List[float]
-    batched_call_latencies: List[float]
-    stores_match: bool
-
-    @property
-    def total_samples(self) -> int:
-        return self.samples * self.components * self.metrics
-
-    @property
-    def scalar_ops(self) -> float:
-        """Samples ingested per second by the per-sample path."""
-        return self.total_samples / max(self.scalar_seconds, 1e-12)
-
-    @property
-    def batched_ops(self) -> float:
-        """Samples ingested per second by the batched path."""
-        return self.total_samples / max(self.batched_seconds, 1e-12)
-
-    @property
-    def speedup(self) -> float:
-        return self.scalar_seconds / max(self.batched_seconds, 1e-12)
-
-    @property
-    def speedup_vs_pre_rewrite(self) -> float:
-        """Batched ring throughput over the frozen pre-rewrite figure."""
-        return self.batched_ops / PRE_REWRITE_INGEST_OPS
-
-    def summary(self) -> str:
-        lines = [
-            f"store ingest: {self.samples} samples x {self.components} "
-            f"components x {self.metrics} metrics "
-            f"({self.total_samples} total samples)",
-            f"per-sample ingest():   {self.scalar_ops:12.0f} samples/s "
-            f"(tick p50 {_percentile_ms(self.scalar_tick_latencies, 50):.3f} ms, "
-            f"p99 {_percentile_ms(self.scalar_tick_latencies, 99):.3f} ms)",
-            f"batched runs({self.chunk}): {self.batched_ops:14.0f} samples/s "
-            f"(call p50 {_percentile_ms(self.batched_call_latencies, 50):.3f} ms, "
-            f"p99 {_percentile_ms(self.batched_call_latencies, 99):.3f} ms)",
-            f"speedup: {self.speedup:.1f}x over per-sample, "
-            f"{self.speedup_vs_pre_rewrite:.1f}x over the pre-rewrite store "
-            f"(stores {'identical' if self.stores_match else 'DIVERGED'})",
-        ]
-        return "\n".join(lines)
-
-    def to_json(self) -> Dict:
-        """Machine-readable payload (``repro bench --json``, CI artifact)."""
-        return {
-            **_json_header("ingest"),
-            "samples": self.samples,
-            "components": self.components,
-            "metrics": self.metrics,
-            "chunk": self.chunk,
-            "total_samples": self.total_samples,
-            "scalar": {
-                "ops_per_second": self.scalar_ops,
-                "p50_ms": _percentile_ms(self.scalar_tick_latencies, 50),
-                "p99_ms": _percentile_ms(self.scalar_tick_latencies, 99),
-                "total_seconds": self.scalar_seconds,
-            },
-            "batched": {
-                "ops_per_second": self.batched_ops,
-                "p50_ms": _percentile_ms(self.batched_call_latencies, 50),
-                "p99_ms": _percentile_ms(self.batched_call_latencies, 99),
-                "total_seconds": self.batched_seconds,
-            },
-            "speedup": self.speedup,
-            "pre_rewrite_ops_per_second": PRE_REWRITE_INGEST_OPS,
-            "speedup_vs_pre_rewrite": self.speedup_vs_pre_rewrite,
-            "stores_match": self.stores_match,
-        }
-
-
-def measure_ingest(
-    store: MetricStore,
-    *,
-    config: Optional[FChainConfig] = None,
-    chunk: int = 512,
-) -> IngestReport:
-    """Time per-sample vs batched *store* ingest of a whole store's data.
-
-    Replays every (component, metric) series of ``store`` into two fresh
-    ring-backed stores: one sample at a time through the tolerant
-    ``ingest(component, metric, t, value)`` path (the 1 Hz streaming
-    shape, one watermark per tick) and in ``chunk``-tick
-    :class:`~repro.monitoring.store.IngestRun` batches (the collector
-    shape). Both feeds must leave bit-identical stored series — the
-    speedup is pure batching, not an approximation.
-
-    ``config`` is accepted for signature compatibility with
-    :func:`measure_latency`; store ingest does not consult it.
-    """
-    del config  # store ingest has no engine configuration
-    series = {
-        (component, metric): store.series(component, metric).values
-        for component in store.components
-        for metric in store.metrics_for(component)
-    }
-    ticks = store.length
-    start = store.start
-
-    scalar = MetricStore(start=start, policy=DataQualityPolicy())
-    tick_latencies = []
-    scalar_started = time.perf_counter()
-    for i in range(ticks):
-        tick_started = time.perf_counter()
-        t = start + i
-        for (component, metric), values in series.items():
-            scalar.ingest(component, metric, t, float(values[i]))
-        scalar.advance_to(t + 1)
-        tick_latencies.append(time.perf_counter() - tick_started)
-    scalar_seconds = time.perf_counter() - scalar_started
-
-    batched = MetricStore(start=start)
-    call_latencies = []
-    batched_started = time.perf_counter()
-    for lo in range(0, ticks, chunk):
-        hi = min(lo + chunk, ticks)
-        call_started = time.perf_counter()
-        batched.ingest(
-            IngestBatch(
-                runs=[
-                    IngestRun(component, metric, start + lo, values[lo:hi])
-                    for (component, metric), values in series.items()
-                ],
-                watermark=start + hi,
-            )
-        )
-        call_latencies.append(time.perf_counter() - call_started)
-    batched_seconds = time.perf_counter() - batched_started
-
-    def _same(key):
-        left = scalar.series(*key)
-        right = batched.series(*key)
-        return left.start == right.start and np.array_equal(
-            left.values, right.values, equal_nan=True
-        )
-
-    stores_match = all(_same(key) for key in series)
-    return IngestReport(
-        samples=ticks,
-        components=len(store.components),
-        metrics=len(store.metrics_for(store.components[0])),
-        chunk=chunk,
-        scalar_seconds=scalar_seconds,
-        batched_seconds=batched_seconds,
-        scalar_tick_latencies=tick_latencies,
-        batched_call_latencies=call_latencies,
-        stores_match=stores_match,
-    )
-
-
-def run_ingest_benchmark(
-    *,
-    samples: int = 10_000,
-    components: int = 8,
-    metrics: int = 3,
-    chunk: int = 512,
-    seed: int = 7,
-    config: Optional[FChainConfig] = None,
-) -> IngestReport:
-    """Build a synthetic store and run the ingest comparison on it."""
-    store = synthetic_store(
-        samples=samples, components=components, metrics=metrics, seed=seed
-    )
-    return measure_ingest(store, config=config, chunk=chunk)
-
-
-@dataclass
-class ServiceLoopReport:
-    """Steady-state throughput of the online service loop.
-
-    Measures the per-tick cost of the loop's hot path — tolerant
-    ingest, warm-model sync and SLO evaluation — on a violation-free
-    replay, i.e. what the loop burns per second when nothing is wrong.
-
-    Attributes:
-        samples: Ticks replayed through the loop.
-        components: Component count of the synthetic store.
-        metrics: Metrics per component.
-        tick_seconds: Per-tick processing latencies.
-        total_seconds: Wall time of the whole replay.
-        incidents: Incidents produced (must be 0 — the SLO never trips).
-    """
-
-    samples: int
-    components: int
-    metrics: int
-    tick_seconds: List[float]
-    total_seconds: float
-    incidents: int
-
-    @property
-    def ticks_per_second(self) -> float:
-        return self.samples / max(self.total_seconds, 1e-12)
-
-    def summary(self) -> str:
-        return "\n".join(
-            [
-                f"service loop: {self.samples} ticks x {self.components} "
-                f"components x {self.metrics} metrics",
-                f"steady state: {self.ticks_per_second:10.0f} ticks/s "
-                f"(tick p50 {_percentile_ms(self.tick_seconds, 50):.3f} ms, "
-                f"p99 {_percentile_ms(self.tick_seconds, 99):.3f} ms)",
-                f"incidents: {self.incidents} (expected 0 — no violation)",
-            ]
-        )
-
-    def to_json(self) -> Dict:
-        """Machine-readable payload (``repro bench --json``, CI artifact)."""
-        return {
-            **_json_header("service_loop"),
-            "samples": self.samples,
-            "components": self.components,
-            "metrics": self.metrics,
-            "steady_state": {
-                "ops_per_second": self.ticks_per_second,
-                "p50_ms": _percentile_ms(self.tick_seconds, 50),
-                "p99_ms": _percentile_ms(self.tick_seconds, 99),
-                "total_seconds": self.total_seconds,
-            },
-            "incidents": self.incidents,
-        }
-
-
-def run_service_loop_benchmark(
-    *,
-    samples: int = 10_000,
-    components: int = 8,
-    metrics: int = 3,
-    seed: int = 7,
-    config: Optional[FChainConfig] = None,
-    retention: Optional[int] = None,
-) -> ServiceLoopReport:
-    """Replay a violation-free synthetic store through the online loop.
-
-    The SLO threshold is set far above the constant performance signal,
-    so no diagnosis is ever dispatched — the measured figure is the
-    loop's pure steady-state overhead (ingest + warm sync + SLO eval)
-    per tick.
-
-    ``retention`` bounds the loop's ring store; pass a value smaller
-    than ``samples`` to measure the wraparound steady state, where every
-    tick overwrites the oldest retained slot.
-    """
-    from repro.monitoring.slo import LatencySLO
-    from repro.service.pipeline import OnlinePipeline
-    from repro.service.sources import StoreReplayFeed
-
-    config = (config or FChainConfig()).validate()
-    store = synthetic_store(
-        samples=samples, components=components, metrics=metrics, seed=seed
-    )
-    performance = {t: 0.010 for t in range(store.start, store.end)}
-    feed = StoreReplayFeed(store, performance=performance)
-    loop_store = None
-    if retention is not None:
-        loop_store = MetricStore(
-            start=store.start,
-            policy=DataQualityPolicy(),
-            retention=retention,
-        )
-    pipeline = OnlinePipeline(
-        feed,
-        LatencySLO(1e6, sustain=10),
-        config=config,
-        seed=seed,
-        store=loop_store,
-    )
-    tick_seconds: List[float] = []
-    started = time.perf_counter()
-    for batch in feed:
-        tick_started = time.perf_counter()
-        pipeline.process(batch)
-        tick_seconds.append(time.perf_counter() - tick_started)
-    total_seconds = time.perf_counter() - started
-    pipeline.close()
-    return ServiceLoopReport(
-        samples=len(tick_seconds),
-        components=components,
-        metrics=metrics,
-        tick_seconds=tick_seconds,
-        total_seconds=total_seconds,
-        incidents=len(pipeline.incidents),
-    )
-
-
-@dataclass
-class FleetReport:
-    """Fleet-scale throughput and isolation of the multi-tenant layer.
-
-    Two runs of the same fleet back the report:
-
-    * **quiescent** — no tenant ever violates its SLO; measures the
-      fleet's pure routing + per-tenant tick cost at scale (the 1 Hz
-      sustained-throughput target);
-    * **storm** — one tenant's SLO flaps continuously with a zero
-      cooldown, hammering its shard's diagnosis dispatcher; the other
-      tenants' per-tick latency must stay within the fairness bound of
-      quiescent (the per-tenant isolation target).
-
-    Attributes:
-        tenants: Fleet size (tenant count).
-        samples: Ticks streamed per run (named ``samples`` so the
-            regression gate's workload-parameter match applies).
-        components: Components per tenant.
-        metrics: Metrics per component.
-        shards: Shard workers backing the fleet.
-        warmup: Leading ticks excluded from every latency figure
-            (first-tick ring/model allocation is not steady state).
-        route_tick_seconds: Post-warmup wall time of each fleet-wide
-            tick (route every tenant's batch once) in the quiescent run.
-        total_seconds: Wall time of the quiescent run's routed ticks.
-        quiescent_tenant_p99_ms: Pooled post-warmup p99 of per-tenant
-            tick latency, quiescent run.
-        storm_tenant_p99_ms: Same figure over the *non-storming*
-            tenants of the storm run.
-        storm_incidents: Incidents the storming tenant produced.
-        storm_shed: Diagnosis triggers shed by the storm tenant's budget.
-        dropped: Ingest batches shed by routing backpressure (both runs).
-    """
-
-    tenants: int
-    samples: int
-    components: int
-    metrics: int
-    shards: int
-    warmup: int
-    route_tick_seconds: List[float]
-    total_seconds: float
-    quiescent_tenant_p99_ms: float
-    storm_tenant_p99_ms: float
-    storm_incidents: int
-    storm_shed: int
-    dropped: int
-
-    #: Non-storming tenants' p99 may rise at most this much under storm.
-    FAIRNESS_BOUND = 2.0
-
-    #: Absolute rise always tolerated, regardless of the ratio. A
-    #: relative bound on a sub-millisecond baseline (tiny smoke-test
-    #: fleets) gates scheduler noise, not interference; at benchmark
-    #: scale the quiescent p99 is hundreds of ms and the slack is
-    #: negligible next to the 2x bound.
-    FAIRNESS_SLACK_MS = 5.0
-
-    @property
-    def ticks_per_second(self) -> float:
-        return len(self.route_tick_seconds) / max(self.total_seconds, 1e-12)
-
-    @property
-    def sustained(self) -> bool:
-        """1 Hz target: every tenant ticked once per second, p99 bounded."""
-        return (
-            self.ticks_per_second >= 1.0
-            and _percentile_ms(self.route_tick_seconds, 99) < 1000.0
-        )
-
-    @property
-    def fairness_ratio(self) -> float:
-        return self.storm_tenant_p99_ms / max(
-            self.quiescent_tenant_p99_ms, 1e-9
-        )
-
-    @property
-    def fairness_ok(self) -> bool:
-        rise = self.storm_tenant_p99_ms - self.quiescent_tenant_p99_ms
-        return (
-            self.fairness_ratio <= self.FAIRNESS_BOUND
-            or rise <= self.FAIRNESS_SLACK_MS
-        )
-
-    def summary(self) -> str:
-        verdict = "ok" if self.sustained else "NOT SUSTAINED"
-        fairness = "ok" if self.fairness_ok else "UNFAIR"
-        return "\n".join(
-            [
-                f"fleet: {self.tenants} tenants x {self.components} "
-                f"components x {self.metrics} metrics on {self.shards} "
-                f"shards, {self.samples} ticks",
-                f"steady state: {self.ticks_per_second:10.2f} fleet ticks/s "
-                f"(tick p50 {_percentile_ms(self.route_tick_seconds, 50):.1f} ms, "
-                f"p99 {_percentile_ms(self.route_tick_seconds, 99):.1f} ms) "
-                f"— 1 Hz target {verdict}",
-                f"isolation: tenant tick p99 "
-                f"{self.quiescent_tenant_p99_ms:.3f} ms quiescent vs "
-                f"{self.storm_tenant_p99_ms:.3f} ms under storm "
-                f"({self.fairness_ratio:.2f}x, bound "
-                f"{self.FAIRNESS_BOUND:.1f}x) — {fairness}",
-                f"storm tenant: {self.storm_incidents} incidents, "
-                f"{self.storm_shed} triggers shed by budget; "
-                f"routing drops: {self.dropped}",
-            ]
-        )
-
-    def to_json(self) -> Dict:
-        """Machine-readable payload (``repro bench --json``, CI artifact)."""
-        return {
-            **_json_header("fleet"),
-            "tenants": self.tenants,
-            "samples": self.samples,
-            "components": self.components,
-            "metrics": self.metrics,
-            "shards": self.shards,
-            "steady_state": {
-                "ops_per_second": self.ticks_per_second,
-                "p50_ms": _percentile_ms(self.route_tick_seconds, 50),
-                "p99_ms": _percentile_ms(self.route_tick_seconds, 99),
-                "total_seconds": self.total_seconds,
-            },
-            # Deliberately *not* named p99_ms/ops_per_second: the
-            # fairness verdict is the ratio below, gated structurally
-            # via ``fairness_ok`` — gating the raw microsecond-scale
-            # absolutes against a baseline would only gate noise.
-            "storm_fairness": {
-                "quiescent_tenant_p99_ms": self.quiescent_tenant_p99_ms,
-                "storm_tenant_p99_ms": self.storm_tenant_p99_ms,
-                "ratio": self.fairness_ratio,
-                "bound": self.FAIRNESS_BOUND,
-                "slack_ms": self.FAIRNESS_SLACK_MS,
-                "storm_incidents": self.storm_incidents,
-                "storm_shed": self.storm_shed,
-            },
-            "sustained": self.sustained,
-            "fairness_ok": self.fairness_ok,
-            "dropped": self.dropped,
-        }
-
-
-def _tenant_tick_p99_ms(tenant_stats, *, warmup: int, exclude=()) -> float:
-    """Pooled p99 of per-tenant tick latencies, skipping warm-up ticks."""
-    pooled: List[float] = []
-    for tenant, stats in tenant_stats.items():
-        if tenant in exclude:
-            continue
-        pooled.extend(stats.get("tick_seconds", [])[warmup:])
-    return _percentile_ms(pooled, 99)
-
-
-def run_fleet_benchmark(
-    *,
-    tenants: int = 1000,
-    components: int = 8,
-    metrics: int = 1,
-    ticks: int = 40,
-    warmup: int = 8,
-    shards: int = 4,
-    seed: int = 7,
-) -> FleetReport:
-    """Benchmark the multi-tenant fleet layer at scale.
-
-    See :class:`FleetReport` for the two measured runs. The storming
-    tenant runs a zero-cooldown, short-grace configuration with a
-    flapping SLO signal, and — where fork is available — diagnoses on
-    the process executor, exactly the escape hatch a real noisy tenant
-    would be given.
-    """
-    from dataclasses import replace
-
-    from repro.core.engine import fork_available
-    from repro.fleet.manifest import FleetFeed, FleetManifest, run_manifest
-    from repro.fleet.supervisor import FleetSupervisor
-    from repro.monitoring.slo import LatencySLO
-
-    if ticks <= warmup:
-        raise ValueError("ticks must exceed warmup")
-    manifest = FleetManifest(
-        tenants=tuple(f"tenant-{i:04d}" for i in range(tenants)),
-        shards=shards,
-        components=components,
-        metrics=metrics,
-        seed=seed,
-    ).validate()
-
-    # --- quiescent run: nothing ever violates ---
-    quiescent = run_manifest(manifest, ticks)
-    route_tick_seconds = quiescent.tick_seconds[warmup:]
-    total_seconds = float(sum(route_tick_seconds))
-    quiescent_p99 = _tenant_tick_p99_ms(
-        quiescent.supervisor.tenant_stats, warmup=warmup
-    )
-    dropped = quiescent.dropped
-
-    # --- storm run: one tenant flaps, the rest must not notice ---
-    storm_tenant = manifest.tenants[0]
-    storm_config = FChainConfig(
-        look_back_window=30,
-        analysis_grace=2,
-        service_cooldown=0,
-        executor="process" if fork_available() else "thread",
-    )
-    supervisor = FleetSupervisor(manifest.fleet_config())
-    try:
-        for spec in manifest.tenant_specs():
-            if spec.tenant == storm_tenant:
-                spec = replace(
-                    spec,
-                    config=storm_config,
-                    detector=LatencySLO(0.1, sustain=1),
-                    jobs=2 if fork_available() else None,
-                )
-            supervisor.add_tenant(spec)
-        feed = FleetFeed(manifest, ticks)
-        for t in range(ticks):
-            for tenant in manifest.tenants:
-                batch = feed.batch(tenant, t)
-                if tenant == storm_tenant:
-                    # Two ticks violating, two healthy: a rising edge
-                    # (= a fresh diagnosis trigger) every four ticks.
-                    batch.performance = 0.5 if (t // 2) % 2 == 0 else 0.01
-                if not supervisor.ingest(tenant, batch):
-                    dropped += 1
-    finally:
-        supervisor.close()
-    storm_p99 = _tenant_tick_p99_ms(
-        supervisor.tenant_stats, warmup=warmup, exclude={storm_tenant}
-    )
-    storm_stats = supervisor.tenant_stats.get(storm_tenant, {})
-
-    return FleetReport(
-        tenants=tenants,
-        samples=ticks,
-        components=components,
-        metrics=metrics,
-        shards=shards,
-        warmup=warmup,
-        route_tick_seconds=route_tick_seconds,
-        total_seconds=total_seconds,
-        quiescent_tenant_p99_ms=quiescent_p99,
-        storm_tenant_p99_ms=storm_p99,
-        storm_incidents=storm_stats.get("incidents", 0),
-        storm_shed=storm_stats.get("shed", 0),
-        dropped=dropped,
-    )
-
-
-@dataclass
-class HttpIngestReport:
-    """Push throughput of the HTTP edge, measured over a real socket.
-
-    A loopback :class:`~repro.edge.server.EdgeServer` fronts a
-    violation-free pipeline; a blocking client pushes the synthetic
-    store's telemetry in per-chunk JSON requests and the clock stops
-    when the pipeline has consumed every tick. The figure therefore
-    includes everything a production push pays: HTTP parse, validation,
-    coalescing, queue hand-off and the pipeline's ingest itself.
-
-    Attributes:
-        samples: Ticks pushed through the edge.
-        components: Component count of the synthetic store.
-        metrics: Metrics per component.
-        pushed_samples: Metric samples pushed in total.
-        requests: HTTP push requests issued.
-        sheds: Pushes shed with 429 and retried.
-        request_seconds: Per-request wall latencies (the 429 retries'
-            time is inside the surrounding request's latency).
-        total_seconds: First push until the pipeline drained.
-    """
-
-    samples: int
-    components: int
-    metrics: int
-    pushed_samples: int
-    requests: int
-    sheds: int
-    request_seconds: List[float]
-    total_seconds: float
-
-    @property
-    def samples_per_second(self) -> float:
-        return self.pushed_samples / max(self.total_seconds, 1e-12)
-
-    def summary(self) -> str:
-        return "\n".join(
-            [
-                f"http ingest: {self.samples} ticks x {self.components} "
-                f"components x {self.metrics} metrics over loopback HTTP",
-                f"push throughput: {self.samples_per_second:10.0f} "
-                f"samples/s end-to-end "
-                f"({self.requests} requests, {self.sheds} shed+retried)",
-                f"request latency: "
-                f"p50 {_percentile_ms(self.request_seconds, 50):.3f} ms, "
-                f"p99 {_percentile_ms(self.request_seconds, 99):.3f} ms",
-            ]
-        )
-
-    def to_json(self) -> Dict:
-        """Machine-readable payload (``repro bench --json``, CI artifact)."""
-        return {
-            **_json_header("http_ingest"),
-            "samples": self.samples,
-            "components": self.components,
-            "metrics": self.metrics,
-            "push": {
-                "ops_per_second": self.samples_per_second,
-                "p50_ms": _percentile_ms(self.request_seconds, 50),
-                "p99_ms": _percentile_ms(self.request_seconds, 99),
-                "total_seconds": self.total_seconds,
-                "requests": self.requests,
-                "sheds": self.sheds,
-            },
-        }
-
-
-def run_http_ingest_benchmark(
-    *,
-    samples: int = 10_000,
-    components: int = 8,
-    metrics: int = 3,
-    seed: int = 7,
-    chunk_ticks: int = 20,
-    queue_depth: int = 256,
-    config: Optional[FChainConfig] = None,
-) -> HttpIngestReport:
-    """Measure end-to-end push throughput against a loopback edge server.
-
-    The SLO never trips (threshold far above the signal), so the figure
-    is the edge's pure ingest path: socket → parse → validate →
-    coalesce → bounded queue → pipeline tick. 429 sheds are honoured
-    with retries, exactly like a well-behaved collector.
-    """
-    from repro.edge.client import EdgeClient
-    from repro.edge.server import EdgeConfig, EdgeServer
-    from repro.monitoring.slo import LatencySLO
-    from repro.service.sources import StoreReplayFeed
-
-    config = (config or FChainConfig()).validate()
-    store = synthetic_store(
-        samples=samples, components=components, metrics=metrics, seed=seed
-    )
-    performance = {t: 0.010 for t in range(store.start, store.end)}
-    batches = list(StoreReplayFeed(store, performance=performance))
-
-    server = EdgeServer(EdgeConfig(port=0, queue_depth=queue_depth))
-    server.attach_pipeline(
-        LatencySLO(1e6, sustain=10), fchain_config=config, seed=seed
-    )
-    server.start()
-    client = EdgeClient("127.0.0.1", server.port)
-    request_seconds: List[float] = []
-    pushed_samples = 0
-    sheds_before = 0
-    try:
-        started = time.perf_counter()
-        for offset in range(0, len(batches), chunk_ticks):
-            chunk = batches[offset : offset + chunk_ticks]
-            payload = [
-                {
-                    "component": s.component,
-                    "metric": s.metric.value,
-                    "time": s.time,
-                    "value": s.value,
-                }
-                for batch in chunk
-                for s in batch.samples
-            ]
-            points = [
-                {"time": batch.time, "value": batch.performance}
-                for batch in chunk
-                if batch.performance is not None
-            ]
-            request_started = time.perf_counter()
-            response = client.push_json_retrying(
-                payload, performance=points
-            )
-            request_seconds.append(time.perf_counter() - request_started)
-            if response.status != 202:
-                raise ReproError(
-                    f"push failed with {response.status}: "
-                    f"{response.body[:200]!r}"
-                )
-            pushed_samples += len(payload)
-        client.wait_drained(len(batches), timeout=600.0)
-        total_seconds = time.perf_counter() - started
-        sheds_before = server.shed_batches
-    finally:
-        client.close()
-        server.close()
-    return HttpIngestReport(
-        samples=len(batches),
-        components=components,
-        metrics=metrics,
-        pushed_samples=pushed_samples,
-        requests=len(request_seconds),
-        sheds=sheds_before,
-        request_seconds=request_seconds,
-        total_seconds=total_seconds,
-    )
-
-
-@dataclass
-class TopologyReport:
-    """Topology-guided vs full-fan-out diagnosis on a generated mesh.
-
-    One mesh run backs both measurements: a
-    :class:`~repro.apps.mesh.MeshApplication` warms up, a capacity
-    bottleneck is injected on the canonical layer-1 target, and an
-    :class:`~repro.core.topology.OnlineTopology` learns the dependency
-    graph from the live per-edge traffic. The same violation is then
-    diagnosed ``repeats`` times by each engine:
-
-    * **full** — every service analysed (``topology_mode="full"``, the
-      paper's fan-out);
-    * **scoped** — only the learned top-K neighborhood of the SLO
-      origin (``topology_mode="neighborhood"``).
-
-    The acceptance bar is *correctness first*: the scoped diagnosis
-    must analyse a strict subset of the services, name exactly the
-    same culprits as full fan-out without escalating, and land the
-    :attr:`SPEEDUP_TARGET` latency win.
-
-    Attributes:
-        components: Mesh size in services (workload parameter).
-        samples: Simulated ticks driven before diagnosis.
-        metrics: Metrics monitored per service.
-        repeats: Diagnoses timed per engine.
-        top_k: Neighborhood size of the scoped engine.
-        violation_tick: The diagnosed SLO violation ``t_v``.
-        full_seconds: Wall time of each full-fan-out diagnosis.
-        scoped_seconds: Wall time of each scoped diagnosis.
-        full_faulty: Culprits named by full fan-out.
-        scoped_faulty: Culprits named by the scoped engine.
-        analyzed: Services the scoped engine examined.
-        escalated: Whether the scoped engine widened to full fan-out.
-        learned_edges: Edges in the learned topology at diagnosis time.
-    """
-
-    components: int
-    samples: int
-    metrics: int
-    repeats: int
-    top_k: int
-    violation_tick: int
-    full_seconds: List[float]
-    scoped_seconds: List[float]
-    full_faulty: FrozenSet[ComponentId]
-    scoped_faulty: FrozenSet[ComponentId]
-    analyzed: int
-    escalated: bool
-    learned_edges: int
-
-    #: Scoped diagnosis must be at least this many times faster than
-    #: full fan-out (the PR's headline acceptance target).
-    SPEEDUP_TARGET = 2.0
-
-    @property
-    def speedup(self) -> float:
-        full = float(np.mean(self.full_seconds)) if self.full_seconds else 0.0
-        scoped = (
-            float(np.mean(self.scoped_seconds)) if self.scoped_seconds else 0.0
-        )
-        return full / max(scoped, 1e-12)
-
-    @property
-    def subset_ok(self) -> bool:
-        """Scoped analysis covered a strict subset without escalating."""
-        return 0 < self.analyzed < self.components and not self.escalated
-
-    @property
-    def culprit_match(self) -> bool:
-        """Both engines named the same (non-empty) culprit set."""
-        return bool(self.full_faulty) and (
-            self.scoped_faulty == self.full_faulty
-        )
-
-    @property
-    def speedup_ok(self) -> bool:
-        return self.speedup >= self.SPEEDUP_TARGET
-
-    @property
-    def gate_ok(self) -> bool:
-        return self.subset_ok and self.culprit_match and self.speedup_ok
-
-    def summary(self) -> str:
-        subset = "ok" if self.subset_ok else "NOT A STRICT SUBSET"
-        match = "ok" if self.culprit_match else "CULPRIT MISMATCH"
-        win = "ok" if self.speedup_ok else "BELOW TARGET"
-        return "\n".join(
-            [
-                f"topology: {self.components} services, violation at "
-                f"t={self.violation_tick}s, {self.learned_edges} learned "
-                f"edges, top-{self.top_k} neighborhood",
-                f"full fan-out: mean "
-                f"{float(np.mean(self.full_seconds)) * 1e3:10.1f} ms "
-                f"(p99 {_percentile_ms(self.full_seconds, 99):.1f} ms), "
-                f"faulty={sorted(self.full_faulty)}",
-                f"scoped:       mean "
-                f"{float(np.mean(self.scoped_seconds)) * 1e3:10.1f} ms "
-                f"(p99 {_percentile_ms(self.scoped_seconds, 99):.1f} ms), "
-                f"faulty={sorted(self.scoped_faulty)}, analysed "
-                f"{self.analyzed}/{self.components}, "
-                f"escalated={self.escalated} — {subset}, {match}",
-                f"speedup: {self.speedup:.1f}x (target "
-                f">= {self.SPEEDUP_TARGET:.1f}x) — {win}",
-            ]
-        )
-
-    def to_json(self) -> Dict:
-        """Machine-readable payload (``repro bench --json``, CI artifact)."""
-        return {
-            **_json_header("topology"),
-            "samples": self.samples,
-            "components": self.components,
-            "metrics": self.metrics,
-            "repeats": self.repeats,
-            "top_k": self.top_k,
-            "violation_tick": self.violation_tick,
-            "learned_edges": self.learned_edges,
-            "full_diagnosis": {
-                "mean_ms": float(np.mean(self.full_seconds)) * 1e3,
-                "p99_ms": _percentile_ms(self.full_seconds, 99),
-                "faulty": sorted(self.full_faulty),
-            },
-            "scoped_diagnosis": {
-                "mean_ms": float(np.mean(self.scoped_seconds)) * 1e3,
-                "p99_ms": _percentile_ms(self.scoped_seconds, 99),
-                "faulty": sorted(self.scoped_faulty),
-                "analyzed": self.analyzed,
-                "escalated": self.escalated,
-            },
-            # The speedup rides the gate's throughput semantics
-            # (higher is better): at the default 0.5 ops tolerance a
-            # halving of the committed topology win fails `--check`,
-            # independent of the structural >= 2x bar in `gate_ok`.
-            "speedup": {"ops_per_second": self.speedup},
-            "subset_ok": self.subset_ok,
-            "culprit_match": self.culprit_match,
-            "speedup_ok": self.speedup_ok,
-        }
-
-
-def run_topology_benchmark(
-    *,
-    services: int = 100,
-    ticks: int = 700,
-    fault_at: int = 600,
-    repeats: int = 3,
-    top_k: int = 15,
-    halflife: float = 300.0,
-    seed: int = 7,
-) -> TopologyReport:
-    """Measure topology-guided vs full-fan-out diagnosis on one mesh.
-
-    Drives a generated :class:`~repro.apps.mesh.MeshApplication` tick
-    by tick (feeding the per-edge traffic into an
-    :class:`~repro.core.topology.OnlineTopology`), injects a capacity
-    bottleneck on the canonical layer-1 target, and times both engines
-    against the resulting SLO violation.
-
-    Raises:
-        ReproError: When the mesh run produces no SLO violation — the
-            benchmark would silently measure nothing.
-    """
-    from repro.apps.mesh import MeshApplication
-    from repro.core.fchain import FChain
-    from repro.core.topology import OnlineTopology
-    from repro.faults.library import BottleneckFault
-
-    # NB: the generated trace depends on the *total* duration, so the
-    # trace length is pinned relative to the driven ticks — changing it
-    # changes the workload noise and thereby the measured violation.
-    app = MeshApplication(seed=seed, services=services, duration=ticks + 500)
-    target = app.default_fault_target()
-    app.inject(BottleneckFault(fault_at, target, cap=app.bottleneck_cap(target)))
-    topology = OnlineTopology(halflife=halflife)
-    for t in range(ticks):
-        app.tick(t)
-        app.time += 1
-        topology.observe_traffic(t, app.edge_traffic())
-    violation = app.slo.first_violation_after(fault_at)
-    if violation is None:
-        raise ReproError(
-            f"mesh run (seed {seed}, {services} services) produced no SLO "
-            f"violation after t={fault_at} — pick a seed that does"
-        )
-
-    full_config = FChainConfig(topology_mode="full")
-    scoped_config = FChainConfig(
-        topology_mode="neighborhood", topology_top_k=top_k
-    )
-
-    full_seconds: List[float] = []
-    full_faulty: FrozenSet[ComponentId] = frozenset()
-    for _ in range(repeats):
-        fchain = FChain(full_config, seed=seed)
-        started = time.perf_counter()
-        diagnosis = fchain.localize(app.store, violation_time=violation)
-        full_seconds.append(time.perf_counter() - started)
-        full_faulty = diagnosis.faulty
-
-    scoped_seconds: List[float] = []
-    scoped_faulty: FrozenSet[ComponentId] = frozenset()
-    analyzed = 0
-    escalated = False
-    for _ in range(repeats):
-        fchain = FChain(scoped_config, seed=seed, topology=topology)
-        started = time.perf_counter()
-        diagnosis = fchain.localize(
-            app.store, violation_time=violation, origin=app.gateway
-        )
-        scoped_seconds.append(time.perf_counter() - started)
-        scoped_faulty = diagnosis.faulty
-        analyzed = len(diagnosis.analyzed or ())
-        escalated = diagnosis.escalated
-
-    sample_component = app.gateway
-    return TopologyReport(
-        components=services,
-        samples=ticks,
-        metrics=len(app.store.metrics_for(sample_component)),
-        repeats=repeats,
-        top_k=top_k,
-        violation_tick=violation,
-        full_seconds=full_seconds,
-        scoped_seconds=scoped_seconds,
-        full_faulty=full_faulty,
-        scoped_faulty=scoped_faulty,
-        analyzed=analyzed,
-        escalated=escalated,
-        learned_edges=topology.graph().number_of_edges(),
-    )
-
-
-def write_benchmark_json(path, report) -> None:
-    """Write one report's ``to_json()`` payload to ``path``."""
-    with open(path, "w") as handle:
-        json.dump(report.to_json(), handle, indent=2)
-        handle.write("\n")

@@ -15,15 +15,15 @@ injected faults::
       "faults": [{"tenant": "tenant-0042", "at": 45, "component": 2}]
     }
 
-:func:`run_manifest` is the shared driver behind ``repro fleet``, the CI
-fleet job and the fleet benchmark: build the supervisor, register every
-tenant, stream ``ticks`` of synthetic telemetry, drain, and hand back
-the closed supervisor for inspection.
+:func:`run_manifest` is the driver behind ``repro fleet`` and the CI
+fleet job: build the supervisor, register every tenant, stream ``ticks``
+of synthetic telemetry, drain, and hand back the closed supervisor for
+inspection.
 
 The synthetic telemetry is deliberately cheap at fleet scale: the base
 signal matrix ``(components, metrics, ticks)`` is computed **once** and
 shared by all tenants (computing per-tenant noise for 1000 tenants would
-dominate the benchmark with RNG cost, not fleet overhead). A faulted
+dominate a run with RNG cost, not fleet overhead). A faulted
 tenant's telemetry diverges from the shared base only after its fault
 tick: the faulty component's first metric jumps by a level shift and the
 tenant's performance signal crosses the SLO threshold, so exactly the
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -248,7 +248,6 @@ class FleetRunResult:
     ticks: int
     routed: int = 0
     dropped: int = 0
-    tick_seconds: List[float] = field(default_factory=list)
 
 
 def run_manifest(
@@ -257,7 +256,6 @@ def run_manifest(
     *,
     supervisor: Optional[FleetSupervisor] = None,
     sinks: Sequence = (),
-    on_tick=None,
 ) -> FleetRunResult:
     """Drive a whole fleet for ``ticks`` ticks and drain it.
 
@@ -272,11 +270,7 @@ def run_manifest(
         supervisor: Pre-built supervisor (manifest shard/backend
             settings are ignored when given).
         sinks: Fleet-wide incident sinks, ``(tenant, incident)``.
-        on_tick: Optional callback invoked after each fleet-wide tick
-            with the elapsed wall-clock seconds of that tick.
     """
-    import time
-
     owns = supervisor is None
     if owns:
         supervisor = FleetSupervisor(manifest.fleet_config(), sinks=sinks)
@@ -287,16 +281,11 @@ def run_manifest(
         feed = FleetFeed(manifest, ticks)
         tenants = manifest.tenants
         for t in range(ticks):
-            started = time.perf_counter()
             for tenant in tenants:
                 if supervisor.ingest(tenant, feed.batch(tenant, t)):
                     result.routed += 1
                 else:
                     result.dropped += 1
-            elapsed = time.perf_counter() - started
-            result.tick_seconds.append(elapsed)
-            if on_tick is not None:
-                on_tick(elapsed)
     finally:
         if owns:
             supervisor.close()

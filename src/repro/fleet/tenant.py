@@ -10,8 +10,7 @@ worker thread, :class:`TenantRuntime` owns neither: ``process()``
 returns the triggers the core released and ``diagnose()`` runs one, so
 the shard worker can dispatch *fairly across its tenants* (see
 :mod:`repro.fleet.worker`). What the runtime adds to the core is how a
-tenant is built from its picklable :class:`TenantSpec`, a recent window
-of per-tick wall times, and relocation.
+tenant is built from its picklable :class:`TenantSpec`, and relocation.
 
 Relocation: :meth:`TenantRuntime.export_state` snapshots the store
 through the zero-copy shared-memory export and pickles the small
@@ -26,10 +25,8 @@ the models that never moved.
 
 from __future__ import annotations
 
-import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.types import ComponentId
 from repro.core.config import FChainConfig
@@ -46,10 +43,6 @@ from repro.monitoring.store import DEFAULT_RETENTION, MetricStore
 from repro.service.incident import Incident
 from repro.service.sources import TickBatch
 from repro.service.tick import TickCore, Trigger
-
-#: Per-tick wall times kept per tenant — a recent window, so a
-#: long-lived fleet's stats stay bounded.
-TICK_SECONDS_WINDOW = 4096
 
 
 @dataclass(frozen=True)
@@ -124,8 +117,6 @@ class TenantRuntime:
     Attributes:
         core: The tenant's :class:`~repro.service.tick.TickCore` (tick
             rules, dedup state, counters).
-        tick_seconds: Wall time of the most recent
-            :data:`TICK_SECONDS_WINDOW` ``process()`` calls.
     """
 
     def __init__(
@@ -161,19 +152,15 @@ class TenantRuntime:
         # The source-side shared-memory export of an in-flight
         # relocation; closed when the supervisor sends "release".
         self._export: Optional[SharedStoreExport] = None
-        self.tick_seconds: Deque[float] = deque(maxlen=TICK_SECONDS_WINDOW)
 
     @property
     def topology(self) -> Optional[OnlineTopology]:
         return self.core.topology
 
     def process(self, batch: TickBatch) -> List[Trigger]:
-        """One timed tick of the core; returns the ready triggers — the
+        """One tick of the core; returns the ready triggers — the
         caller owns queueing them (with its own budget and fairness)."""
-        started = time.perf_counter()
-        ready = self.core.process(batch)
-        self.tick_seconds.append(time.perf_counter() - started)
-        return ready
+        return self.core.process(batch)
 
     def diagnose(self, trigger: Trigger) -> Incident:
         """Run one localization; raises on engine failure."""

@@ -244,7 +244,6 @@ class ShardWorker:
                 "incidents": core.incident_count,
                 "warm_sync_skipped": core.warm_sync_skipped,
                 "shed": self.shed.get(tenant, 0),
-                "tick_seconds": list(runtime.tick_seconds),
             }
         return {
             "shard": self.shard,

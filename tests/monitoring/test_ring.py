@@ -11,6 +11,7 @@ import pytest
 
 from repro.common.errors import DataQualityError
 from repro.common.types import Metric, MetricSample
+from repro.eval.bench import synthetic_store
 from repro.monitoring.quality import DataQualityPolicy
 from repro.monitoring.shared import SharedStoreExport, attach_store
 from repro.monitoring.store import IngestBatch, IngestRun, MetricStore
@@ -183,19 +184,57 @@ class TestStrictPreset:
             store.ingest("c", CPU, 0, 1.0)
 
 
+def _series_of(store):
+    return {
+        (component, metric): store.series(component, metric).values
+        for component in store.components
+        for metric in store.metrics_for(component)
+    }
+
+
 class TestUnifiedIngest:
     def test_runs_match_scalar_samples(self):
-        values = np.linspace(1.0, 9.0, 9)
-        scalar = MetricStore(policy=DataQualityPolicy())
-        for t, value in enumerate(values):
-            scalar.ingest("c", CPU, t, float(value))
-        scalar.advance_to(len(values))
-        batched = MetricStore()
-        batched.ingest(_run_batch("c", 0, values, watermark=len(values)))
-        left = scalar.series("c", CPU)
-        right = batched.series("c", CPU)
-        assert left.start == right.start
-        np.testing.assert_array_equal(left.values, right.values)
+        # (series, chunk, watermark_every). A loop, not parametrize ids:
+        # the test keeps the one name the suite has always printed.
+        cases = [
+            # One short series, one batch, one closing watermark.
+            ({("c", CPU): np.linspace(1.0, 9.0, 9)}, 9, 9),
+            # The 1 Hz streaming shape against the collector shape:
+            # several series, a watermark per tick vs 128-tick runs.
+            (
+                _series_of(synthetic_store(samples=600, components=3, metrics=2)),
+                128,
+                1,
+            ),
+        ]
+        for series, chunk, watermark_every in cases:
+            ticks = len(next(iter(series.values())))
+            scalar = MetricStore(policy=DataQualityPolicy())
+            for t in range(ticks):
+                for (component, metric), values in series.items():
+                    scalar.ingest(component, metric, t, float(values[t]))
+                if (t + 1) % watermark_every == 0:
+                    scalar.advance_to(t + 1)
+            batched = MetricStore()
+            for lo in range(0, ticks, chunk):
+                hi = min(lo + chunk, ticks)
+                batched.ingest(
+                    IngestBatch(
+                        runs=[
+                            IngestRun(component, metric, lo, values[lo:hi])
+                            for (component, metric), values in series.items()
+                        ],
+                        watermark=hi,
+                    )
+                )
+            for key in series:
+                left = scalar.series(*key)
+                right = batched.series(*key)
+                assert left.start == right.start, key
+                # NaNs in the same slot compare equal here.
+                np.testing.assert_array_equal(
+                    left.values, right.values, err_msg=str(key)
+                )
 
     def test_batch_takes_no_extra_arguments(self):
         store = MetricStore()

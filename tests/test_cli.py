@@ -43,32 +43,31 @@ def test_unknown_scenario():
         main(["run", "nope/nothing"])
 
 
-def test_bench_json_writes_reports(tmp_path, monkeypatch, capsys):
-    import json
-
-    monkeypatch.chdir(tmp_path)
+@pytest.mark.parametrize("fmt", ["tree", "json", "prom"])
+def test_trace_prints_each_format(fmt, capsys):
     code = main(
         [
-            "bench", "--quick", "--json",
-            "--samples", "600", "--components", "2", "--metrics", "1",
-            "--repeats", "1",
+            "trace", "--samples", "600", "--components", "2",
+            "--metrics", "1", "--format", fmt,
         ]
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "speedup" in out
-    ingest = json.loads((tmp_path / "BENCH_ingest.json").read_text())
-    assert ingest["benchmark"] == "ingest"
-    assert ingest["stores_match"] is True
-    assert ingest["speedup_vs_pre_rewrite"] > 0
-    assert ingest["batched"]["ops_per_second"] > 0
-    assert "p99_ms" in ingest["batched"]
-    engine = json.loads(
-        (tmp_path / "BENCH_incremental_engine.json").read_text()
-    )
-    assert engine["benchmark"] == "incremental_engine"
-    assert engine["results_match"] is True
-    assert "p50_ms" in engine["incremental"]
+    if fmt == "tree":
+        assert "component[component=c0]" in out
+        assert "cusum_bootstrap" in out
+        assert "pinpointed: ['c0']" in out
+    elif fmt == "json":
+        import json
+
+        root = json.loads(out)
+        assert root["name"] == "diagnosis"
+        assert root["children"][0]["tags"] == {"component": "c0"}
+    else:
+        from repro.obs.export import parse_prometheus_text
+
+        parsed = parse_prometheus_text(out)
+        assert parsed.value("fchain_diagnoses_total") >= 1
 
 
 def _write_replay_trace(tmp_path):
