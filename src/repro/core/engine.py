@@ -23,9 +23,12 @@ Two executors are available (``FChainConfig.executor`` or the pool's
   the store is exported once into a ``multiprocessing.shared_memory``
   segment (:mod:`repro.monitoring.shared`) and worker processes attach
   zero-copy views of it. Each worker replays the history it needs into a
-  fresh slave; :meth:`~repro.core.prediction.MarkovPredictor.update_many`
-  chunk invariance makes that replay bit-identical to the master's warm
-  slave, so both executors produce identical reports (asserted by
+  fresh slave, one chunk per series along the model bank's time axis.
+  The bank ends in the same state however a stream is chunked — the
+  time axis, the series axis a warm slave advances along and the scalar
+  rule are bit-identical, and a gap severs the Markov chain wherever
+  chunk boundaries fall — so the replay equals the master's warm slave
+  and both executors produce identical reports (asserted by
   ``tests/core/test_process_executor.py``).
 """
 
@@ -80,8 +83,9 @@ def _process_analyze(
     attached store and a fresh slave are cached per shared segment: every
     component the worker handles for one diagnosis reuses one attachment
     and one progressively warmed slave. The fresh slave replays exactly
-    the samples ``analyze`` needs, which ``update_many`` chunk invariance
-    makes bit-identical to the thread executor's long-lived warm slave.
+    the samples ``analyze`` needs, which the model bank's chunk
+    invariance (see the module docstring) makes bit-identical to the
+    thread executor's long-lived warm slave.
     """
     state = _WORKER_STATE.get(handle.shm_name)
     if state is None:

@@ -10,13 +10,18 @@ and "contacting the slaves" is a method call — the algorithms and the data
 they see are identical to the distributed deployment.
 
 The slave is a *long-lived, stateful* object, exactly as in the paper:
-``observe()`` / ``observe_many()`` keep the per-(component, metric)
-Markov models and their rolling prediction-error streams warm at 1 Hz,
-so ``analyze()`` at violation time only runs change-point selection on
-the look-back window instead of replaying the full metric history
-through fresh models. Expensive per-window CUSUM/bootstrap intermediates
-are cached keyed by ``(component, metric, window)`` — the store is
-append-only, so a window's samples never change and the cache is exact.
+``observe()`` / ``observe_many()`` / ``sync_with_store()`` keep the
+per-(component, metric) Markov models and their rolling prediction-error
+streams warm at 1 Hz, so ``analyze()`` at violation time only runs
+change-point selection on the look-back window instead of replaying the
+full metric history through fresh models. The models are rows of one
+:class:`~repro.core.prediction.ModelBank` per slave: a warm slave one
+tick behind its store advances every row at once along the bank's
+series axis, a slave catching up on history advances row by row along
+the time axis, and the two leave bit-identical state. Expensive
+per-window CUSUM/bootstrap intermediates are cached keyed by
+``(component, metric, window)`` — the store is append-only, so a
+window's samples never change and the cache is exact.
 A master that has seen nothing yet replays the recorded history into
 fresh models on its first diagnosis, so constructing a new
 ``FChainMaster`` per diagnosis *is* the original replay engine; its
@@ -29,7 +34,7 @@ from __future__ import annotations
 import time
 import weakref
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -41,7 +46,7 @@ from repro.core.config import FChainConfig
 from repro.core.diagnosis import Diagnosis
 from repro.core.engine import SlavePool
 from repro.core.pinpoint import PinpointResult, pinpoint_faulty_components
-from repro.core.prediction import MarkovPredictor
+from repro.core.prediction import MarkovPredictor, ModelBank
 from repro.core.propagation import ComponentReport
 from repro.core.selection import (
     detect_window_change_points,
@@ -58,7 +63,7 @@ from repro.core.validation import (
     validate_pinpointing,
 )
 from repro.monitoring.quality import DEFAULT_POLICY, DataQualityReport
-from repro.monitoring.store import MetricStore
+from repro.monitoring.store import MetricStore, SeriesIndex
 from repro.obs.trace import (
     STAGE_COMPONENT,
     STAGE_DIAGNOSIS,
@@ -78,44 +83,66 @@ _CACHE_LIMIT = 512
 _MIN_BUFFER_CAPACITY = 256
 
 
-class _ErrorStream:
-    """Append-only float64 buffer with amortized O(1) growth.
+class _ErrorStreams:
+    """Append-only signed prediction-error buffers, one per bank row.
 
-    Holds one metric's rolling *signed* prediction errors. Reads are
-    zero-copy prefix views; because entries are append-only, a view taken
-    for one diagnosis window stays valid while streaming continues.
+    ``lengths[row]`` counts a row's errors — which is also how many
+    store slots its series has consumed, so the lengths double as the
+    sync cursors. Each row owns a float64 buffer that grows by doubling
+    into a fresh array; reads are zero-copy prefix views, and because
+    entries are append-only and a grown buffer leaves the old one
+    untouched, a view taken for one diagnosis window stays valid while
+    streaming continues.
     """
 
-    __slots__ = ("_data", "length")
+    __slots__ = ("_buffers", "lengths")
 
     def __init__(self) -> None:
-        self._data = np.empty(_MIN_BUFFER_CAPACITY, dtype=float)
-        self.length = 0
+        self._buffers: List[np.ndarray] = []
+        self.lengths = np.zeros(1, dtype=np.int64)
 
-    def append(self, value: float) -> None:
-        if self.length == len(self._data):
-            grown = np.empty(2 * len(self._data), dtype=float)
-            grown[: self.length] = self._data
-            self._data = grown
-        self._data[self.length] = value
-        self.length += 1
+    def add_row(self) -> None:
+        """Append an empty stream for the next bank row."""
+        if len(self._buffers) == len(self.lengths):
+            self.lengths = np.concatenate(
+                (self.lengths, np.zeros_like(self.lengths))
+            )
+        self._buffers.append(np.empty(_MIN_BUFFER_CAPACITY, dtype=float))
 
-    def extend(self, values: np.ndarray) -> None:
-        """Append a whole chunk of errors with one vectorized copy."""
-        needed = self.length + len(values)
-        if needed > len(self._data):
-            capacity = len(self._data)
-            while capacity < needed:
-                capacity *= 2
-            grown = np.empty(capacity, dtype=float)
-            grown[: self.length] = self._data[: self.length]
-            self._data = grown
-        self._data[self.length : needed] = values
-        self.length = needed
+    def _grown(self, row: int, used: int, needed: int) -> np.ndarray:
+        capacity = len(self._buffers[row])
+        while capacity < needed:
+            capacity *= 2
+        grown = np.empty(capacity, dtype=float)
+        grown[:used] = self._buffers[row][:used]
+        self._buffers[row] = grown
+        return grown
 
-    def view(self, count: Optional[int] = None) -> np.ndarray:
-        """The first ``count`` errors (all of them when None), no copy."""
-        return self._data[: self.length if count is None else count]
+    def extend(self, row: int, errors: np.ndarray) -> None:
+        """Append a chunk of one row's errors with one vectorized copy."""
+        start = int(self.lengths[row])
+        stop = start + len(errors)
+        data = self._buffers[row]
+        if stop > len(data):
+            data = self._grown(row, start, stop)
+        data[start:stop] = errors
+        self.lengths[row] = stop
+
+    def append_tick(
+        self, rows: np.ndarray, slot: int, errors: np.ndarray
+    ) -> None:
+        """Append one error to each of ``rows``, all ``slot`` long."""
+        buffers = self._buffers
+        for row, error in zip(rows.tolist(), errors.tolist()):
+            data = buffers[row]
+            if slot == len(data):
+                data = self._grown(row, slot, slot + 1)
+            data[slot] = error
+        self.lengths[rows] = slot + 1
+
+    def view(self, row: int, count: Optional[int] = None) -> np.ndarray:
+        """The first ``count`` errors of a row (all when None), no copy."""
+        return self._buffers[row][: self.lengths[row] if count is None else count]
 
 
 class FChainSlave:
@@ -123,16 +150,20 @@ class FChainSlave:
 
     The slave owns the *normal fluctuation modeling* (online Markov
     predictors, fed continuously at 1 Hz via :meth:`observe` /
-    :meth:`observe_many`) and the *abnormal change point selection* that
-    the master triggers with a look-back window after an SLO violation.
+    :meth:`observe_many` / :meth:`sync_with_store`) and the *abnormal
+    change point selection* that the master triggers with a look-back
+    window after an SLO violation.
 
     State is persistent across diagnoses: models, signed
     prediction-error streams and per-window CUSUM caches stay warm, so
     repeated ``analyze()`` calls cost O(look-back window), not O(recorded
-    history). When ``analyze`` is handed a store the slave has not fully
-    consumed, the missing samples are streamed in first — the slave and
-    the batch replay therefore always see identical model state
-    (``prediction_errors`` parity is covered by
+    history). Every model lives in one
+    :class:`~repro.core.prediction.ModelBank`; ``(component, metric)``
+    maps to a bank row, and the row's error buffer length is its cursor
+    into the store. When ``analyze`` is handed a store the slave has not
+    fully consumed, the missing samples are streamed in first — the
+    slave and the batch replay therefore always see identical model
+    state (``prediction_errors`` parity is covered by
     ``tests/core/test_streaming_slave.py``).
     """
 
@@ -140,16 +171,22 @@ class FChainSlave:
         self.config = (config or FChainConfig()).validate()
         self.seed = seed
         self.tracer = make_tracer(self.config.telemetry)
-        self._models: Dict[_Key, MarkovPredictor] = {}
-        self._streams: Dict[_Key, _ErrorStream] = {}
-        self._consumed: Dict[_Key, int] = {}
         self._store_ref: Optional[weakref.ref] = None
         self._cusum_cache: "OrderedDict" = OrderedDict()
         self._selection_cache: "OrderedDict" = OrderedDict()
+        self.reset()
 
     # ------------------------------------------------------------------
     # Continuous modeling (streaming interface)
     # ------------------------------------------------------------------
+    def _row(self, key: _Key) -> int:
+        """The bank row of one series, added on first sight."""
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = self._bank.add_row()
+            self._streams.add_row()
+        return row
+
     def observe(self, component: ComponentId, metric: Metric, value: float) -> None:
         """Feed one 1 Hz sample into the online fluctuation model."""
         self.observe_many(component, metric, (value,))
@@ -164,10 +201,8 @@ class FChainSlave:
 
         Bit-identical to calling :meth:`observe` per sample, but the
         whole chunk goes through one vectorized
-        :meth:`~repro.core.prediction.MarkovPredictor.update_many` call —
+        :meth:`~repro.core.prediction.ModelBank.update_many` call —
         O(1) numpy calls per chunk instead of O(samples) Python calls.
-        This is the path the engine uses to catch a slave up with a store
-        and the one streaming collectors should prefer.
 
         NaN entries mark missing ticks (unfillable telemetry gaps): they
         produce NaN prediction errors, update no model state, and sever
@@ -175,15 +210,6 @@ class FChainSlave:
         :meth:`~repro.core.prediction.MarkovPredictor.update_many_gapped`).
         An all-finite chunk takes the strict vectorized path unchanged.
         """
-        key = (component, metric)
-        model = self._models.get(key)
-        if model is None:
-            model = MarkovPredictor(
-                bins=self.config.markov_bins,
-                halflife=self.config.markov_halflife,
-            )
-            self._models[key] = model
-            self._streams[key] = _ErrorStream()
         if isinstance(values, np.ndarray):
             chunk = values
         else:
@@ -191,35 +217,27 @@ class FChainSlave:
                 values if isinstance(values, (list, tuple)) else list(values),
                 dtype=float,
             )
-        errors = model.update_many_gapped(chunk)
-        self._streams[key].extend(errors)
-        self._consumed[key] = self._consumed.get(key, 0) + len(chunk)
+        self._observe_row(self._row((component, metric)), chunk)
 
-    def observe_tick(
-        self, component: ComponentId, samples: Mapping[Metric, float]
-    ) -> None:
-        """Feed one tick's samples for every metric of a component."""
-        for metric, value in samples.items():
-            self.observe_many(component, metric, (value,))
+    def _observe_row(self, row: int, chunk: np.ndarray) -> None:
+        """Advance one row along the time axis."""
+        self._streams.extend(row, self._bank.update_many_gapped(row, chunk))
 
     def model_for(
         self, component: ComponentId, metric: Metric
     ) -> Optional[MarkovPredictor]:
-        """The online model of one metric, if any samples were observed."""
-        return self._models.get((component, metric))
+        """The online model of one metric, if any samples were observed
+        (a handle onto the slave's bank, not a copy)."""
+        row = self._rows.get((component, metric))
+        return None if row is None else MarkovPredictor.on(self._bank, row)
 
-    @property
-    def _errors(self) -> Dict[_Key, np.ndarray]:
-        """Unsigned prediction-error streams (diagnostic/back-compat view).
-
-        The slave stores *signed* errors (``actual - predicted``; the
-        selection stage needs the sign); this mirrors the historical
-        unsigned view.
-        """
-        return {
-            key: np.abs(stream.view())
-            for key, stream in self._streams.items()
-        }
+    def errors_for(
+        self, component: ComponentId, metric: Metric
+    ) -> Optional[np.ndarray]:
+        """The signed prediction errors of one metric so far, one per
+        consumed sample (a zero-copy view), if any were observed."""
+        row = self._rows.get((component, metric))
+        return None if row is None else self._streams.view(row)
 
     # ------------------------------------------------------------------
     # Store synchronization
@@ -242,9 +260,14 @@ class FChainSlave:
 
     def reset(self) -> None:
         """Drop all models, error streams, cursors and window caches."""
-        self._models.clear()
-        self._streams.clear()
-        self._consumed.clear()
+        self._bank = ModelBank(
+            bins=self.config.markov_bins,
+            halflife=self.config.markov_halflife,
+        )
+        self._rows: Dict[_Key, int] = {}
+        self._streams = _ErrorStreams()
+        self._index: Optional[SeriesIndex] = None
+        self._index_rows = np.empty(0, dtype=np.int64)
         self._cusum_cache.clear()
         self._selection_cache.clear()
         self._store_ref = None
@@ -256,19 +279,71 @@ class FChainSlave:
         so the first call costs O(history) and subsequent calls cost
         O(new samples) — the amortization that keeps repeated diagnoses
         fast on long histories.
+
+        Which way the bank is advanced follows from how far behind the
+        series are. Series that share a cursor, still retain every slot
+        they owe and are fewer ticks behind than there are series in
+        the group — a warm slave one tick (or a diagnosis' few ticks)
+        behind a live store — advance together, tick by tick, along the
+        series axis. Everything else replays series by series along the
+        time axis (:meth:`_sync_series`). Both leave the same state.
         """
         self.bind_store(store)
         needed = min(upto, store.end) - store.start
         if needed <= 0:
             return
-        for component in store.components:
-            self._sync_component(store, component, needed)
-
-    def _sync_component(
-        self, store: MetricStore, component: ComponentId, needed: int
-    ) -> None:
-        for metric in store.metrics_for(component):
+        index = store.series_index()
+        if index is not self._index:
+            new = sum(1 for key in index.keys if key not in self._rows)
+            self._bank.reserve(self._bank.size + new)
+            self._index_rows = np.array(
+                [self._row(key) for key in index.keys], dtype=np.int64
+            )
+            self._index = index
+        heads = index.heads()
+        cursors = self._streams.lengths[self._index_rows]
+        alone = np.minimum(heads, needed) > cursors
+        if not alone.any():
+            return
+        if index.mirrored:
+            # Candidates for the series axis owe whole ticks (their ring
+            # holds slot ``needed - 1``) of which none was evicted yet.
+            together = (
+                alone
+                & (heads >= needed)
+                & (heads - index.capacities() <= cursors)
+            )
+            pending = np.flatnonzero(together)
+            while len(pending):
+                cursor = int(cursors[pending[0]])
+                same = cursors[pending] == cursor
+                group, pending = pending[same], pending[~same]
+                if needed - cursor < len(group):
+                    self._advance_together(index, group, cursor, needed)
+                    alone[group] = False
+        for position in np.flatnonzero(alone):
+            component, metric = index.keys[position]
             self._sync_series(store, component, metric, needed)
+
+    def _advance_together(
+        self,
+        index: SeriesIndex,
+        positions: np.ndarray,
+        cursor: int,
+        needed: int,
+    ) -> None:
+        """Advance the series at ``positions`` of the index from slot
+        ``cursor`` to ``needed``, one tick at a time along the series
+        axis."""
+        if len(positions) == len(index):
+            rows, positions = self._index_rows, None
+        else:
+            rows = self._index_rows[positions]
+        for slot in range(cursor, needed):
+            errors = self._bank.advance_tick(
+                rows, index.column(slot, positions)
+            )
+            self._streams.append_tick(rows, slot, errors)
 
     def _sync_series(
         self,
@@ -278,7 +353,7 @@ class FChainSlave:
         needed: int,
     ) -> int:
         """Stream store slots ``[cursor, needed)`` of one series into the
-        models; returns how many slots were consumed.
+        models along the time axis; returns how many slots were consumed.
 
         The stream index must always equal the absolute store slot —
         that is what lets :meth:`analyze` slice error windows by slot
@@ -287,8 +362,8 @@ class FChainSlave:
         model treats them like any other gap (severing the Markov
         chain), and the cursor keeps counting in store slots.
         """
-        key = (component, metric)
-        have = self._consumed.get(key, 0)
+        row = self._row((component, metric))
+        have = int(self._streams.lengths[row])
         if have >= needed:
             return 0
         series = store.series(component, metric)
@@ -299,13 +374,11 @@ class FChainSlave:
         synced = 0
         pad = min(base, stop) - have
         if pad > 0:
-            self.observe_many(component, metric, np.full(pad, np.nan))
+            self._observe_row(row, np.full(pad, np.nan))
             have += pad
             synced += pad
         if have < stop:
-            self.observe_many(
-                component, metric, series.values[have - base : stop - base]
-            )
+            self._observe_row(row, series.values[have - base : stop - base])
             synced += stop - have
         return synced
 
@@ -415,8 +488,8 @@ class FChainSlave:
                     STAGE_METRIC, metric=metric.value
                 ) as metric_span:
                     offset = full.start - store.start
-                    errors = self._streams[(component, metric)].view(
-                        offset + len(full)
+                    errors = self._streams.view(
+                        self._rows[(component, metric)], offset + len(full)
                     )[offset:]
                     raw = full.window(window_start, window_end)
                     history = full.window(full.start, raw.start)

@@ -11,28 +11,42 @@ model has seen before (normal workload fluctuation) predict well; fault
 manifestations move the metric in ways the model never learned, producing
 large prediction errors.
 
-Two update paths are offered and kept **bit-identical**:
+Model state lives in a :class:`ModelBank`: one structure-of-arrays whose
+leading axis is the series (*row*). A slave owns one bank for all its
+series; a standalone :class:`MarkovPredictor` is a one-row handle onto a
+bank of its own. There is one copy of every model and three ways to
+advance it, all kept **bit-identical**:
 
-* :meth:`MarkovPredictor.step` / :meth:`MarkovPredictor.update` — one
-  sample at a time (the reference implementation);
-* :meth:`MarkovPredictor.update_many` — a whole chunk at once. Bin
-  assignment is vectorized on the frozen grid, transition counts are
-  accumulated with ``np.add.at`` on the lagged bin pairs, and the
-  predictions are reconstructed from per-row running aggregates whose
-  ``np.cumsum`` accumulation performs exactly the same sequence of float
-  additions as the scalar path — so a chunked feed and a per-sample feed
-  produce the same error stream bit for bit (property-tested by
-  ``tests/properties/test_update_many_properties.py``).
+* :meth:`ModelBank.step` — one sample of one row (the scalar reference,
+  public as :meth:`MarkovPredictor.step` / :meth:`MarkovPredictor.update`);
+* :meth:`ModelBank.update_many` — a chunk of consecutive samples of one
+  row, vectorized along the *time* axis. Bin assignment is vectorized on
+  the frozen grid, transition counts are accumulated with ``np.add.at``
+  on the lagged bin pairs, and the predictions are reconstructed from
+  per-row running aggregates whose ``np.cumsum`` accumulation performs
+  exactly the same sequence of float additions as the scalar path
+  (property-tested by ``tests/properties/test_update_many_properties.py``);
+* :meth:`ModelBank.advance_tick` — one sample for each of many rows,
+  vectorized along the *series* axis: every row performs the scalar
+  rule's own float operations, just side by side (property-tested by
+  ``tests/properties/test_model_bank_properties.py``).
 
-The exactness hinges on two facts: sequential aggregate updates are a
-left fold, which is precisely what ``np.cumsum`` computes; and halving at
-the decay points multiplies by a power of two, which distributes exactly
-over sums in IEEE arithmetic.
+The time-axis exactness hinges on two facts: sequential aggregate updates
+are a left fold, which is precisely what ``np.cumsum`` computes; and
+halving at the decay points multiplies by a power of two, which
+distributes exactly over sums in IEEE arithmetic.
+
+A non-finite sample is a *gap* on every path: it yields no error, updates
+no model state and severs the transition chain, so the next finite sample
+only re-seeds the chain. That holds however the stream is chunked — a gap
+delivered as a chunk of its own severs exactly like one in the middle of
+a longer chunk.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import List, Optional
 
 import numpy as np
 
@@ -44,20 +58,42 @@ from repro.common.timeseries import TimeSeries
 #: such spans are treated like the zero-span degenerate grid instead.
 _MIN_SPAN = float(np.finfo(float).tiny)
 
+#: ``previous_bin`` of a row whose transition chain is severed (before
+#: the first post-warmup sample, and after every gap).
+_NO_BIN = -1
 
-class MarkovPredictor:
-    """Online one-step-ahead predictor for a single metric series.
 
-    Args:
-        bins: Number of value bins.
-        halflife: Number of updates after which old transition counts
-            carry half weight (implemented by periodic count halving).
-        warmup: Samples used to estimate the initial value range before
-            the bin grid is frozen.
-        headroom: Fractional padding added around the warmup range so
-            moderately larger values still fall inside the grid; values
-            beyond it clamp to the edge bins (an "unseen regime" signal).
+class ModelBank:
+    """Markov predictors for many series, as one structure-of-arrays.
+
+    Every per-model quantity is an array whose leading axis is the row
+    (one row per series); rows are appended with :meth:`add_row` and the
+    arrays grow geometrically. All rows share ``bins``, ``halflife``,
+    ``warmup`` and ``headroom`` (see :class:`MarkovPredictor`).
+
+    Arrays (``B = bins``; only the first ``size`` rows are in use):
+
+    * ``counts[row, B, B]`` — decayed transition counts;
+    * ``row_dots[row, b] == counts[row, b] @ centers[row]`` and
+      ``row_sums[row, b] == counts[row, b].sum()`` — the running
+      aggregates predictions are served from, maintained in lockstep
+      with ``counts``;
+    * ``marginal_dot[row]``, ``marginal_total[row]`` — the same over
+      all transitions (the unvisited-row fallback);
+    * ``lo``, ``span``, ``centers[row, B]`` — the frozen grid: lower
+      edge, width and bin centers (``span`` stays 0 until the warmup
+      finished);
+    * ``previous_bin[row]`` — the chain state, ``-1`` when severed;
+    * ``updates[row]`` — transitions counted (halving falls on every
+      multiple of ``halflife``); ``ready[row]`` — warmup finished.
     """
+
+    #: Names of the per-row state arrays (everything but the pre-freeze
+    #: ``warmup_values`` lists).
+    ARRAYS = (
+        "counts", "row_dots", "row_sums", "marginal_dot", "marginal_total",
+        "lo", "span", "centers", "previous_bin", "updates", "ready",
+    )
 
     def __init__(
         self,
@@ -72,71 +108,94 @@ class MarkovPredictor:
         self.halflife = max(1, halflife)
         self.warmup = max(2, warmup)
         self.headroom = headroom
-        self._warmup_values: list = []
-        self._lo: Optional[float] = None
-        self._hi: Optional[float] = None
-        self._counts = np.zeros((bins, bins), dtype=float)
-        self._centers: Optional[np.ndarray] = None
-        self._previous_bin: Optional[int] = None
-        self._updates = 0
-        # Running aggregates the predictions are served from; maintained
-        # in lockstep with ``_counts`` (see module docstring):
-        #   _row_dots[b]  == counts[b] @ centers
-        #   _row_sums[b]  == counts[b].sum()
-        #   _marginal_dot == counts.sum(axis=0) @ centers
-        #   _marginal_total == counts.sum()
-        self._row_dots = np.zeros(bins, dtype=float)
-        self._row_sums = np.zeros(bins, dtype=float)
-        self._marginal_dot = 0.0
-        self._marginal_total = 0.0
+        self.size = 0
+        # One row of capacity; rows are added (and the arrays regrown)
+        # through add_row / reserve.
+        self.counts = np.zeros((1, bins, bins))
+        self.row_dots = np.zeros((1, bins))
+        self.row_sums = np.zeros((1, bins))
+        self.marginal_dot = np.zeros(1)
+        self.marginal_total = np.zeros(1)
+        self.lo = np.zeros(1)
+        self.span = np.zeros(1)
+        self.centers = np.zeros((1, bins))
+        self.previous_bin = np.full(1, _NO_BIN, dtype=np.int64)
+        self.updates = np.zeros(1, dtype=np.int64)
+        self.ready = np.zeros(1, dtype=bool)
+        #: Samples collected per row until its grid is frozen.
+        self.warmup_values: List[list] = []
 
     # ------------------------------------------------------------------
+    # Rows
+    # ------------------------------------------------------------------
     @property
-    def ready(self) -> bool:
-        """Whether the warmup finished and predictions are meaningful."""
-        return self._centers is not None
+    def capacity(self) -> int:
+        return len(self.updates)
 
-    def _freeze_grid(self) -> None:
-        values = np.asarray(self._warmup_values, dtype=float)
+    def reserve(self, rows: int) -> None:
+        """Make room for ``rows`` rows in one reallocation."""
+        if rows <= self.capacity:
+            return
+        for name in self.ARRAYS:
+            old = getattr(self, name)
+            grown = np.zeros((rows,) + old.shape[1:], dtype=old.dtype)
+            grown[: self.size] = old[: self.size]
+            setattr(self, name, grown)
+        self.previous_bin[self.size :] = _NO_BIN
+
+    def add_row(self) -> int:
+        """Append a fresh (warming-up) model; returns its row."""
+        if self.size == self.capacity:
+            self.reserve(2 * self.capacity)
+        self.warmup_values.append([])
+        self.size += 1
+        return self.size - 1
+
+    # ------------------------------------------------------------------
+    # The scalar rule (one sample, one row)
+    # ------------------------------------------------------------------
+    def _freeze_grid(self, row: int) -> None:
+        values = np.asarray(self.warmup_values[row], dtype=float)
         lo, hi = float(values.min()), float(values.max())
         pad = self.headroom * max(hi - lo, abs(hi), 1e-6)
-        self._lo, self._hi = lo - pad, hi + pad
-        edges = np.linspace(self._lo, self._hi, self.bins + 1)
-        self._centers = 0.5 * (edges[:-1] + edges[1:])
-        self._warmup_values = []
+        lo, hi = lo - pad, hi + pad
+        self.lo[row], self.span[row] = lo, hi - lo
+        edges = np.linspace(lo, hi, self.bins + 1)
+        self.centers[row] = 0.5 * (edges[:-1] + edges[1:])
+        self.ready[row] = True
+        self.warmup_values[row] = []
 
-    def _bin_of(self, value: float) -> int:
-        span = self._hi - self._lo
+    def bin_of(self, row: int, value: float) -> int:
+        lo = float(self.lo[row])
+        span = float(self.span[row])
         if span < _MIN_SPAN:
             # Degenerate grid: a constant warmup series with zero
             # headroom freezes lo == hi (span 0), and a *subnormal*
             # warmup spread can freeze a positive span too small to
             # divide safely. Every value then maps to an edge bin
             # instead of dividing by the (near-)zero span.
-            return 0 if value <= self._lo else self.bins - 1
-        raw = (value - self._lo) / span * self.bins
-        if not np.isfinite(raw):
+            return 0 if value <= lo else self.bins - 1
+        raw = (value - lo) / span * self.bins
+        if not math.isfinite(raw):
             # The divide overflowed (a value astronomically outside a
             # tiny grid): clamp to the edge bin the sign points at,
             # matching the degenerate-grid rule.
-            return 0 if value <= self._lo else self.bins - 1
-        idx = int(raw)
-        return min(self.bins - 1, max(0, idx))
+            return 0 if value <= lo else self.bins - 1
+        return min(self.bins - 1, max(0, int(raw)))
 
-    def _bins_of(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_bin_of` over a chunk (identical clamping)."""
-        span = self._hi - self._lo
+    def bins_of(self, row: int, values: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`bin_of` over a chunk (identical clamping)."""
+        lo = float(self.lo[row])
+        span = float(self.span[row])
         if span < _MIN_SPAN:
-            return np.where(values <= self._lo, 0, self.bins - 1)
+            return np.where(values <= lo, 0, self.bins - 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            raw = (values - self._lo) / span * self.bins
+            raw = (values - lo) / span * self.bins
         bad = ~np.isfinite(raw)
         if bad.any():
             # Same edge-bin rule as the scalar overflow path.
             raw = np.where(
-                bad,
-                np.where(values <= self._lo, 0.0, float(self.bins - 1)),
-                raw,
+                bad, np.where(values <= lo, 0.0, float(self.bins - 1)), raw
             )
         # Clipping the float before truncation matches the scalar
         # ``min(bins - 1, max(0, int(raw)))`` for every finite value:
@@ -144,21 +203,20 @@ class MarkovPredictor:
         # clamp on [0, bins - 1].
         return np.clip(raw, 0, self.bins - 1).astype(np.int64)
 
-    def _halve(self) -> None:
+    def _halve(self, rows) -> None:
         """Exponential forgetting: halve counts and all aggregates.
 
         Multiplying by 0.5 is exact in IEEE arithmetic and distributes
         over sums, so the aggregates stay equal to their definitions.
         """
-        self._counts *= 0.5
-        self._row_dots *= 0.5
-        self._row_sums *= 0.5
-        self._marginal_dot = self._marginal_dot * 0.5
-        self._marginal_total = self._marginal_total * 0.5
+        self.counts[rows] *= 0.5
+        self.row_dots[rows] *= 0.5
+        self.row_sums[rows] *= 0.5
+        self.marginal_dot[rows] *= 0.5
+        self.marginal_total[rows] *= 0.5
 
-    # ------------------------------------------------------------------
-    def predict(self) -> Optional[float]:
-        """Expected next value given the current state, or None pre-warmup.
+    def predict(self, row: int) -> Optional[float]:
+        """Expected next value of one row, or None without a chain state.
 
         An unvisited transition row falls back to the *marginal*
         expectation over all observed values: the model has never seen
@@ -168,18 +226,394 @@ class MarkovPredictor:
         prediction errors tick after tick, whereas a brief benign spike
         returns to well-learned states immediately.
         """
-        if not self.ready or self._previous_bin is None:
-            return None
-        total = self._row_sums[self._previous_bin]
-        if total > 0:
-            return float(self._row_dots[self._previous_bin] / total)
-        return self._marginal_expectation()
+        previous = int(self.previous_bin[row])
+        return None if previous < 0 else self._expected(row, previous)
 
-    def _marginal_expectation(self) -> float:
-        """Expected value under the marginal distribution of seen bins."""
-        if self._marginal_total <= 0:
-            return float(self._centers[self._previous_bin])
-        return float(self._marginal_dot / self._marginal_total)
+    def _expected(self, row: int, previous: int) -> float:
+        total = self.row_sums[row, previous]
+        if total > 0:
+            return float(self.row_dots[row, previous] / total)
+        if self.marginal_total[row] <= 0:
+            return float(self.centers[row, previous])
+        return float(self.marginal_dot[row] / self.marginal_total[row])
+
+    def step(self, row: int, value: float) -> Optional[float]:
+        """Feed one sample to one row; returns its *signed* error.
+
+        See :meth:`MarkovPredictor.step`. This is the reference every
+        vectorized path is held to.
+        """
+        value = float(value)
+        if not math.isfinite(value):
+            self.previous_bin[row] = _NO_BIN
+            return None
+        if not self.ready[row]:
+            pending = self.warmup_values[row]
+            pending.append(value)
+            if len(pending) >= self.warmup:
+                self._freeze_grid(row)
+            return None
+        previous = int(self.previous_bin[row])
+        current = self.bin_of(row, value)
+        self.previous_bin[row] = current
+        if previous < 0:
+            # No prediction and no transition: the sample only seeds
+            # the chain state.
+            return None
+        predicted = self._expected(row, previous)
+        self.counts[row, previous, current] += 1.0
+        center = self.centers[row, current]
+        self.row_dots[row, previous] += center
+        self.row_sums[row, previous] += 1.0
+        self.marginal_dot[row] += center
+        self.marginal_total[row] += 1.0
+        updates = int(self.updates[row]) + 1
+        self.updates[row] = updates
+        if updates % self.halflife == 0:
+            self._halve(row)
+        return value - predicted
+
+    # ------------------------------------------------------------------
+    # The series axis (one sample each, many rows)
+    # ------------------------------------------------------------------
+    def advance_tick(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Feed one sample to each of ``rows``; return the signed errors.
+
+        Bit-identical to ``[self.step(r, v) for r, v in zip(rows,
+        values)]`` with None mapped to NaN. Rows that have a chain state
+        on a regular grid and received a finite sample — the steady
+        state of a warm slave — advance together in a fixed number of
+        numpy calls; every other row (warming up, just seeded or
+        severed, degenerate grid, gap) takes :meth:`step` itself.
+
+        Args:
+            rows: Distinct row indices.
+            values: One sample per row; non-finite marks a gap.
+        """
+        values = np.asarray(values, dtype=float)
+        previous = self.previous_bin[rows]
+        span = self.span[rows]
+        regular = (previous >= 0) & (span >= _MIN_SPAN) & np.isfinite(values)
+        if regular.all():
+            return self._advance_regular(rows, values, previous, span)
+        errors = np.full(len(values), np.nan)
+        for i in np.flatnonzero(~regular):
+            delta = self.step(int(rows[i]), values[i])
+            if delta is not None:
+                errors[i] = delta
+        keep = np.flatnonzero(regular)
+        if len(keep):
+            errors[keep] = self._advance_regular(
+                rows[keep], values[keep], previous[keep], span[keep]
+            )
+        return errors
+
+    def _advance_regular(
+        self,
+        rows: np.ndarray,
+        values: np.ndarray,
+        previous: np.ndarray,
+        span: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`step` for rows on the regular path, side by side."""
+        top = self.bins - 1
+        lo = self.lo[rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = (values - lo) / span * self.bins
+        finite = np.isfinite(raw)
+        if not finite.all():
+            raw = np.where(
+                finite, raw, np.where(values <= lo, 0.0, float(top))
+            )
+        # Clamp-then-truncate, as in :meth:`bins_of`.
+        np.maximum(raw, 0.0, out=raw)
+        np.minimum(raw, top, out=raw)
+        current = raw.astype(np.int64)
+
+        totals = self.row_sums[rows, previous]
+        dots = self.row_dots[rows, previous]
+        visited = totals > 0
+        if visited.all():
+            predicted = dots / totals
+        else:
+            predicted = self.centers[rows, previous]
+            mdot = self.marginal_dot[rows]
+            mtot = self.marginal_total[rows]
+            np.divide(mdot, mtot, out=predicted, where=mtot > 0)
+            np.divide(dots, totals, out=predicted, where=visited)
+        errors = values - predicted
+
+        center = self.centers[rows, current]
+        self.counts[rows, previous, current] += 1.0
+        self.row_dots[rows, previous] = dots + center
+        self.row_sums[rows, previous] = totals + 1.0
+        self.marginal_dot[rows] += center
+        self.marginal_total[rows] += 1.0
+        updates = self.updates[rows] + 1
+        self.updates[rows] = updates
+        due = updates % self.halflife == 0
+        if due.any():
+            self._halve(rows[due])
+        self.previous_bin[rows] = current
+        return errors
+
+    # ------------------------------------------------------------------
+    # The time axis (many samples, one row)
+    # ------------------------------------------------------------------
+    def update_many(self, row: int, values) -> np.ndarray:
+        """Feed a chunk of consecutive samples to one row; signed errors.
+
+        See :meth:`MarkovPredictor.update_many`.
+        """
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim != 1:
+            raise ValueError("update_many expects a 1-D array of samples")
+        n = len(arr)
+        errors = np.full(n, np.nan)
+        if n == 0:
+            return errors
+        if n <= 2:
+            # Chunks this small gain nothing from the batch machinery.
+            for i in range(n):
+                delta = self.step(row, arr[i])
+                if delta is not None:
+                    errors[i] = delta
+            return errors
+        start = 0
+        if not self.ready[row]:
+            pending = self.warmup_values[row]
+            take = min(n, self.warmup - len(pending))
+            pending.extend(arr[:take].tolist())
+            if len(pending) >= self.warmup:
+                self._freeze_grid(row)
+            start = take
+            if start >= n or not self.ready[row]:
+                return errors
+        chunk = arr[start:]
+        if not np.isfinite(chunk).all():
+            raise ValueError("update_many requires finite samples")
+        bins_arr = self.bins_of(row, chunk)
+        previous = int(self.previous_bin[row])
+        if previous < 0:
+            # The first post-warmup sample has no prediction and causes
+            # no transition; it only seeds the chain state.
+            if len(chunk) == 1:
+                self.previous_bin[row] = bins_arr[0]
+                return errors
+            sources = bins_arr[:-1]
+            targets = bins_arr[1:]
+            predicted_for = chunk[1:]
+            out = errors[start + 1 :]
+        else:
+            sources = np.concatenate(([previous], bins_arr[:-1]))
+            targets = bins_arr
+            predicted_for = chunk
+            out = errors[start:]
+        preds = np.empty(len(targets))
+        total = len(targets)
+        halflife = self.halflife
+        position = 0
+        while position < total:
+            # Increments until (and including) the next halving point —
+            # within an epoch no decay happens, so predictions can be
+            # reconstructed from epoch-start aggregates plus cumsums.
+            updates = int(self.updates[row])
+            end = min(total, position + halflife - updates % halflife)
+            self._batch_epoch(
+                row,
+                sources[position:end],
+                targets[position:end],
+                preds[position:end],
+            )
+            updates += end - position
+            self.updates[row] = updates
+            if updates % halflife == 0:
+                self._halve(row)
+            position = end
+        np.subtract(predicted_for, preds, out=out)
+        self.previous_bin[row] = bins_arr[-1]
+        return errors
+
+    def update_many_gapped(self, row: int, values) -> np.ndarray:
+        """Feed one row a chunk that may contain gap markers; errors.
+
+        See :meth:`MarkovPredictor.update_many_gapped`.
+        """
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim != 1:
+            raise ValueError("update_many_gapped expects a 1-D array")
+        finite = np.isfinite(arr)
+        if finite.all():
+            return self.update_many(row, arr)
+        errors = np.full(len(arr), np.nan)
+        idx = np.flatnonzero(finite)
+        if len(idx) == 0:
+            # A chunk that is all gap severs the chain like any other
+            # gap — otherwise how a stream happened to be chunked would
+            # decide whether the samples around the gap were chained.
+            self.previous_bin[row] = _NO_BIN
+            return errors
+        run_breaks = np.flatnonzero(np.diff(idx) > 1) + 1
+        for run in np.split(idx, run_breaks):
+            lo, hi = int(run[0]), int(run[-1]) + 1
+            if lo > 0:
+                # The samples of this run follow a gap: sever the chain
+                # so no cross-gap transition is learned.
+                self.previous_bin[row] = _NO_BIN
+            errors[lo:hi] = self.update_many(row, arr[lo:hi])
+        if not finite[-1]:
+            # A trailing gap severs the chain for the *next* chunk too.
+            self.previous_bin[row] = _NO_BIN
+        return errors
+
+    def _batch_epoch(
+        self,
+        row: int,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        out: np.ndarray,
+    ) -> None:
+        """Process one decay-free run of one row's transitions.
+
+        Writes the per-step predictions (made *before* each step's own
+        transition lands, as the scalar path does) into ``out`` and
+        advances counts and aggregates. All accumulation is sequential
+        (``np.cumsum`` seeded with the running aggregate), so the floats
+        match a per-sample feed exactly.
+        """
+        centers = self.centers[row]
+        row_dots = self.row_dots[row]
+        row_sums = self.row_sums[row]
+        cadd = centers[targets]
+        k = len(sources)
+        order = np.argsort(sources, kind="stable")
+        sorted_sources = sources[order]
+        group_bounds = (
+            np.flatnonzero(sorted_sources[1:] != sorted_sources[:-1]) + 1
+        )
+        starts = np.concatenate(([0], group_bounds))
+        ends = np.concatenate((group_bounds, [k]))
+        row_dot = np.empty(k)
+        row_sum = np.empty(k)
+        seq = np.empty(k + 1)
+        for g0, g1 in zip(starts, ends):
+            source = int(sorted_sources[g0])
+            idx = order[g0:g1]
+            width = g1 - g0
+            seq[0] = row_dots[source]
+            seq[1 : width + 1] = cadd[idx]
+            dots = np.cumsum(seq[: width + 1])
+            row_dot[idx] = dots[:-1]
+            row_dots[source] = dots[-1]
+            seq[0] = row_sums[source]
+            seq[1 : width + 1] = 1.0
+            sums = np.cumsum(seq[: width + 1])
+            row_sum[idx] = sums[:-1]
+            row_sums[source] = sums[-1]
+        visited = row_sum > 0
+        np.divide(row_dot, row_sum, out=out, where=visited)
+        # The marginal aggregates advance on every transition; computing
+        # them as seeded cumsums keeps the float sequence identical to
+        # the scalar path even when no prediction needs the fallback.
+        seq[0] = self.marginal_dot[row]
+        seq[1:] = cadd
+        marginal_dots = np.cumsum(seq)
+        seq[0] = self.marginal_total[row]
+        seq[1:] = 1.0
+        marginal_totals = np.cumsum(seq)
+        if not visited.all():
+            fallback = np.flatnonzero(~visited)
+            mdot = marginal_dots[fallback]
+            mtot = marginal_totals[fallback]
+            marginal = centers[sources[fallback]].astype(float, copy=True)
+            np.divide(mdot, mtot, out=marginal, where=mtot > 0)
+            out[fallback] = marginal
+        self.marginal_dot[row] = marginal_dots[-1]
+        self.marginal_total[row] = marginal_totals[-1]
+        np.add.at(self.counts[row], (sources, targets), 1.0)
+
+
+class MarkovPredictor:
+    """Online one-step-ahead predictor for a single metric series.
+
+    The public scalar reference. It holds no model state of its own: it
+    is a handle onto one row of a :class:`ModelBank` (``bank``, ``row``)
+    — a bank of its own when constructed directly, a slave's shared bank
+    when obtained from :meth:`on`.
+
+    Args:
+        bins: Number of value bins.
+        halflife: Number of updates after which old transition counts
+            carry half weight (implemented by periodic count halving).
+        warmup: Samples used to estimate the initial value range before
+            the bin grid is frozen.
+        headroom: Fractional padding added around the warmup range so
+            moderately larger values still fall inside the grid; values
+            beyond it clamp to the edge bins (an "unseen regime" signal).
+    """
+
+    __slots__ = ("bank", "row")
+
+    def __init__(
+        self,
+        bins: int = 40,
+        halflife: int = 2000,
+        warmup: int = 60,
+        headroom: float = 0.75,
+    ) -> None:
+        self.bank = ModelBank(bins, halflife, warmup, headroom)
+        self.row = self.bank.add_row()
+
+    @classmethod
+    def on(cls, bank: ModelBank, row: int) -> "MarkovPredictor":
+        """The handle for an existing row of ``bank``."""
+        handle = object.__new__(cls)
+        handle.bank = bank
+        handle.row = row
+        return handle
+
+    # ------------------------------------------------------------------
+    @property
+    def bins(self) -> int:
+        return self.bank.bins
+
+    @property
+    def halflife(self) -> int:
+        return self.bank.halflife
+
+    @property
+    def warmup(self) -> int:
+        return self.bank.warmup
+
+    @property
+    def headroom(self) -> float:
+        return self.bank.headroom
+
+    @property
+    def ready(self) -> bool:
+        """Whether the warmup finished and predictions are meaningful."""
+        return bool(self.bank.ready[self.row])
+
+    @property
+    def _counts(self) -> np.ndarray:
+        return self.bank.counts[self.row]
+
+    @property
+    def _previous_bin(self) -> Optional[int]:
+        previous = int(self.bank.previous_bin[self.row])
+        return None if previous < 0 else previous
+
+    def _bin_of(self, value: float) -> int:
+        return self.bank.bin_of(self.row, value)
+
+    def _bins_of(self, values: np.ndarray) -> np.ndarray:
+        return self.bank.bins_of(self.row, values)
+
+    # ------------------------------------------------------------------
+    def predict(self) -> Optional[float]:
+        """Expected next value given the current state, or None pre-warmup
+        (see :meth:`ModelBank.predict`)."""
+        return self.bank.predict(self.row)
 
     def step(self, value: float) -> Optional[float]:
         """Feed one sample; returns the *signed* prediction error for it.
@@ -188,30 +622,11 @@ class MarkovPredictor:
         *before* the model saw ``value`` (honest one-step-ahead error) —
         the same convention as ``prediction_errors(..., signed=True)``,
         which lets a continuously fed model replace the batch replay in
-        the diagnosis hot path. During warmup the error is None.
+        the diagnosis hot path. During warmup, right after it, and for
+        the sample that follows a gap the error is None; a non-finite
+        ``value`` is itself a gap (None, no update, chain severed).
         """
-        value = float(value)
-        if not self.ready:
-            self._warmup_values.append(value)
-            if len(self._warmup_values) >= self.warmup:
-                self._freeze_grid()
-            return None
-        predicted = self.predict()
-        current_bin = self._bin_of(value)
-        if self._previous_bin is not None:
-            self._counts[self._previous_bin, current_bin] += 1.0
-            center = self._centers[current_bin]
-            self._row_dots[self._previous_bin] += center
-            self._row_sums[self._previous_bin] += 1.0
-            self._marginal_dot = self._marginal_dot + center
-            self._marginal_total = self._marginal_total + 1.0
-            self._updates += 1
-            if self._updates % self.halflife == 0:
-                self._halve()
-        self._previous_bin = current_bin
-        if predicted is None:
-            return None
-        return value - predicted
+        return self.bank.step(self.row, value)
 
     def update(self, value: float) -> Optional[float]:
         """Feed one sample; returns the unsigned prediction error for it.
@@ -222,9 +637,6 @@ class MarkovPredictor:
         error = self.step(value)
         return None if error is None else abs(error)
 
-    # ------------------------------------------------------------------
-    # Batched updates (the fleet-scale ingest path)
-    # ------------------------------------------------------------------
     def update_many(self, values) -> np.ndarray:
         """Feed a chunk of consecutive samples; return signed errors.
 
@@ -246,67 +658,7 @@ class MarkovPredictor:
             ``actual - predicted`` per sample; NaN where the model had
             no prediction yet (warmup and the first post-warmup sample).
         """
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("update_many expects a 1-D array of samples")
-        n = len(arr)
-        errors = np.full(n, np.nan)
-        if n == 0:
-            return errors
-        if n <= 2:
-            # Chunks this small gain nothing from the batch machinery.
-            for i in range(n):
-                delta = self.step(arr[i])
-                if delta is not None:
-                    errors[i] = delta
-            return errors
-        start = 0
-        if not self.ready:
-            take = min(n, self.warmup - len(self._warmup_values))
-            self._warmup_values.extend(arr[:take].tolist())
-            if len(self._warmup_values) >= self.warmup:
-                self._freeze_grid()
-            start = take
-            if start >= n or not self.ready:
-                return errors
-        chunk = arr[start:]
-        if not np.isfinite(chunk).all():
-            raise ValueError("update_many requires finite samples")
-        bins_arr = self._bins_of(chunk)
-        if self._previous_bin is None:
-            # The first post-warmup sample has no prediction and causes
-            # no transition; it only seeds the chain state.
-            if len(chunk) == 1:
-                self._previous_bin = int(bins_arr[0])
-                return errors
-            rows = bins_arr[:-1]
-            cols = bins_arr[1:]
-            predicted_for = chunk[1:]
-            out = errors[start + 1 :]
-        else:
-            rows = np.concatenate(([self._previous_bin], bins_arr[:-1]))
-            cols = bins_arr
-            predicted_for = chunk
-            out = errors[start:]
-        preds = np.empty(len(cols))
-        total = len(cols)
-        position = 0
-        while position < total:
-            # Increments until (and including) the next halving point —
-            # within an epoch no decay happens, so predictions can be
-            # reconstructed from epoch-start aggregates plus cumsums.
-            until_halving = self.halflife - (self._updates % self.halflife)
-            end = min(total, position + until_halving)
-            self._batch_epoch(
-                rows[position:end], cols[position:end], preds[position:end]
-            )
-            self._updates += end - position
-            if self._updates % self.halflife == 0:
-                self._halve()
-            position = end
-        np.subtract(predicted_for, preds, out=out)
-        self._previous_bin = int(bins_arr[-1])
-        return errors
+        return self.bank.update_many(self.row, values)
 
     def update_many_gapped(self, values) -> np.ndarray:
         """Feed a chunk that may contain NaN gap markers; return errors.
@@ -318,92 +670,15 @@ class MarkovPredictor:
         each gap yields NaN errors, performs *no* model update, and
         breaks the transition chain — the pre-gap and post-gap samples
         were not consecutive, so counting a transition between them
-        would teach the model a jump that never happened.
+        would teach the model a jump that never happened. A chunk that
+        is nothing but gap severs the chain too, so any chunking of a
+        stream leaves the same state.
 
         After a gap the next finite sample only re-seeds the chain state
         (no prediction, no transition), exactly like the first
         post-warmup sample.
         """
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("update_many_gapped expects a 1-D array")
-        finite = np.isfinite(arr)
-        if finite.all():
-            return self.update_many(arr)
-        errors = np.full(len(arr), np.nan)
-        idx = np.flatnonzero(finite)
-        if len(idx) == 0:
-            return errors
-        run_breaks = np.flatnonzero(np.diff(idx) > 1) + 1
-        for run in np.split(idx, run_breaks):
-            lo, hi = int(run[0]), int(run[-1]) + 1
-            if lo > 0:
-                # The samples of this run follow a gap: sever the chain
-                # so no cross-gap transition is learned.
-                self._previous_bin = None
-            errors[lo:hi] = self.update_many(arr[lo:hi])
-        if not finite[-1]:
-            # A trailing gap severs the chain for the *next* chunk too.
-            self._previous_bin = None
-        return errors
-
-    def _batch_epoch(
-        self, rows: np.ndarray, cols: np.ndarray, out: np.ndarray
-    ) -> None:
-        """Process one decay-free run of transitions.
-
-        Writes the per-step predictions (made *before* each step's own
-        transition lands, as the scalar path does) into ``out`` and
-        advances counts and aggregates. All accumulation is sequential
-        (``np.cumsum`` seeded with the running aggregate), so the floats
-        match a per-sample feed exactly.
-        """
-        centers = self._centers
-        cadd = centers[cols]
-        k = len(rows)
-        order = np.argsort(rows, kind="stable")
-        rows_sorted = rows[order]
-        group_bounds = np.flatnonzero(rows_sorted[1:] != rows_sorted[:-1]) + 1
-        starts = np.concatenate(([0], group_bounds))
-        ends = np.concatenate((group_bounds, [k]))
-        row_dot = np.empty(k)
-        row_sum = np.empty(k)
-        seq = np.empty(k + 1)
-        for g0, g1 in zip(starts, ends):
-            row = int(rows_sorted[g0])
-            idx = order[g0:g1]
-            width = g1 - g0
-            seq[0] = self._row_dots[row]
-            seq[1 : width + 1] = cadd[idx]
-            dots = np.cumsum(seq[: width + 1])
-            row_dot[idx] = dots[:-1]
-            self._row_dots[row] = dots[-1]
-            seq[0] = self._row_sums[row]
-            seq[1 : width + 1] = 1.0
-            sums = np.cumsum(seq[: width + 1])
-            row_sum[idx] = sums[:-1]
-            self._row_sums[row] = sums[-1]
-        visited = row_sum > 0
-        np.divide(row_dot, row_sum, out=out, where=visited)
-        # The marginal aggregates advance on every transition; computing
-        # them as seeded cumsums keeps the float sequence identical to
-        # the scalar path even when no prediction needs the fallback.
-        seq[0] = self._marginal_dot
-        seq[1:] = cadd
-        marginal_dots = np.cumsum(seq)
-        seq[0] = self._marginal_total
-        seq[1:] = 1.0
-        marginal_totals = np.cumsum(seq)
-        if not visited.all():
-            fallback = np.flatnonzero(~visited)
-            mdot = marginal_dots[fallback]
-            mtot = marginal_totals[fallback]
-            marginal = centers[rows[fallback]].astype(float, copy=True)
-            np.divide(mdot, mtot, out=marginal, where=mtot > 0)
-            out[fallback] = marginal
-        self._marginal_dot = float(marginal_dots[-1])
-        self._marginal_total = float(marginal_totals[-1])
-        np.add.at(self._counts, (rows, cols), 1.0)
+        return self.bank.update_many_gapped(self.row, values)
 
     # ------------------------------------------------------------------
     def transition_matrix(self) -> np.ndarray:
@@ -411,9 +686,10 @@ class MarkovPredictor:
         uniform)."""
         if not self.ready:
             raise RuntimeError("model not warmed up")
-        totals = self._counts.sum(axis=1, keepdims=True)
+        counts = self._counts
+        totals = counts.sum(axis=1, keepdims=True)
         matrix = np.where(
-            totals > 0, self._counts / np.maximum(totals, 1e-12), 1.0 / self.bins
+            totals > 0, counts / np.maximum(totals, 1e-12), 1.0 / self.bins
         )
         return matrix
 

@@ -239,6 +239,64 @@ class _Ring:
         return out
 
 
+class SeriesIndex:
+    """Immutable snapshot of which series a store holds, in creation order.
+
+    Readers that walk every series on every tick (the slave's warm sync)
+    take this instead of rescanning the key set: ``keys[i]`` and
+    ``rings[i]`` describe one series, ``components`` is the sorted
+    component list and ``metrics[component]`` its metrics in canonical
+    order. The snapshot itself never changes — a store that gains a
+    series builds a new one — so ``index is previous`` tells a reader
+    whether anything it derived from the last snapshot is still valid.
+    The rings are live: the per-tick accessors below read their current
+    heads and values.
+    """
+
+    __slots__ = ("keys", "rings", "components", "metrics", "mirrored")
+
+    def __init__(self, entries: Sequence[Tuple[_Key, _Ring]]) -> None:
+        self.keys: Tuple[_Key, ...] = tuple(key for key, _ in entries)
+        self.rings: Tuple[_Ring, ...] = tuple(ring for _, ring in entries)
+        self.components: Tuple[ComponentId, ...] = tuple(
+            sorted({component for component, _ in self.keys})
+        )
+        present: Dict[ComponentId, set] = {c: set() for c in self.components}
+        for component, metric in self.keys:
+            present[component].add(metric)
+        self.metrics: Dict[ComponentId, Tuple[Metric, ...]] = {
+            component: tuple(m for m in METRIC_NAMES if m in metrics)
+            for component, metrics in present.items()
+        }
+        #: False when any ring is a flat shared-memory snapshot, which
+        #: :meth:`column` cannot address.
+        self.mirrored = all(ring.flat_base is None for ring in self.rings)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def heads(self) -> np.ndarray:
+        """One past the newest written slot of every series."""
+        return np.array([ring.head for ring in self.rings], dtype=np.int64)
+
+    def capacities(self) -> np.ndarray:
+        """Current ring capacity of every series (``mirrored`` only)."""
+        return np.array([ring.cap for ring in self.rings], dtype=np.int64)
+
+    def column(
+        self, slot: int, positions: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """The value every series (or those at ``positions``) holds at
+        one slot. The slot must be written and still retained in each
+        addressed ring, and the index ``mirrored``."""
+        rings = self.rings
+        if positions is not None:
+            rings = [rings[i] for i in positions]
+        return np.array(
+            [ring.values[slot % ring.cap] for ring in rings], dtype=np.float64
+        )
+
+
 @dataclass(frozen=True)
 class IngestRun:
     """A contiguous run of samples for one series.
@@ -314,6 +372,7 @@ class MetricStore:
         self.policy = policy
         self.retention = int(retention)
         self._series: Dict[_Key, _Ring] = {}
+        self._index = SeriesIndex(())
         self._length = 0
         self._quality: Dict[_Key, SeriesQuality] = {}
         self._revision = 0
@@ -641,12 +700,25 @@ class MetricStore:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
+    def series_index(self) -> SeriesIndex:
+        """The current :class:`SeriesIndex` (cached; read-only).
+
+        Series are only ever added, so a cached snapshot is current
+        exactly while it covers as many series as the store holds; a
+        first-ever series makes the next reader build a fresh snapshot
+        and swap it in with one attribute assignment.
+        """
+        index = self._index
+        if len(index) != len(self._series):
+            # list() snapshots the items: a concurrent first-ever ingest
+            # of a new series must not blow up a reader mid-iteration.
+            index = self._index = SeriesIndex(list(self._series.items()))
+        return index
+
     @property
     def components(self) -> List[ComponentId]:
         """All component ids present, sorted."""
-        # list() snapshots the keys: a concurrent first-ever ingest of a
-        # new series must not blow up a reader mid-iteration.
-        return sorted({comp for comp, _ in list(self._series)})
+        return list(self.series_index().components)
 
     @property
     def length(self) -> int:
@@ -685,10 +757,7 @@ class MetricStore:
 
     def metrics_for(self, component: ComponentId) -> List[Metric]:
         """Metrics recorded for a component, in canonical order."""
-        present = {
-            metric for comp, metric in list(self._series) if comp == component
-        }
-        return [m for m in METRIC_NAMES if m in present]
+        return list(self.series_index().metrics.get(component, ()))
 
     def retained_start(self, component: ComponentId, metric: Metric) -> int:
         """Timestamp of the oldest retained sample of one series."""
@@ -735,4 +804,5 @@ __all__ = [
     "IngestBatch",
     "IngestRun",
     "MetricStore",
+    "SeriesIndex",
 ]

@@ -166,6 +166,6 @@ class TestStreamingFacade:
         many = FChain()
         many.observe_many("c", Metric.CPU_USAGE, values)
         np.testing.assert_array_equal(
-            many.master.slave._streams[("c", Metric.CPU_USAGE)].view(),
-            one.master.slave._streams[("c", Metric.CPU_USAGE)].view(),
+            many.master.slave.errors_for("c", Metric.CPU_USAGE),
+            one.master.slave.errors_for("c", Metric.CPU_USAGE),
         )

@@ -161,7 +161,7 @@ class TestEngineEquivalence:
             halflife=config.markov_halflife,
             signed=True,
         )
-        streamed = slave._streams[(component, metric)].view(len(full))
+        streamed = slave.errors_for(component, metric)[: len(full)]
         mask = np.isfinite(batch)
         np.testing.assert_allclose(streamed[mask], batch[mask], rtol=1e-12)
         assert np.all(~np.isfinite(streamed[~mask]))
@@ -224,12 +224,12 @@ class TestIncrementalState:
         )
         slave = FChainSlave(FChainConfig())
         slave.sync_with_store(a, a.end)
-        assert slave._consumed[("c", Metric.CPU_USAGE)] == 120
+        assert len(slave.errors_for("c", Metric.CPU_USAGE)) == 120
         slave.sync_with_store(b, b.end)
         # Had the slave kept store-a state, the model would have been fed
         # 240 samples; the reset keeps the streams aligned with store b.
-        assert slave._consumed[("c", Metric.CPU_USAGE)] == 120
-        streamed = slave._streams[("c", Metric.CPU_USAGE)].view()
+        streamed = slave.errors_for("c", Metric.CPU_USAGE)
+        assert len(streamed) == 120
         batch = prediction_errors(
             b.series("c", Metric.CPU_USAGE),
             bins=slave.config.markov_bins,

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.common.types import Metric
+from repro.common.types import Metric, MetricSample
 from repro.core import engine
 from repro.core.config import FChainConfig
 from repro.core.engine import SlavePool, _process_analyze
 from repro.core.fchain import FChain, FChainSlave
-from repro.monitoring.store import MetricStore
+from repro.monitoring.quality import DataQualityPolicy
+from repro.monitoring.store import IngestBatch, MetricStore
 
 #: Cheap bootstraps: executor equivalence does not need tight intervals.
 CONFIG = FChainConfig(cusum_bootstraps=40)
@@ -60,6 +61,50 @@ class TestEquivalence:
             expected = _report_key(*thread_pool.analyze_all(store, violation))
             actual = _report_key(*process_pool.analyze_all(store, violation))
             assert actual == expected
+        finally:
+            process_pool.close()
+
+    def test_nan_readings_warm_slave_matches_process_replay(self):
+        """A slave kept warm tick by tick (series axis) over a store
+        with NaN readings reports what process workers replaying the
+        history in one chunk each report — gaps sever the chain the
+        same way however the stream was chunked."""
+        clean = _faulty_store()
+        store = MetricStore(policy=DataQualityPolicy())
+        warm = FChainSlave(CONFIG, seed=3)
+        holes = {("comp-1", Metric.CPU_USAGE): (150,),
+                 ("comp-2", Metric.MEMORY_USAGE): (90, 91, 250)}
+        series = [
+            (component, metric, clean.series(component, metric).values)
+            for component in clean.components
+            for metric in clean.metrics_for(component)
+        ]
+        for t in range(clean.end):
+            store.ingest(
+                IngestBatch(
+                    samples=[
+                        MetricSample(
+                            component, metric, t,
+                            np.nan if t in holes.get((component, metric), ())
+                            else values[t],
+                        )
+                        for component, metric, values in series
+                    ],
+                    watermark=t + 1,
+                )
+            )
+            warm.sync_with_store(store, store.end)
+        violation = store.end - 5
+
+        thread_pool = SlavePool(warm, jobs=3, executor="thread")
+        process_pool = SlavePool(
+            FChainSlave(CONFIG, seed=3), jobs=3, executor="process"
+        )
+        try:
+            expected = _report_key(*thread_pool.analyze_all(store, violation))
+            actual = _report_key(*process_pool.analyze_all(store, violation))
+            assert actual == expected
+            assert any(changes for _, _, changes in expected[0])
         finally:
             process_pool.close()
 

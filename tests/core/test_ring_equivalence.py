@@ -13,10 +13,13 @@ tests build stores whose rings have wrapped at least once and assert:
 """
 
 import numpy as np
+import pytest
 
 from repro.common.types import Metric
 from repro.core.config import FChainConfig
 from repro.core.fchain import FChainMaster, FChainSlave
+from repro.core.prediction import ModelBank
+from repro.monitoring.quality import DataQualityPolicy
 from repro.monitoring.store import IngestBatch, IngestRun, MetricStore
 
 #: Cheap bootstraps: executor equivalence does not need tight intervals.
@@ -88,12 +91,35 @@ class TestExecutorIdentity:
 
 class TestContinuousSyncIdentity:
     def test_synced_slave_matches_full_history_streams(self):
-        data = _series_data()
-        full_store = MetricStore.from_arrays(data)
+        self._check_synced_matches_replay(chunk=100, gaps=False)
 
-        wrapped = MetricStore(retention=256)
+    @pytest.mark.parametrize(
+        "chunk,gaps",
+        [(100, True), (7, False), (7, True), (1, False), (1, True)],
+        ids=["100-nan", "7-clean", "7-nan", "1-clean", "1-nan"],
+    )
+    def test_synced_slave_matches_replay_on_either_axis(self, chunk, gaps):
+        # chunk=100 replays along the time axis, chunk=1 is the warm
+        # tick-by-tick service loop (series axis), chunk=7 a few-tick
+        # catch-up on the series axis.
+        self._check_synced_matches_replay(chunk, gaps)
+
+    @staticmethod
+    def _check_synced_matches_replay(chunk, gaps):
+        data = _series_data()
+        policy = None
+        if gaps:
+            # NaN readings, including a lone one the tick-by-tick side
+            # syncs as a chunk of its own.
+            policy = DataQualityPolicy(fill="none")
+            data["comp-0"][Metric.CPU_USAGE][200] = np.nan
+            data["comp-2"][Metric.MEMORY_USAGE][300:304] = np.nan
+            data["comp-3"][Metric.CPU_USAGE][1_000] = np.nan
+        full_store = MetricStore.from_arrays(data, policy=policy)
+
+        wrapped = MetricStore(retention=256, policy=policy)
         synced = FChainSlave(THREAD_CONFIG, seed=3)
-        chunk = 100  # < retention: the slave never falls behind eviction
+        # chunk < retention: the slave never falls behind eviction
         for lo in range(0, SAMPLES, chunk):
             hi = min(lo + chunk, SAMPLES)
             wrapped.ingest(
@@ -111,8 +137,15 @@ class TestContinuousSyncIdentity:
         cold = FChainSlave(THREAD_CONFIG, seed=3)
         cold.sync_with_store(full_store, full_store.end)
 
-        assert set(synced._streams) == set(cold._streams)
-        for key, stream in synced._streams.items():
+        assert set(synced._rows) == set(cold._rows)
+        for key in synced._rows:
             np.testing.assert_array_equal(
-                stream.view(), cold._streams[key].view(), err_msg=str(key)
+                synced.errors_for(*key), cold.errors_for(*key), err_msg=str(key)
             )
+            warm, replayed = synced.model_for(*key), cold.model_for(*key)
+            for name in ModelBank.ARRAYS:
+                np.testing.assert_array_equal(
+                    getattr(warm.bank, name)[warm.row],
+                    getattr(replayed.bank, name)[replayed.row],
+                    err_msg=f"{key} {name}",
+                )

@@ -19,7 +19,7 @@ class TestStreamingParity:
         slave = FChainSlave()
         for v in values:
             slave.observe("c", Metric.CPU_USAGE, float(v))
-        streamed = np.asarray(slave._errors[("c", Metric.CPU_USAGE)])
+        streamed = np.abs(slave.errors_for("c", Metric.CPU_USAGE))
         batch = prediction_errors(TimeSeries(values))
         mask = np.isfinite(batch)
         np.testing.assert_allclose(streamed[mask], batch[mask], rtol=1e-9)

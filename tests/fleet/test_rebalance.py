@@ -11,9 +11,12 @@ unlinked by drain, close or garbage collection.
 """
 
 import gc
+import math
 import os
 import pathlib
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.config import FChainConfig
@@ -68,15 +71,59 @@ def _drive(runtime, batches):
     return incidents
 
 
+def _with_nan_readings(batches, holes):
+    """The batches with the reading of ``(tick, component)`` pairs in
+    ``holes`` replaced by NaN on every metric — an agent that reported
+    garbage for a tick, which the store keeps as a gap slot."""
+    if not holes:
+        return batches
+    return [
+        replace(
+            batch,
+            samples=[
+                replace(sample, value=math.nan)
+                if (batch.time, sample.component) in holes
+                else sample
+                for sample in batch.samples
+            ],
+        )
+        for batch in batches
+    ]
+
+
+def _error_streams(runtime):
+    slave = runtime.core.fchain.master.slave
+    store = runtime.store
+    return {
+        (component, metric): np.array(slave.errors_for(component, metric))
+        for component in store.components
+        for metric in store.metrics_for(component)
+    }
+
+
 class TestRelocatedRuntimeBitIdentity:
     def test_mid_stream_relocation_changes_nothing(self, faulty_store):
-        performance = _performance(faulty_store)
-        batches = list(
-            StoreReplayFeed(faulty_store, performance=performance)
+        self._check_relocation_changes_nothing(faulty_store, frozenset())
+
+    def test_relocation_across_nan_readings_changes_nothing(self, faulty_store):
+        self._check_relocation_changes_nothing(
+            faulty_store, frozenset({(600, "c1"), (601, "c1"), (1_200, "c0")})
         )
 
+    @staticmethod
+    def _check_relocation_changes_nothing(faulty_store, holes):
+        performance = _performance(faulty_store)
+        batches = _with_nan_readings(
+            list(StoreReplayFeed(faulty_store, performance=performance)),
+            holes,
+        )
+
+        # The runtime that stays warms its models tick by tick; the one
+        # that moves replays 1 000 ticks of history in one chunk per
+        # series on arrival, then carries on tick by tick.
         stayed = TenantRuntime(_spec())
         stayed_incidents = _drive(stayed, batches)
+        stayed_errors = _error_streams(stayed)
         stayed.close()
 
         moved = TenantRuntime(_spec())
@@ -85,8 +132,14 @@ class TestRelocatedRuntimeBitIdentity:
         rebuilt = TenantRuntime.from_state(snapshot)
         moved.release()  # source drops the segment post-import
         moved_incidents = _drive(rebuilt, batches[MOVE_AT:])
+        moved_errors = _error_streams(rebuilt)
         rebuilt.close()
 
+        assert stayed_errors.keys() == moved_errors.keys()
+        for key, errors in stayed_errors.items():
+            np.testing.assert_array_equal(
+                errors, moved_errors[key], err_msg=str(key)
+            )
         assert len(stayed_incidents) == len(moved_incidents) == 1
         left = stayed_incidents[0]
         right = moved_incidents[0]
@@ -112,8 +165,6 @@ class TestRelocatedRuntimeBitIdentity:
         rebuilt = TenantRuntime.from_state(snapshot)
         runtime.release()
         try:
-            import numpy as np
-
             for component in rebuilt.store.components:
                 for metric in rebuilt.store.metrics_for(component):
                     series = rebuilt.store.series(component, metric)

@@ -79,8 +79,8 @@ def test_chunked_ingest_bit_identical_to_from_arrays(values, chunks):
     other = FChainSlave(CONFIG, seed=1)
     other.sync_with_store(chunked, chunked.end)
     np.testing.assert_array_equal(
-        one._streams[("c", CPU)].view(),
-        other._streams[("c", CPU)].view(),
+        one.errors_for("c", CPU),
+        other.errors_for("c", CPU),
     )
 
 

@@ -28,9 +28,9 @@ KEYS = (
 
 def _streams_of(slave):
     return {
-        key: np.array(slave._streams[key].view(), copy=True)
+        key: np.array(slave.errors_for(*key), copy=True)
         for key in KEYS
-        if key in slave._streams
+        if slave.errors_for(*key) is not None
     }
 
 
@@ -77,6 +77,6 @@ class TestInterleavingInvariance:
         batched.observe_many("c", Metric.CPU_USAGE, data[split:])
         key = ("c", Metric.CPU_USAGE)
         np.testing.assert_array_equal(
-            batched._streams[key].view(), one_by_one._streams[key].view()
+            batched.errors_for(*key), one_by_one.errors_for(*key)
         )
-        assert batched._consumed[key] == len(data)
+        assert len(batched.errors_for(*key)) == len(data)

@@ -8,7 +8,10 @@ errors and every piece of internal state. The strategies deliberately
 cross the hard boundaries: chunks that straddle the warmup/grid-freeze
 point, halflives small enough that several halvings land inside one
 chunk, zero headroom (degenerate one-point grids), and values far
-outside the frozen grid (edge-bin clamping).
+outside the frozen grid (edge-bin clamping). NaN gap markers get the
+same treatment through ``update_many_gapped``: a gap severs the chain
+wherever the chunk boundaries fall — including a chunk that is nothing
+but gap.
 """
 
 import numpy as np
@@ -22,6 +25,13 @@ values_arrays = arrays(
     dtype=float,
     shape=st.integers(1, 160),
     elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+#: The same streams with NaN gap markers punched in (runs and singles).
+gapped_arrays = st.builds(
+    lambda data, holes: np.where(holes[: len(data)], np.nan, data),
+    values_arrays,
+    arrays(dtype=bool, shape=160, elements=st.booleans()),
 )
 
 model_params = st.fixed_dictionaries(
@@ -46,26 +56,16 @@ def _scalar_reference(params, data):
 
 
 def _state_of(model):
-    return {
-        "previous_bin": model._previous_bin,
-        "updates": model._updates,
-        "lo": model._lo,
-        "hi": model._hi,
-        "warmup_values": list(model._warmup_values),
-        "counts": np.array(model._counts, copy=True),
-        "row_dots": np.array(model._row_dots, copy=True),
-        "row_sums": np.array(model._row_sums, copy=True),
-        "marginal_dot": model._marginal_dot,
-        "marginal_total": model._marginal_total,
-    }
+    """Every piece of one model's state, read off its bank row."""
+    bank, row = model.bank, model.row
+    state = {name: np.array(getattr(bank, name)[row]) for name in bank.ARRAYS}
+    state["warmup_values"] = np.array(bank.warmup_values[row])
+    return state
 
 
 def _assert_same_state(batched, reference):
     actual, expected = _state_of(batched), _state_of(reference)
-    for name in ("previous_bin", "updates", "lo", "hi", "warmup_values",
-                 "marginal_dot", "marginal_total"):
-        assert actual[name] == expected[name], name
-    for name in ("counts", "row_dots", "row_sums"):
+    for name in expected:
         np.testing.assert_array_equal(
             actual[name], expected[name], err_msg=name
         )
@@ -120,3 +120,43 @@ class TestUpdateManyEquivalence:
         batched = MarkovPredictor(**params)
         np.testing.assert_array_equal(batched.update_many(data), expected)
         _assert_same_state(batched, reference)
+
+    @given(
+        params=model_params,
+        data=gapped_arrays,
+        cuts=st.lists(st.integers(0, 160), max_size=6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_any_chunking_of_a_gapped_stream_matches_scalar_loop(
+        self, params, data, cuts
+    ):
+        """Gap markers sever the chain identically under every chunking
+        — a NaN delivered as a chunk of its own included."""
+        reference, expected = _scalar_reference(params, data)
+
+        batched = MarkovPredictor(**params)
+        bounds = sorted({min(c, len(data)) for c in cuts} | {0, len(data)})
+        actual = np.concatenate(
+            [
+                batched.update_many_gapped(data[lo:hi])
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+        )
+
+        np.testing.assert_array_equal(actual, expected)
+        _assert_same_state(batched, reference)
+
+    def test_lone_gap_chunk_severs_the_chain(self):
+        """The pinned case: ``[a], [nan], [b]`` must leave the state
+        ``[a, nan], [b]`` leaves — no transition learned across the gap."""
+        warm = list(np.linspace(10.0, 20.0, 12))
+        joined = MarkovPredictor(bins=8, warmup=10)
+        joined.update_many_gapped(np.array(warm + [np.nan]))
+        joined_error = joined.update_many_gapped(np.array([12.0]))
+        split = MarkovPredictor(bins=8, warmup=10)
+        split.update_many_gapped(np.array(warm))
+        split.update_many_gapped(np.array([np.nan]))
+        split_error = split.update_many_gapped(np.array([12.0]))
+        np.testing.assert_array_equal(split_error, joined_error)
+        assert np.isnan(split_error[0])
+        _assert_same_state(split, joined)
