@@ -73,10 +73,7 @@ def pal_component_report(
             onset = rollback_onset(
                 smoothed, points, point, tolerance=config.tangent_tolerance
             )
-            if config.censor_slow_onsets:
-                onset = censored_onset(
-                    raw, onset, point.direction, point.magnitude
-                )
+            onset = censored_onset(raw, onset, point.direction, point.magnitude)
             changes.append(
                 AbnormalChange(
                     metric=metric,

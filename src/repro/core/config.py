@@ -20,7 +20,9 @@ class FChainConfig:
     Attributes:
         look_back_window: ``W`` — seconds of history before the SLO
             violation each slave examines (paper default 100; 500 for the
-            Hadoop DiskHog).
+            Hadoop DiskHog). A series already trending abnormally at the
+            window start has its onset clamped there
+            (:func:`~repro.core.selection.censored_onset`, always on).
         concurrency_threshold: Seconds within which two components'
             abnormal onsets count as one concurrent fault (paper: 2).
         burst_window: ``Q`` — half-width in seconds of the series window
@@ -49,12 +51,6 @@ class FChainConfig:
             additional expected-error reference: an error pattern the
             model already produced routinely under normal operation (e.g.
             at recurring flash bursts) is not abnormal.
-        censor_slow_onsets: Clamp the onset to the window start when the
-            series is already trending there (the manifestation began
-            before the look-back window). This refinement aligns
-            concurrent slow faults; disabling it reproduces the vanilla
-            pipeline of the paper, whose Table I shows the resulting
-            look-back-window sensitivity for the Hadoop DiskHog.
         analysis_grace: Seconds of post-violation data the slaves may use.
             The master contacts the slaves after detection, so by analysis
             time a few seconds beyond ``t_v`` have been recorded; this
@@ -63,14 +59,6 @@ class FChainConfig:
         markov_bins: Number of value bins in the Markov prediction model.
         markov_halflife: Updates after which old transition counts decay to
             half weight (online learning forgetting rate).
-        slave_retries: How many times a :class:`~repro.core.engine.SlavePool`
-            re-submits a slave analysis that hit its timeout before the
-            component is surfaced as ``skipped`` (default 0 — a timeout
-            skips immediately, the historical behaviour). Retries guard
-            against transient wedges (a descheduled worker, a cold
-            process pool), not systematic overload.
-        slave_retry_backoff: Seconds slept before the first retry wave;
-            doubles per wave (exponential backoff).
         executor: How a :class:`~repro.core.engine.SlavePool` fans
             per-component analyses out when ``jobs >= 2``: ``"thread"``
             (default — shares the warm slave state, cheap to start, but
@@ -116,12 +104,6 @@ class FChainConfig:
             ``"neighborhood"`` mode, counting the origin itself. ``0``
             (default) disables scoping even in neighborhood mode —
             equivalent to analysing everything.
-        topology_min_path_confidence: Weighted-pruning threshold in
-            ``[0, 1]``: a suspicious component's anomaly counts as
-            explained by propagation only when the best dependency path
-            to a pinpointed component has confidence (product of learned
-            edge weights) at least this value. ``0.0`` (default)
-            reproduces the unweighted path-existence test exactly.
     """
 
     look_back_window: int = 100
@@ -138,11 +120,8 @@ class FChainConfig:
     prediction_error_margin: float = 1.2
     history_error_percentile: float = 99.7
     analysis_grace: int = 8
-    censor_slow_onsets: bool = True
     markov_bins: int = 40
     markov_halflife: int = 2000
-    slave_retries: int = 0
-    slave_retry_backoff: float = 0.1
     executor: str = "thread"
     telemetry: str = "off"
     service_cooldown: int = 60
@@ -152,7 +131,6 @@ class FChainConfig:
     validation_improvement: float = 0.3
     topology_mode: str = "full"
     topology_top_k: int = 0
-    topology_min_path_confidence: float = 0.0
 
     def __post_init__(self) -> None:
         if self.look_back_window <= 0:
@@ -188,12 +166,6 @@ class FChainConfig:
             raise ConfigurationError(
                 f"topology_top_k={self.topology_top_k} must be >= 0 "
                 "(0 disables neighborhood scoping)"
-            )
-        if not 0.0 <= self.topology_min_path_confidence <= 1.0:
-            raise ConfigurationError(
-                f"topology_min_path_confidence="
-                f"{self.topology_min_path_confidence} must be in [0, 1]: "
-                "it is compared against products of edge confidences"
             )
         if self.telemetry not in ("off", "timings", "full"):
             raise ConfigurationError(
@@ -254,16 +226,6 @@ class FChainConfig:
             raise ConfigurationError(
                 f"markov_halflife={self.markov_halflife} must be >= 1: it "
                 "is a decay period measured in model updates"
-            )
-        if self.slave_retries < 0:
-            raise ConfigurationError(
-                f"slave_retries={self.slave_retries} must be >= 0: it "
-                "counts extra analysis attempts after a slave timeout"
-            )
-        if self.slave_retry_backoff < 0:
-            raise ConfigurationError(
-                f"slave_retry_backoff={self.slave_retry_backoff} must be "
-                ">= 0 seconds: it is the sleep before the first retry wave"
             )
         if self.service_cooldown < 0:
             raise ConfigurationError(

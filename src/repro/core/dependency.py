@@ -252,48 +252,3 @@ def propagation_path_exists(
         graph, target, source
     )
 
-
-def _edge_cost(u, v, data) -> float:
-    """Dijkstra edge cost: ``-log(weight)`` so path cost sums compose
-    multiplicatively into a path confidence. Unweighted edges count as
-    fully confident (cost 0); a zero weight is clamped to stay finite."""
-    import math
-
-    weight = data.get("weight", 1.0)
-    return -math.log(min(max(float(weight), 1e-12), 1.0))
-
-
-def _best_path_confidence(graph: nx.DiGraph, source: str, target: str) -> float:
-    import math
-
-    try:
-        cost = nx.shortest_path_length(
-            graph, source, target, weight=_edge_cost
-        )
-    except nx.NetworkXNoPath:
-        return 0.0
-    return math.exp(-cost)
-
-
-def propagation_path_confidence(
-    graph: nx.DiGraph, source: str, target: str
-) -> float:
-    """Confidence that an anomaly could propagate ``source`` ⇝ ``target``.
-
-    The weighted refinement of :func:`propagation_path_exists`: each
-    edge carries a learned confidence in ``[0, 1]`` (its ``weight``
-    attribute, default 1.0 for offline-discovered edges), a path's
-    confidence is the product of its edge confidences, and the result is
-    the best such product over all consistently directed paths — forward
-    (request flow) or reverse (back-pressure). Returns 0.0 when no path
-    exists in either direction, and 1.0 when ``source == target``. On an
-    unweighted graph this degenerates exactly to
-    ``propagation_path_exists``: 1.0 where a path exists, 0.0 where not.
-    """
-    if source == target:
-        return 1.0
-    if source not in graph or target not in graph:
-        return 0.0
-    forward = _best_path_confidence(graph, source, target)
-    backward = _best_path_confidence(graph, target, source)
-    return max(forward, backward)

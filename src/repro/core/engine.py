@@ -9,8 +9,7 @@ per-component ``analyze()`` calls out across a
 deterministic — reports always come back in component order, no matter
 which worker finished first.
 
-Two executors are available (``FChainConfig.executor`` or the pool's
-``executor`` argument):
+Two executors are available, chosen by ``FChainConfig.executor``:
 
 * ``"thread"`` (default) shares the warm slave state across a thread
   pool. Thread safety relies on two properties of
@@ -35,12 +34,20 @@ Two executors are available (``FChainConfig.executor`` or the pool's
 from __future__ import annotations
 
 import multiprocessing
-import time
 import warnings
 import weakref
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import ComponentId
@@ -117,23 +124,15 @@ class SlavePool:
         timeout: Optional per-slave timeout in seconds. A slave that has
             not produced its report within the timeout (counted from when
             the master starts waiting on it; earlier waits overlap later
-            slaves' compute) is abandoned; after the configured retries
-            are exhausted its component is reported as ``skipped`` with a
-            timeout ``skip_reason`` — diagnosis latency stays bounded
-            even if one component's analysis wedges.
-        retries: How many extra waves a timed-out analysis is re-submitted
-            before giving up (``None`` takes the slave config's
-            ``slave_retries``, default 0 — the historical skip-immediately
-            behaviour). Retries target transient wedges: a descheduled
-            worker thread, a cold or poisoned process pool.
-        retry_backoff: Seconds slept before the first retry wave, doubling
-            each wave (``None`` takes the config's ``slave_retry_backoff``).
-        executor: ``"thread"`` or ``"process"`` (see module docstring);
-            ``None`` takes the slave config's ``executor`` field. Both
-            modes produce identical reports, ordering and ``skipped``
-            semantics. The process pool is kept alive across
-            ``analyze_all`` calls; call :meth:`close` (or let the pool be
-            garbage-collected) to reap the workers.
+            slaves' compute) is abandoned and its component reported as
+            ``skipped`` with a timeout ``skip_reason`` — diagnosis latency
+            stays bounded even if one component's analysis wedges.
+
+    The executor (``"thread"`` or ``"process"``, see the module
+    docstring) is the slave config's ``executor`` field. Both produce
+    identical reports, ordering and ``skipped`` semantics. The process
+    pool is kept alive across ``analyze_all`` calls; call :meth:`close`
+    (or let the pool be garbage-collected) to reap the workers.
     """
 
     def __init__(
@@ -142,26 +141,12 @@ class SlavePool:
         *,
         jobs: Optional[int] = None,
         timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-        retry_backoff: Optional[float] = None,
-        executor: Optional[str] = None,
     ) -> None:
         if jobs is not None and jobs < 0:
             raise ConfigurationError("jobs must be >= 0 (0/1 mean serial)")
         if timeout is not None and timeout <= 0:
             raise ConfigurationError("timeout must be positive seconds")
-        if retries is not None and retries < 0:
-            raise ConfigurationError("retries must be >= 0 attempts")
-        if retry_backoff is not None and retry_backoff < 0:
-            raise ConfigurationError("retry_backoff must be >= 0 seconds")
-        slave.config.validate()
-        if executor is None:
-            executor = slave.config.executor
-        if executor not in ("thread", "process"):
-            raise ConfigurationError(
-                f"executor={executor!r} is not supported: choose 'thread' "
-                "or 'process'"
-            )
+        executor = slave.config.validate().executor
         if executor == "process" and not fork_available():
             warnings.warn(
                 "executor='process' needs the 'fork' multiprocessing "
@@ -175,14 +160,6 @@ class SlavePool:
         self.slave = slave
         self.jobs = jobs
         self.timeout = timeout
-        self.retries = (
-            slave.config.slave_retries if retries is None else retries
-        )
-        self.retry_backoff = (
-            slave.config.slave_retry_backoff
-            if retry_backoff is None
-            else retry_backoff
-        )
         self.executor = executor
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_workers = 0
@@ -258,47 +235,22 @@ class SlavePool:
             self.slave.sync_with_store(store, horizon)
             sync_span.count("components_warmed", len(store.components))
 
-        results: Dict[ComponentId, ComponentReport] = {}
-        pending: Sequence[ComponentId] = ordered
-        attempts = 0
-        while True:
-            attempts += 1
-            wave_timed_out: List[ComponentId] = []
-            executor = ThreadPoolExecutor(
-                max_workers=min(self.jobs, len(pending)),
-                thread_name_prefix="fchain-slave",
-            )
-            try:
-                futures = [
-                    executor.submit(
-                        self.slave.analyze, store, component, violation_time
-                    )
-                    for component in pending
-                ]
-                for component, future in zip(pending, futures):
-                    try:
-                        results[component] = future.result(
-                            timeout=self.timeout
-                        )
-                    except FutureTimeoutError:
-                        future.cancel()
-                        wave_timed_out.append(component)
-            finally:
-                # Never block the master on an abandoned worker: queued
-                # futures are cancelled, running ones finish in the
-                # background without being waited for. (An abandoned
-                # analyze only reads the serially pre-warmed model state,
-                # so a retry racing it is safe.)
-                executor.shutdown(
-                    wait=not wave_timed_out, cancel_futures=True
-                )
-            if not wave_timed_out or attempts > self.retries:
-                break
-            time.sleep(self.retry_backoff * 2 ** (attempts - 1))
-            pending = wave_timed_out
-        timed_out = frozenset(wave_timed_out)
-        self._skip_timed_out(results, timed_out, attempts)
-        return [results[component] for component in ordered], timed_out
+        executor = ThreadPoolExecutor(
+            max_workers=min(self.jobs, len(ordered)),
+            thread_name_prefix="fchain-slave",
+        )
+        # Never block the master on an abandoned worker: queued futures
+        # are cancelled, running ones finish in the background without
+        # being waited for.
+        return self._collect(
+            ordered,
+            lambda component: executor.submit(
+                self.slave.analyze, store, component, violation_time
+            ),
+            release=lambda wedged: executor.shutdown(
+                wait=not wedged, cancel_futures=True
+            ),
+        )
 
     def _analyze_process(
         self,
@@ -311,70 +263,61 @@ class SlavePool:
         with span.child(STAGE_STORE_SYNC, scope="export") as export_span:
             export = SharedStoreExport(store)
             export_span.count("components_exported", len(store.components))
-        results: Dict[ComponentId, ComponentReport] = {}
-        pending: Sequence[ComponentId] = ordered
-        attempts = 0
+        config, seed = self.slave.config, self.slave.seed
         try:
-            while True:
-                attempts += 1
-                wave_timed_out: List[ComponentId] = []
-                executor = self._process_pool(len(pending))
-                try:
-                    futures = [
-                        executor.submit(
-                            _process_analyze,
-                            export.handle,
-                            self.slave.config,
-                            self.slave.seed,
-                            component,
-                            violation_time,
-                        )
-                        for component in pending
-                    ]
-                    for component, future in zip(pending, futures):
-                        try:
-                            results[component] = future.result(
-                                timeout=self.timeout
-                            )
-                        except FutureTimeoutError:
-                            future.cancel()
-                            wave_timed_out.append(component)
-                finally:
-                    if wave_timed_out:
-                        # A wedged worker must never poison a later
-                        # diagnosis (or retry wave): drop the whole pool
-                        # without waiting on it — the next wave forks a
-                        # fresh one.
-                        self._discard_process_pool(wait=False)
-                if not wave_timed_out or attempts > self.retries:
-                    break
-                time.sleep(self.retry_backoff * 2 ** (attempts - 1))
-                pending = wave_timed_out
+            executor = self._process_pool(len(ordered))
+            return self._collect(
+                ordered,
+                lambda component: executor.submit(
+                    _process_analyze,
+                    export.handle,
+                    config,
+                    seed,
+                    component,
+                    violation_time,
+                ),
+                release=self._release_process_pool,
+            )
         finally:
             # Unlinking only removes the segment's name; workers that
             # already attached (including abandoned ones) keep reading
             # valid memory until their own mappings go away.
             export.close()
-        timed_out = frozenset(wave_timed_out)
-        self._skip_timed_out(results, timed_out, attempts)
-        return [results[component] for component in ordered], timed_out
 
-    def _skip_timed_out(
+    def _collect(
         self,
-        results: Dict[ComponentId, ComponentReport],
-        timed_out: FrozenSet[ComponentId],
-        attempts: int,
-    ) -> None:
-        """Fill skipped placeholder reports for exhausted components."""
-        for component in timed_out:
-            results[component] = ComponentReport(
-                component=component,
-                skipped=True,
-                skip_reason=(
-                    f"analysis timed out after {attempts} attempt(s) "
-                    f"({self.timeout:g}s timeout each)"
-                ),
-            )
+        ordered: Sequence[ComponentId],
+        submit: Callable[[ComponentId], Future],
+        *,
+        release: Callable[[bool], None],
+    ) -> Tuple[List[ComponentReport], FrozenSet[ComponentId]]:
+        """Submit one analysis per component and gather them in order.
+
+        A component whose report is not ready within ``timeout`` is
+        abandoned and reported as skipped. ``release(wedged)`` runs
+        however collection ends; ``wedged`` says whether any worker was
+        abandoned still running.
+        """
+        results: Dict[ComponentId, ComponentReport] = {}
+        timed_out: List[ComponentId] = []
+        try:
+            futures = [submit(component) for component in ordered]
+            for component, future in zip(ordered, futures):
+                try:
+                    results[component] = future.result(timeout=self.timeout)
+                except FutureTimeoutError:
+                    future.cancel()
+                    timed_out.append(component)
+                    results[component] = ComponentReport(
+                        component=component,
+                        skipped=True,
+                        skip_reason=(
+                            f"analysis timed out ({self.timeout:g}s timeout)"
+                        ),
+                    )
+        finally:
+            release(bool(timed_out))
+        return [results[component] for component in ordered], frozenset(timed_out)
 
     # ------------------------------------------------------------------
     # Process-pool lifecycle
@@ -403,6 +346,13 @@ class SlavePool:
             )
         return self._pool
 
+    def _release_process_pool(self, wedged: bool) -> None:
+        if wedged:
+            # A wedged worker must never poison a later diagnosis: drop
+            # the whole pool without waiting on it — the next call forks
+            # a fresh one.
+            self._discard_process_pool(wait=False)
+
     def _discard_process_pool(self, wait: bool) -> None:
         if self._pool is None:
             return
@@ -418,13 +368,4 @@ class SlavePool:
         self._discard_process_pool(wait=True)
 
 
-def resolve_jobs(jobs: Optional[int]) -> int:
-    """Translate a user-facing ``--jobs`` value to a worker count.
-
-    ``None``/0/1 mean serial; negative values are rejected by
-    :class:`SlavePool`. Exposed for CLI help text consistency.
-    """
-    return 1 if jobs is None or jobs <= 1 else int(jobs)
-
-
-__all__ = ["SlavePool", "resolve_jobs"]
+__all__ = ["SlavePool"]

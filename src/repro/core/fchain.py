@@ -10,7 +10,7 @@ and "contacting the slaves" is a method call — the algorithms and the data
 they see are identical to the distributed deployment.
 
 The slave is a *long-lived, stateful* object, exactly as in the paper:
-``observe()`` / ``observe_many()`` / ``sync_with_store()`` keep the
+``observe_many()`` / ``sync_with_store()`` keep the
 per-(component, metric) Markov models and their rolling prediction-error
 streams warm at 1 Hz, so ``analyze()`` at violation time only runs
 change-point selection on the look-back window instead of replaying the
@@ -149,10 +149,10 @@ class FChainSlave:
     """Slave-side analysis for the components of one node.
 
     The slave owns the *normal fluctuation modeling* (online Markov
-    predictors, fed continuously at 1 Hz via :meth:`observe` /
-    :meth:`observe_many` / :meth:`sync_with_store`) and the *abnormal
-    change point selection* that the master triggers with a look-back
-    window after an SLO violation.
+    predictors, fed continuously at 1 Hz via :meth:`observe_many` /
+    :meth:`sync_with_store`) and the *abnormal change point selection*
+    that the master triggers with a look-back window after an SLO
+    violation.
 
     State is persistent across diagnoses: models, signed
     prediction-error streams and per-window CUSUM caches stay warm, so
@@ -187,10 +187,6 @@ class FChainSlave:
             self._streams.add_row()
         return row
 
-    def observe(self, component: ComponentId, metric: Metric, value: float) -> None:
-        """Feed one 1 Hz sample into the online fluctuation model."""
-        self.observe_many(component, metric, (value,))
-
     def observe_many(
         self,
         component: ComponentId,
@@ -199,7 +195,7 @@ class FChainSlave:
     ) -> None:
         """Feed a batch of consecutive 1 Hz samples for one metric.
 
-        Bit-identical to calling :meth:`observe` per sample, but the
+        Bit-identical to feeding the samples one call at a time, but the
         whole chunk goes through one vectorized
         :meth:`~repro.core.prediction.ModelBank.update_many` call —
         O(1) numpy calls per chunk instead of O(samples) Python calls.
@@ -248,7 +244,7 @@ class FChainSlave:
         The slave's cursors count samples of *one* 1 Hz stream. Re-binding
         to a different (or garbage-collected) store resets all state —
         stale models must never leak into another run's diagnosis. A
-        slave that was fed purely via :meth:`observe` binds without a
+        slave that was fed purely via :meth:`observe_many` binds without a
         reset: by contract the observed stream is the one the store
         records.
         """
@@ -916,10 +912,6 @@ class FChain:
     # ------------------------------------------------------------------
     # Streaming feed-through
     # ------------------------------------------------------------------
-    def observe(self, component: ComponentId, metric: Metric, value: float) -> None:
-        """Feed one 1 Hz sample into the persistent slave's models."""
-        self.master.slave.observe(component, metric, value)
-
     def observe_many(
         self, component: ComponentId, metric: Metric, values: Iterable[float]
     ) -> None:

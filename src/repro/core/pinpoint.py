@@ -26,10 +26,7 @@ import networkx as nx
 
 from repro.common.types import ComponentId, Metric
 from repro.core.config import FChainConfig
-from repro.core.dependency import (
-    propagation_path_confidence,
-    propagation_path_exists,
-)
+from repro.core.dependency import propagation_path_exists
 from repro.core.propagation import ComponentReport, PropagationChain, build_chain
 
 
@@ -231,23 +228,10 @@ def pinpoint_faulty_components(
             faulty.add(component)
             continue
         if have_dependencies:
-            min_confidence = config.topology_min_path_confidence
-            if min_confidence > 0.0:
-                # Weighted pruning: a propagation explanation must ride a
-                # dependency path the online topology still believes in —
-                # decayed edges stop explaining anomalies away.
-                explained = any(
-                    propagation_path_confidence(
-                        dependency_graph, f, component
-                    )
-                    >= min_confidence
-                    for f in faulty
-                )
-            else:
-                explained = any(
-                    propagation_path_exists(dependency_graph, f, component)
-                    for f in faulty
-                )
+            explained = any(
+                propagation_path_exists(dependency_graph, f, component)
+                for f in faulty
+            )
             if not explained:
                 # No dependency path from any pinpointed component: the
                 # inferred propagation is spurious, so this component's

@@ -508,10 +508,7 @@ def select_abnormal_changes(
             onset = rollback_onset(
                 smoothed, points, point, tolerance=config.tangent_tolerance
             )
-            if config.censor_slow_onsets:
-                onset = censored_onset(
-                    raw, onset, point.direction, point.magnitude
-                )
+            onset = censored_onset(raw, onset, point.direction, point.magnitude)
             abnormal.append(
                 AbnormalChange(
                     metric=metric,

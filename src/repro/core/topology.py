@@ -23,10 +23,11 @@ Two evidence channels feed the learner:
 
 The learned graph plugs into diagnosis twice:
 
-* its weighted snapshot (:meth:`OnlineTopology.graph`) replaces the static
-  dependency graph in ``pinpoint_faulty_components``, where edge weights
-  strengthen the spurious-propagation pruning
-  (``propagation_path_confidence``), and
+* its snapshot (:meth:`OnlineTopology.graph`) replaces the static
+  dependency graph in ``pinpoint_faulty_components``: the
+  spurious-propagation pruning is plain reachability over the edges still
+  above ``min_confidence``, so decayed-away edges stop explaining
+  anomalies, and
 * :func:`rank_candidates` orders components by graph distance from the
   SLO-violating origin so the master can dispatch slaves for the top-K
   propagation neighborhood only, escalating to a full analysis whenever
@@ -66,14 +67,10 @@ class OnlineTopology:
             :meth:`graph` snapshots (decayed-away edges disappear).
         comovement_window: Samples of per-component signal history kept
             for the co-movement correlation channel.
-        activity_threshold: Per-tick traffic count a directed edge must
-            exceed to register as active evidence.
         seed_graph: Offline-discovered graph (``discover_dependencies``)
-            to seed the learner with; seeded edges start at
-            ``seed_confidence`` (or their stored ``weight``) and then
-            decay / refresh like any learned edge.
-        seed_confidence: Starting confidence for seeded edges without a
-            stored weight.
+            to seed the learner with; seeded edges start at their stored
+            ``weight`` (1.0 without one) and then decay / refresh like
+            any learned edge.
     """
 
     def __init__(
@@ -82,9 +79,7 @@ class OnlineTopology:
         halflife: float = 600.0,
         min_confidence: float = 0.05,
         comovement_window: int = 32,
-        activity_threshold: float = 0.0,
         seed_graph: Optional[nx.DiGraph] = None,
-        seed_confidence: float = 1.0,
     ) -> None:
         if halflife <= 0:
             raise ValueError("halflife must be positive")
@@ -92,12 +87,9 @@ class OnlineTopology:
             raise ValueError("min_confidence must be in [0, 1]")
         if comovement_window < 4:
             raise ValueError("comovement_window must be >= 4")
-        if not 0.0 <= seed_confidence <= 1.0:
-            raise ValueError("seed_confidence must be in [0, 1]")
         self.halflife = float(halflife)
         self.min_confidence = float(min_confidence)
         self.comovement_window = int(comovement_window)
-        self.activity_threshold = float(activity_threshold)
         self._decay = 0.5 ** (1.0 / self.halflife)
         self._confidence: Dict[Edge, float] = {}
         self._last_update: Dict[Edge, int] = {}
@@ -105,7 +97,7 @@ class OnlineTopology:
         self._tick: int = 0
         self._signals: Dict[ComponentId, Deque[float]] = {}
         if seed_graph is not None:
-            self.seed(seed_graph, confidence=seed_confidence)
+            self.seed(seed_graph)
 
     # ------------------------------------------------------------------
     # State inspection
@@ -139,16 +131,16 @@ class OnlineTopology:
     # ------------------------------------------------------------------
     # Learning
     # ------------------------------------------------------------------
-    def seed(self, graph: nx.DiGraph, *, confidence: float = 1.0) -> None:
+    def seed(self, graph: nx.DiGraph) -> None:
         """Adopt an offline-discovered graph as the starting topology.
 
-        Edges carrying a stored ``weight`` keep it; others start at
-        ``confidence``. Seeded edges decay and refresh exactly like
-        learned ones.
+        Edges carrying a stored ``weight`` keep it; others start at full
+        confidence. Seeded edges decay and refresh exactly like learned
+        ones.
         """
         self._nodes.update(graph.nodes)
         for src, dst, data in graph.edges(data=True):
-            weight = float(data.get("weight", confidence))
+            weight = float(data.get("weight", 1.0))
             edge = (src, dst)
             self._confidence[edge] = min(1.0, max(0.0, weight))
             self._last_update[edge] = self._tick
@@ -158,13 +150,13 @@ class OnlineTopology:
     ) -> None:
         """Feed one tick of per-edge traffic counts.
 
-        Every directed edge whose count exceeds ``activity_threshold``
-        receives full evidence for this tick; every other known edge
-        implicitly receives zero evidence through lazy decay.
+        Every directed edge with a positive count receives full evidence
+        for this tick; every other known edge implicitly receives zero
+        evidence through lazy decay.
         """
         self._advance(tick)
         for (src, dst), count in counts.items():
-            if count <= self.activity_threshold:
+            if count <= 0:
                 continue
             self._nodes.add(src)
             self._nodes.add(dst)
@@ -250,8 +242,7 @@ class OnlineTopology:
         Every node the learner has seen is included; edges with current
         confidence at least ``min_confidence`` (default: the learner's
         cutoff) appear with their confidence as the ``weight`` attribute
-        — the format ``propagation_path_confidence`` and the extended
-        ``save_graph`` understand.
+        — the format the extended ``save_graph`` understands.
         """
         cutoff = self.min_confidence if min_confidence is None else min_confidence
         graph = nx.DiGraph()

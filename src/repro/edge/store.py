@@ -260,12 +260,10 @@ class MemoryIncidentStore(IncidentStore):
 
 
 class JsonlIncidentStore(IncidentStore):
-    """Append-only JSONL segments with rotation and fsync'd appends.
+    """Append-only JSONL segments with rotation; every append is fsync'd.
 
     Args:
         directory: Segment directory (created if missing).
-        fsync: fsync every append (default True — this is the durable
-            backend; switch off only for benchmarks).
         segment_bytes: Rotate to a fresh segment once the active one
             reaches this many bytes.
 
@@ -281,7 +279,6 @@ class JsonlIncidentStore(IncidentStore):
         self,
         directory: PathLike,
         *,
-        fsync: bool = True,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
     ) -> None:
         super().__init__()
@@ -289,7 +286,6 @@ class JsonlIncidentStore(IncidentStore):
             raise ConfigurationError("segment_bytes must be >= 1")
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.fsync = fsync
         self.segment_bytes = int(segment_bytes)
         self._lock = threading.Lock()
         self._records: List[StoredIncident] = []
@@ -320,9 +316,7 @@ class JsonlIncidentStore(IncidentStore):
         return self.directory / f"incidents-{index:08d}.jsonl"
 
     def _open_writer(self) -> None:
-        self._writer = JsonlWriter(
-            self._segment_path(self._segment_index), fsync=self.fsync
-        )
+        self._writer = JsonlWriter(self._segment_path(self._segment_index), fsync=True)
 
     # -- the interface -------------------------------------------------
     def _next_id(self) -> int:

@@ -8,7 +8,7 @@ the tenants, because each relocation pays a shared-memory store export
 plus a warm-model resync on the receiving shard.
 
 Classic consistent hashing with virtual nodes delivers both: each shard
-owns ``vnodes`` pseudo-random points on a 64-bit ring (blake2b of
+owns ``DEFAULT_VNODES`` pseudo-random points on a 64-bit ring (blake2b of
 ``"shard:vnode"``), and a tenant maps to the owner of the first point at
 or after the tenant's own hash. The property test in
 ``tests/fleet/test_ring.py`` pins the ~1/N movement bound.
@@ -36,12 +36,7 @@ def _hash64(key: str) -> int:
 class HashRing:
     """A consistent-hash ring mapping string keys to shard indices."""
 
-    def __init__(
-        self, shards: Sequence[int], vnodes: int = DEFAULT_VNODES
-    ) -> None:
-        if vnodes < 1:
-            raise ConfigurationError("vnodes must be >= 1")
-        self.vnodes = vnodes
+    def __init__(self, shards: Sequence[int]) -> None:
         self._points: List[Tuple[int, int]] = []
         self._hashes: List[int] = []
         self._shards: List[int] = []
@@ -57,7 +52,7 @@ class HashRing:
         """Place one shard's virtual nodes on the ring."""
         if any(s == shard for _, s in self._points):
             raise ConfigurationError(f"shard {shard} is already on the ring")
-        for v in range(self.vnodes):
+        for v in range(DEFAULT_VNODES):
             point = (_hash64(f"{shard}:{v}"), shard)
             index = bisect.bisect(self._points, point)
             self._points.insert(index, point)

@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, ReproError
 from repro.core.engine import fork_available
-from repro.fleet.ring import DEFAULT_VNODES, HashRing
+from repro.fleet.ring import HashRing
 from repro.fleet.tenant import TenantSnapshot, TenantSpec
 from repro.fleet.worker import ShardWorker, shard_worker_main
 from repro.service.incident import Incident
@@ -63,7 +63,6 @@ class FleetConfig:
     Attributes:
         shards: Number of shard workers.
         backend: ``"thread"`` or ``"process"`` (see module docstring).
-        vnodes: Virtual nodes per shard on the consistent-hash ring.
         queue_depth: Bound of each shard's command queue.
         route_timeout: Seconds ``ingest()`` waits on a full shard queue
             before shedding the batch with a counted drop. ``0`` sheds
@@ -74,7 +73,6 @@ class FleetConfig:
 
     shards: int = 4
     backend: str = "thread"
-    vnodes: int = DEFAULT_VNODES
     queue_depth: int = 1024
     route_timeout: float = 0.5
     tenant_budget: int = 4
@@ -204,9 +202,7 @@ class FleetSupervisor:
             self._events = context.Queue()
         else:
             self._events = queue.Queue()
-        self.ring = HashRing(
-            range(self.config.shards), vnodes=self.config.vnodes
-        )
+        self.ring = HashRing(range(self.config.shards))
         self._shards: Dict[int, _Shard] = {
             index: _Shard(index, self.config, self._events)
             for index in range(self.config.shards)

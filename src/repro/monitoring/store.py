@@ -191,6 +191,19 @@ class _Ring:
         self.kinds[p] = kind
         self.head = s + 1
 
+    def skip_to(self, head: int) -> None:
+        """Move the head forward to ``head`` without writing the slots
+        passed over.
+
+        For a caller that appends ``limit`` slots right after, which
+        evicts everything retained: the ring is first grown to its limit
+        (the only moment it can still copy a plain prefix), so the jump
+        never has to move or clear retained data.
+        """
+        self._check_writable()
+        self._grow(self.limit)
+        self.head = head
+
     def append_run(self, values: np.ndarray, kind: int) -> int:
         """Append a contiguous run at the head; returns the first slot
         actually written.
@@ -566,7 +579,14 @@ class MetricStore:
         arriving: float,
         policy: DataQualityPolicy,
     ) -> None:
-        """Pad ``[head, slot)`` — repaired per policy or left missing."""
+        """Pad ``[head, slot)`` — repaired per policy or left missing.
+
+        The ring retains at most ``limit`` slots, so the front of a
+        longer gap would be evicted on arrival: it is skipped unwritten
+        and only the retained tail is padded, keeping one far-ahead
+        sample from allocating O(gap). The counters still see the whole
+        gap.
+        """
         gap = slot - head
         if policy.on_gap == "reject" and head > 0:
             raise DataQualityError(
@@ -580,21 +600,24 @@ class MetricStore:
             and gap <= policy.max_gap
             and math.isfinite(prev)
         )
+        keep = min(gap, ring.limit)
+        if keep < gap:
+            ring.skip_to(slot - keep)
         if fillable and policy.fill == "interpolate" and math.isfinite(arriving):
             step = (arriving - prev) / (gap + 1)
-            pad = prev + step * np.arange(1, gap + 1, dtype=np.float64)
+            pad = prev + step * np.arange(gap - keep + 1, gap + 1, dtype=np.float64)
             ring.append_run(pad, KIND_INTERPOLATED)
             qual.filled_interpolated += gap
             self._metrics().filled.inc(gap, method="interpolate")
         elif fillable:
             # Forward fill — also the fallback when the sample closing
             # the gap is itself invalid (nothing to interpolate toward).
-            pad = np.full(gap, prev, dtype=np.float64)
+            pad = np.full(keep, prev, dtype=np.float64)
             ring.append_run(pad, KIND_FORWARD)
             qual.filled_forward += gap
             self._metrics().filled.inc(gap, method="forward")
         else:
-            pad = np.full(gap, math.nan, dtype=np.float64)
+            pad = np.full(keep, math.nan, dtype=np.float64)
             ring.append_run(pad, KIND_MISSING)
             qual.missing += gap
             self._metrics().gap_ticks.inc(gap)

@@ -154,7 +154,7 @@ class TestStreamingFacade:
     def test_observe_feeds_persistent_slave(self):
         fchain = FChain()
         for t in range(120):
-            fchain.observe("c", Metric.CPU_USAGE, 30.0 + (t % 3))
+            fchain.observe_many("c", Metric.CPU_USAGE, (30.0 + (t % 3),))
         model = fchain.master.slave.model_for("c", Metric.CPU_USAGE)
         assert model is not None and model.ready
 
@@ -162,7 +162,7 @@ class TestStreamingFacade:
         values = [30.0 + (t % 5) for t in range(150)]
         one = FChain()
         for v in values:
-            one.observe("c", Metric.CPU_USAGE, v)
+            one.observe_many("c", Metric.CPU_USAGE, (v,))
         many = FChain()
         many.observe_many("c", Metric.CPU_USAGE, values)
         np.testing.assert_array_equal(

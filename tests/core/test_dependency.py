@@ -9,7 +9,6 @@ from repro.core.dependency import (
     discover_dependencies,
     extract_flows,
     load_graph,
-    propagation_path_confidence,
     propagation_path_exists,
     save_graph,
 )
@@ -99,44 +98,6 @@ class TestPropagationPaths:
 
     def test_unknown_node(self):
         assert not propagation_path_exists(self._graph(), "web", "ghost")
-
-
-class TestPathConfidence:
-    def _weighted(self):
-        g = nx.DiGraph()
-        g.add_edge("web", "app1", weight=0.8)
-        g.add_edge("app1", "db", weight=0.5)
-        g.add_edge("web", "app2", weight=0.9)
-        return g
-
-    def test_path_confidence_is_edge_product(self):
-        assert propagation_path_confidence(
-            self._weighted(), "web", "db"
-        ) == pytest.approx(0.4)
-
-    def test_reverse_path_counts(self):
-        """Back-pressure rides the same edges at the same confidence."""
-        assert propagation_path_confidence(
-            self._weighted(), "db", "web"
-        ) == pytest.approx(0.4)
-
-    def test_best_of_multiple_paths(self):
-        g = self._weighted()
-        g.add_edge("web", "db", weight=0.45)
-        assert propagation_path_confidence(g, "web", "db") == pytest.approx(
-            0.45
-        )
-
-    def test_no_path_zero_self_one(self):
-        g = self._weighted()
-        assert propagation_path_confidence(g, "app1", "app2") == 0.0
-        assert propagation_path_confidence(g, "db", "db") == 1.0
-        assert propagation_path_confidence(g, "web", "ghost") == 0.0
-
-    def test_unweighted_degenerates_to_reachability(self):
-        g = nx.DiGraph([("a", "b"), ("b", "c")])
-        assert propagation_path_confidence(g, "a", "c") == pytest.approx(1.0)
-        assert propagation_path_confidence(g, "c", "a") == pytest.approx(1.0)
 
 
 class TestWeightedGraphIO:

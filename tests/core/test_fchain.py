@@ -14,7 +14,7 @@ class TestSlaveStreaming:
     def test_observe_builds_models(self):
         slave = FChainSlave()
         for t in range(100):
-            slave.observe("web", Metric.CPU_USAGE, 30.0 + (t % 3))
+            slave.observe_many("web", Metric.CPU_USAGE, (30.0 + (t % 3),))
         model = slave.model_for("web", Metric.CPU_USAGE)
         assert model is not None
         assert model.ready

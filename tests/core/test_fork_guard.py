@@ -21,15 +21,17 @@ from repro.fleet import supervisor as fleet_supervisor
 from repro.fleet.supervisor import FleetConfig
 
 
-def _slave():
-    return FChainSlave(FChainConfig(cusum_bootstraps=40), seed=1)
+def _slave(executor):
+    return FChainSlave(
+        FChainConfig(cusum_bootstraps=40, executor=executor), seed=1
+    )
 
 
 class TestSlavePoolFallback:
     def test_warns_and_falls_back_to_thread(self, monkeypatch):
         monkeypatch.setattr(engine, "fork_available", lambda: False)
         with pytest.warns(RuntimeWarning, match="fork"):
-            pool = SlavePool(_slave(), jobs=2, executor="process")
+            pool = SlavePool(_slave("process"), jobs=2)
         assert pool.executor == "thread"
         pool.close()
 
@@ -37,7 +39,7 @@ class TestSlavePoolFallback:
         monkeypatch.setattr(engine, "fork_available", lambda: True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pool = SlavePool(_slave(), jobs=2, executor="process")
+            pool = SlavePool(_slave("process"), jobs=2)
         assert pool.executor == "process"
         pool.close()
 
@@ -45,7 +47,7 @@ class TestSlavePoolFallback:
         monkeypatch.setattr(engine, "fork_available", lambda: False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pool = SlavePool(_slave(), jobs=2, executor="thread")
+            pool = SlavePool(_slave("thread"), jobs=2)
         assert pool.executor == "thread"
         pool.close()
 

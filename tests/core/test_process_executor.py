@@ -9,6 +9,7 @@ makes the replay bit-identical to the master's warm slave.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.monitoring.store import IngestBatch, MetricStore
 
 #: Cheap bootstraps: executor equivalence does not need tight intervals.
 CONFIG = FChainConfig(cusum_bootstraps=40)
+PROCESS = replace(CONFIG, executor="process")
 
 
 def _faulty_store(components=4, samples=400, seed=5):
@@ -51,12 +53,8 @@ class TestEquivalence:
         store = _faulty_store()
         violation = store.end - 5
 
-        thread_pool = SlavePool(
-            FChainSlave(CONFIG, seed=3), jobs=3, executor="thread"
-        )
-        process_pool = SlavePool(
-            FChainSlave(CONFIG, seed=3), jobs=3, executor="process"
-        )
+        thread_pool = SlavePool(FChainSlave(CONFIG, seed=3), jobs=3)
+        process_pool = SlavePool(FChainSlave(PROCESS, seed=3), jobs=3)
         try:
             expected = _report_key(*thread_pool.analyze_all(store, violation))
             actual = _report_key(*process_pool.analyze_all(store, violation))
@@ -96,10 +94,8 @@ class TestEquivalence:
             warm.sync_with_store(store, store.end)
         violation = store.end - 5
 
-        thread_pool = SlavePool(warm, jobs=3, executor="thread")
-        process_pool = SlavePool(
-            FChainSlave(CONFIG, seed=3), jobs=3, executor="process"
-        )
+        thread_pool = SlavePool(warm, jobs=3)
+        process_pool = SlavePool(FChainSlave(PROCESS, seed=3), jobs=3)
         try:
             expected = _report_key(*thread_pool.analyze_all(store, violation))
             actual = _report_key(*process_pool.analyze_all(store, violation))
@@ -110,12 +106,8 @@ class TestEquivalence:
 
     def test_warm_pool_reused_across_diagnoses(self):
         store = _faulty_store()
-        thread_pool = SlavePool(
-            FChainSlave(CONFIG, seed=3), jobs=3, executor="thread"
-        )
-        process_pool = SlavePool(
-            FChainSlave(CONFIG, seed=3), jobs=3, executor="process"
-        )
+        thread_pool = SlavePool(FChainSlave(CONFIG, seed=3), jobs=3)
+        process_pool = SlavePool(FChainSlave(PROCESS, seed=3), jobs=3)
         try:
             for violation in (store.end - 40, store.end - 5):
                 expected = _report_key(
@@ -131,15 +123,11 @@ class TestEquivalence:
             assert process_pool._pool is None
 
     def test_fchain_facade_identical_diagnoses(self):
-        from dataclasses import replace
-
         store = _faulty_store()
         violation = store.end - 5
         with FChain(CONFIG, seed=2, jobs=3) as threaded:
             expected = threaded.localize(store, violation_time=violation)
-        with FChain(
-            replace(CONFIG, executor="process"), seed=2, jobs=3
-        ) as processed:
+        with FChain(PROCESS, seed=2, jobs=3) as processed:
             actual = processed.localize(store, violation_time=violation)
         assert actual.result.faulty == expected.result.faulty
         assert actual.result.chain.links == expected.result.chain.links
@@ -158,17 +146,22 @@ class TestTimeout:
     def test_timeout_marks_component_skipped(self, monkeypatch):
         monkeypatch.setattr(engine, "_process_analyze", _wedged_analyze)
         store = _faulty_store()
-        pool = SlavePool(
-            FChainSlave(CONFIG, seed=1), jobs=2, timeout=0.5,
-            executor="process",
-        )
-        reports, timed_out = pool.analyze_all(store, store.end - 5)
-        assert timed_out == frozenset({"comp-0"})
-        by_component = {r.component: r for r in reports}
-        assert by_component["comp-0"].skipped
-        assert [r.component for r in reports] == store.components
-        # The wedged pool was discarded so it cannot poison later calls.
-        assert pool._pool is None
+        pool = SlavePool(FChainSlave(PROCESS, seed=1), jobs=2, timeout=0.5)
+        try:
+            reports, timed_out = pool.analyze_all(store, store.end - 5)
+            assert timed_out == frozenset({"comp-0"})
+            by_component = {r.component: r for r in reports}
+            assert by_component["comp-0"].skipped
+            assert [r.component for r in reports] == store.components
+            # The wedged pool was discarded so it cannot poison later calls.
+            assert pool._pool is None
+            monkeypatch.undo()
+            reports, timed_out = pool.analyze_all(store, store.end - 5)
+            assert timed_out == frozenset()
+            assert [r.component for r in reports] == store.components
+            assert not any(r.skipped for r in reports)
+        finally:
+            pool.close()
 
 
 class TestConfiguration:
@@ -176,13 +169,7 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError, match="executor"):
             FChainConfig(executor="greenlet")
 
-    def test_pool_rejects_unknown_executor(self):
-        with pytest.raises(ConfigurationError, match="executor"):
-            SlavePool(FChainSlave(CONFIG), executor="fiber")
-
     def test_pool_defaults_to_config_executor(self):
-        from dataclasses import replace
-
-        pool = SlavePool(FChainSlave(replace(CONFIG, executor="process")))
+        pool = SlavePool(FChainSlave(PROCESS))
         assert pool.executor == "process"
         assert SlavePool(FChainSlave(CONFIG)).executor == "thread"

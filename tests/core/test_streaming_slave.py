@@ -11,14 +11,14 @@ from repro.core.prediction import prediction_errors
 
 class TestStreamingParity:
     def test_streaming_model_matches_batch_errors(self):
-        """Feeding samples via observe() produces the same error stream as
+        """Feeding samples via observe_many() produces the same error stream as
         the batch path used by diagnosis — the online slave and the
         analysis see the same model."""
         rng = spawn_rng("parity")
         values = 40 + rng.normal(0, 3, 500)
         slave = FChainSlave()
         for v in values:
-            slave.observe("c", Metric.CPU_USAGE, float(v))
+            slave.observe_many("c", Metric.CPU_USAGE, (float(v),))
         streamed = np.abs(slave.errors_for("c", Metric.CPU_USAGE))
         batch = prediction_errors(TimeSeries(values))
         mask = np.isfinite(batch)
@@ -27,8 +27,8 @@ class TestStreamingParity:
     def test_models_independent_per_metric(self):
         slave = FChainSlave()
         for t in range(100):
-            slave.observe("c", Metric.CPU_USAGE, 30.0)
-            slave.observe("c", Metric.MEMORY_USAGE, 500.0)
+            slave.observe_many("c", Metric.CPU_USAGE, (30.0,))
+            slave.observe_many("c", Metric.MEMORY_USAGE, (500.0,))
         cpu = slave.model_for("c", Metric.CPU_USAGE)
         mem = slave.model_for("c", Metric.MEMORY_USAGE)
         assert cpu is not mem

@@ -31,8 +31,8 @@ class TestOnlineTopology:
         assert topo.confidence("a", "b") == pytest.approx(before / 2, rel=0.05)
 
     def test_inactive_edge_not_created(self):
-        topo = OnlineTopology(activity_threshold=1.0)
-        topo.observe_traffic(0, {("a", "b"): 0.5})
+        topo = OnlineTopology()
+        topo.observe_traffic(0, {("a", "b"): 0.0})
         assert len(topo) == 0
 
     def test_comovement_corroborates_known_edges_only(self):

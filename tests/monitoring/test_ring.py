@@ -6,6 +6,9 @@ into evicted history, misaligned ticks, the strict ingest preset, and
 shared-memory export of a wrapped store.
 """
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,12 @@ from repro.common.types import Metric, MetricSample
 from repro.eval.bench import synthetic_store
 from repro.monitoring.quality import DataQualityPolicy
 from repro.monitoring.shared import SharedStoreExport, attach_store
-from repro.monitoring.store import IngestBatch, IngestRun, MetricStore
+from repro.monitoring.store import (
+    DEFAULT_RETENTION,
+    IngestBatch,
+    IngestRun,
+    MetricStore,
+)
 
 CPU = Metric.CPU_USAGE
 
@@ -67,6 +75,83 @@ class TestRetentionOverwrite:
         buffer_before = ring.values
         _tick_by_tick(store, "c", range(8, 40), start=8)
         assert store._series[("c", CPU)].values is buffer_before
+
+
+class TestFarAheadGap:
+    """A gap longer than the retention pads only what the ring keeps."""
+
+    @staticmethod
+    def _store_with_history(retention, policy):
+        store = MetricStore(policy=policy, retention=retention)
+        store.ingest(_run_batch("c", 0, np.arange(1.0, 101.0), watermark=100))
+        return store
+
+    def test_far_ahead_sample_allocates_only_the_retained_tail(self):
+        store = self._store_with_history(DEFAULT_RETENTION, DataQualityPolicy())
+        tracemalloc.start()
+        try:
+            store.ingest(
+                IngestBatch(
+                    samples=[MetricSample("c", CPU, 10**8, 5.0)],
+                    watermark=10**8 + 1,
+                )
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert store.end == 10**8 + 1
+        quality = store.series_quality("c", CPU)
+        assert quality.missing == 10**8 - 100
+        assert quality.observed == 101
+
+    def test_long_gap_matches_the_fully_padded_tail(self):
+        # An unbounded store pads every slot of the gap; the bounded one
+        # must retain exactly that store's tail, under every fill mode,
+        # through both the per-sample and the run path.
+        retention = 8
+        gap = 3 * retention
+        policies = [
+            DataQualityPolicy(fill="none"),
+            DataQualityPolicy(fill="forward", max_gap=10 * retention),
+            DataQualityPolicy(fill="interpolate", max_gap=10 * retention),
+        ]
+        for policy in policies:
+            for as_run in (False, True):
+                stores = [
+                    self._store_with_history(r, policy)
+                    for r in (retention, DEFAULT_RETENTION)
+                ]
+                t = 100 + gap
+                for store in stores:
+                    if as_run:
+                        store.ingest(_run_batch("c", t, [7.0], watermark=t + 1))
+                    else:
+                        store.ingest(
+                            IngestBatch(
+                                samples=[MetricSample("c", CPU, t, 7.0)],
+                                watermark=t + 1,
+                            )
+                        )
+                bounded, padded = stores
+                label = f"{policy.fill} run={as_run}"
+                assert bounded.end == padded.end, label
+                series = bounded.series("c", CPU)
+                full = padded.series("c", CPU)
+                assert series.start == full.end - retention, label
+                np.testing.assert_array_equal(
+                    series.values, full.values[-retention:], err_msg=label
+                )
+                kept = bounded.series_quality("c", CPU)
+                whole = padded.series_quality("c", CPU)
+                assert kept.gap_slots == {
+                    slot: kind
+                    for slot, kind in whole.gap_slots.items()
+                    if slot >= series.start
+                }, label
+                assert replace(kept, gap_slots={}) == replace(
+                    whole, gap_slots={}
+                ), label
 
 
 class TestWrapSeamReads:

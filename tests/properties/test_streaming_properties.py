@@ -53,7 +53,7 @@ class TestInterleavingInvariance:
         for i in range(length):
             for key_index in order:
                 component, metric = KEYS[key_index]
-                interleaved.observe(component, metric, data[KEYS[key_index]][i])
+                interleaved.observe_many(component, metric, (data[KEYS[key_index]][i],))
 
         expected = _streams_of(reference)
         actual = _streams_of(interleaved)
@@ -71,7 +71,7 @@ class TestInterleavingInvariance:
         split = min(split, len(data))
         one_by_one = FChainSlave()
         for value in data:
-            one_by_one.observe("c", Metric.CPU_USAGE, float(value))
+            one_by_one.observe_many("c", Metric.CPU_USAGE, (float(value),))
         batched = FChainSlave()
         batched.observe_many("c", Metric.CPU_USAGE, data[:split])
         batched.observe_many("c", Metric.CPU_USAGE, data[split:])
