@@ -37,8 +37,7 @@ The learned graph plugs into diagnosis twice:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -47,6 +46,13 @@ from repro.common.types import ComponentId
 from repro.core.dependency import load_graph, save_graph
 
 Edge = Tuple[ComponentId, ComponentId]
+
+
+def _doubled(array: np.ndarray) -> np.ndarray:
+    """``array`` with twice the rows; the new rows are zero."""
+    grown = np.zeros((2 * len(array),) + array.shape[1:], dtype=array.dtype)
+    grown[: len(array)] = array
+    return grown
 
 
 class OnlineTopology:
@@ -59,6 +65,22 @@ class OnlineTopology:
     ``evidence = 0`` — applied lazily, so silent edges cost nothing until
     they are read. An edge observed every tick asymptotes to 1; an edge
     that falls silent halves every ``halflife`` ticks.
+
+    Each piece of evidence is one step: an edge last updated ``gap``
+    ticks ago becomes
+    ``min(1, stored * decay**max(1, gap) + (1 - decay) * evidence)``.
+    When both channels feed the same edge in one tick, the second step
+    finds ``gap == 0`` and still decays once, so that edge takes two
+    EWMA steps in that tick, not one.
+
+    State is arrays, not per-edge objects. Every component seen (signal
+    source or edge endpoint) owns one row of a ``[rows, comovement_window]``
+    float64 ring with its own fill counter — a component absent from a
+    tick appends nothing, so a row is that component's own sequence, not
+    a time-aligned column. Every edge owns one slot of the parallel
+    ``_src`` / ``_dst`` (rows), ``_confidence`` and ``_last_update``
+    arrays. A tick of either channel is then a handful of numpy calls
+    over all of its edges at once.
 
     Args:
         halflife: Ticks of silence after which an edge's confidence
@@ -91,11 +113,17 @@ class OnlineTopology:
         self.min_confidence = float(min_confidence)
         self.comovement_window = int(comovement_window)
         self._decay = 0.5 ** (1.0 / self.halflife)
-        self._confidence: Dict[Edge, float] = {}
-        self._last_update: Dict[Edge, int] = {}
-        self._nodes: set = set()
         self._tick: int = 0
-        self._signals: Dict[ComponentId, Deque[float]] = {}
+        # Components: row index into the signal ring and its fill counter.
+        self._rows: Dict[ComponentId, int] = {}
+        self._ring = np.zeros((8, self.comovement_window))
+        self._filled = np.zeros(8, dtype=np.int64)
+        # Edges: slot index into the parallel edge arrays.
+        self._edges: Dict[Edge, int] = {}
+        self._src = np.zeros(16, dtype=np.intp)
+        self._dst = np.zeros(16, dtype=np.intp)
+        self._confidence = np.zeros(16)
+        self._last_update = np.zeros(16, dtype=np.int64)
         if seed_graph is not None:
             self.seed(seed_graph)
 
@@ -110,10 +138,10 @@ class OnlineTopology:
     @property
     def nodes(self) -> frozenset:
         """Every component the learner has seen (as node or endpoint)."""
-        return frozenset(self._nodes)
+        return frozenset(self._rows)
 
     def __len__(self) -> int:
-        return len(self._confidence)
+        return len(self._edges)
 
     def confidence(self, src: ComponentId, dst: ComponentId) -> float:
         """Current confidence of the directed edge ``src -> dst``.
@@ -121,12 +149,11 @@ class OnlineTopology:
         Applies the lazy decay for ticks since the edge last saw
         evidence; unknown edges have confidence 0.
         """
-        edge = (src, dst)
-        stored = self._confidence.get(edge)
-        if stored is None:
+        index = self._edges.get((src, dst))
+        if index is None:
             return 0.0
-        silent = self._tick - self._last_update[edge]
-        return stored * self._decay**silent if silent > 0 else stored
+        silent = self._tick - int(self._last_update[index])
+        return float(self._confidence[index]) * self._decay**silent
 
     # ------------------------------------------------------------------
     # Learning
@@ -138,12 +165,13 @@ class OnlineTopology:
         confidence. Seeded edges decay and refresh exactly like learned
         ones.
         """
-        self._nodes.update(graph.nodes)
+        for node in graph.nodes:
+            self._row(node)
         for src, dst, data in graph.edges(data=True):
             weight = float(data.get("weight", 1.0))
-            edge = (src, dst)
-            self._confidence[edge] = min(1.0, max(0.0, weight))
-            self._last_update[edge] = self._tick
+            index = self._edge((src, dst))
+            self._confidence[index] = min(1.0, max(0.0, weight))
+            self._last_update[index] = self._tick
 
     def observe_traffic(
         self, tick: int, counts: Mapping[Edge, float]
@@ -155,12 +183,13 @@ class OnlineTopology:
         evidence through lazy decay.
         """
         self._advance(tick)
-        for (src, dst), count in counts.items():
+        hits = []
+        for edge, count in counts.items():
             if count <= 0:
                 continue
-            self._nodes.add(src)
-            self._nodes.add(dst)
-            self._bump((src, dst), 1.0)
+            hits.append(self._edge(edge))
+        if hits:
+            self._bump(np.array(hits, dtype=np.intp), 1.0)
 
     def observe_comovement(
         self, tick: int, signals: Mapping[ComponentId, float]
@@ -174,64 +203,91 @@ class OnlineTopology:
         decays) edges that exist — from the offline seed or the traffic
         channel — it does not invent new ones: correlation alone cannot
         orient an edge, and all-pairs scanning is quadratic.
+
+        Evidence is 0 when either endpoint's changes are constant or the
+        correlation is not finite (NaN or infinite samples).
         """
         self._advance(tick)
-        for component, value in signals.items():
-            self._nodes.add(component)
-            window = self._signals.get(component)
-            if window is None:
-                window = deque(maxlen=self.comovement_window)
-                self._signals[component] = window
-            window.append(float(value))
-        for edge in list(self._confidence):
-            src, dst = edge
-            evidence = self._delta_correlation(src, dst)
-            if evidence is None:
-                continue
-            self._bump(edge, evidence)
+        rows = list(map(self._rows.get, signals))
+        if None in rows:
+            rows = [self._row(component) for component in signals]
+        rows = np.array(rows, dtype=np.intp)
+        window = self.comovement_window
+        filled = self._filled
+        self._ring[rows, filled[rows] % window] = np.fromiter(
+            signals.values(), float, len(rows)
+        )
+        filled[rows] += 1
 
-    def _delta_correlation(
-        self, src: ComponentId, dst: ComponentId
-    ) -> Optional[float]:
-        """Positive Pearson correlation of the endpoints' signal deltas,
-        or None when either window is not full yet."""
-        a = self._signals.get(src)
-        b = self._signals.get(dst)
-        if (
-            a is None
-            or b is None
-            or len(a) < self.comovement_window
-            or len(b) < self.comovement_window
-        ):
-            return None
-        da = np.diff(np.asarray(a, dtype=float))
-        db = np.diff(np.asarray(b, dtype=float))
-        sa = float(da.std())
-        sb = float(db.std())
-        if sa <= 0.0 or sb <= 0.0:
-            return 0.0
-        corr = float(np.corrcoef(da, db)[0, 1])
-        if not np.isfinite(corr):
-            return 0.0
-        return max(0.0, corr)
+        n_rows, n_edges = len(self._rows), len(self._edges)
+        full = filled[:n_rows] >= window
+        src, dst = self._src[:n_edges], self._dst[:n_edges]
+        scored = np.flatnonzero(full[src] & full[dst])
+        if not scored.size:
+            return
+        # Each row oldest-first (a full row's oldest sample sits at its
+        # next write position), then its mean-centred changes.
+        order = (filled[:n_rows, None] + np.arange(window)) % window
+        a, b = src[scored], dst[scored]
+        with np.errstate(all="ignore"):
+            deltas = np.diff(
+                np.take_along_axis(self._ring[:n_rows], order, axis=1), axis=1
+            )
+            centred = deltas - deltas.mean(axis=1, keepdims=True)
+            norms = np.sqrt(np.einsum("ij,ij->i", centred, centred))
+            corr = np.einsum("ij,ij->i", centred[a], centred[b]) / (
+                norms[a] * norms[b]
+            )
+        # A constant endpoint has norm 0, so its correlation is 0/0; a
+        # NaN or infinite sample makes it NaN.
+        evidence = np.where(np.isfinite(corr), np.clip(corr, 0.0, 1.0), 0.0)
+        self._bump(scored, evidence)
+
+    def _row(self, component: ComponentId) -> int:
+        """The component's ring row, allocated on first sight."""
+        row = self._rows.get(component)
+        if row is None:
+            row = self._rows[component] = len(self._rows)
+            if row == len(self._filled):
+                self._ring = _doubled(self._ring)
+                self._filled = _doubled(self._filled)
+        return row
+
+    def _edge(self, edge: Edge) -> int:
+        """The edge's slot, allocated on first sight at confidence 0.
+
+        A zero confidence makes the slot's last-update tick irrelevant
+        until the caller's first step sets it.
+        """
+        index = self._edges.get(edge)
+        if index is None:
+            index = self._edges[edge] = len(self._edges)
+            if index == len(self._confidence):
+                self._src = _doubled(self._src)
+                self._dst = _doubled(self._dst)
+                self._confidence = _doubled(self._confidence)
+                self._last_update = _doubled(self._last_update)
+            src, dst = edge
+            self._src[index] = self._row(src)
+            self._dst[index] = self._row(dst)
+        return index
 
     def _advance(self, tick: int) -> None:
         if tick > self._tick:
             self._tick = tick
 
-    def _bump(self, edge: Edge, evidence: float) -> None:
-        stored = self._confidence.get(edge, 0.0)
-        last = self._last_update.get(edge, self._tick)
+    def _bump(self, index: np.ndarray, evidence) -> None:
+        """One EWMA step of the edges at ``index`` toward ``evidence``."""
         # ``gap`` ticks passed since the last evidence; the EWMA step
         # itself advances one of them, leaving ``gap - 1`` silent ticks
         # of pure decay. Folding the step into ``decay**gap`` keeps an
         # every-tick edge asymptoting to 1 instead of double-decaying.
-        gap = max(1, self._tick - last)
-        updated = stored * self._decay**gap + (
+        gap = np.maximum(1, self._tick - self._last_update[index])
+        updated = self._confidence[index] * self._decay**gap + (
             1.0 - self._decay
-        ) * float(evidence)
-        self._confidence[edge] = min(1.0, updated)
-        self._last_update[edge] = self._tick
+        ) * evidence
+        self._confidence[index] = np.minimum(1.0, updated)
+        self._last_update[index] = self._tick
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -246,15 +302,25 @@ class OnlineTopology:
         """
         cutoff = self.min_confidence if min_confidence is None else min_confidence
         graph = nx.DiGraph()
-        graph.add_nodes_from(sorted(self._nodes))
-        for (src, dst) in sorted(self._confidence):
-            weight = self.confidence(src, dst)
-            if weight >= cutoff and weight > 0.0:
-                graph.add_edge(src, dst, weight=weight)
+        graph.add_nodes_from(sorted(self._rows))
+        edges = list(self._edges)
+        n = len(edges)
+        silent = self._tick - self._last_update[:n]
+        weights = self._confidence[:n] * self._decay**silent
+        kept = np.flatnonzero((weights >= cutoff) & (weights > 0.0))
+        graph.add_weighted_edges_from(
+            sorted((*edges[i], float(weights[i])) for i in kept)
+        )
         return graph
 
     def save(self, path) -> None:
-        """Persist the current weighted snapshot (``save_graph`` format)."""
+        """Persist the current weighted snapshot (``save_graph`` format).
+
+        Only what :meth:`graph` holds is written: the nodes and the edges
+        at or above ``min_confidence`` with their current weight. Ticks
+        and co-movement windows are not; pickling keeps the whole
+        learner.
+        """
         save_graph(self.graph(), path)
 
     @classmethod
@@ -262,7 +328,7 @@ class OnlineTopology:
         """Restore a learner from a snapshot written by :meth:`save`.
 
         Stored edge weights become the starting confidences; learning
-        resumes from tick 0.
+        resumes from tick 0 with empty co-movement windows.
         """
         return cls(seed_graph=load_graph(path), **kwargs)
 

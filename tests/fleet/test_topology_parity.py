@@ -4,14 +4,16 @@ A tenant whose spec enables topology learning must name the same
 culprits a full-fan-out diagnosis names on the identical mesh feed —
 scoping changes the work, never the verdict — and its learned graph
 must relocate wholesale with the tenant snapshot instead of re-learning
-from scratch on the target shard.
+from scratch on the target shard, co-movement windows included.
 """
 
+import itertools
 import pickle
 
 import pytest
 
 from repro.apps.mesh import MeshApplication
+from repro.common.types import Metric
 from repro.core.config import FChainConfig
 from repro.faults.library import BottleneckFault
 from repro.fleet.tenant import TenantRuntime, TenantSpec
@@ -105,5 +107,34 @@ class TestFleetTopologyParity:
             )
             # Diagnosis on the target shard uses the relocated graph.
             assert restored.fchain.master.topology is restored.topology
+
+            # The learner's windows travel too, not just its graph: both
+            # copies keep learning identically on the ticks that follow.
+            app, _ = _mesh()
+            later = itertools.islice(
+                SimFeed(app, duration=TICKS + 50), TICKS, None
+            )
+            for batch in later:
+                for topology in (scoped_rt.topology, restored.topology):
+                    _learn(topology, batch)
+            stayed, moved = scoped_rt.topology, restored.topology
+            assert moved.tick == stayed.tick == TICKS + 49
+            assert len(moved) == len(stayed)
+            for src, dst in stayed.graph(min_confidence=0.0).edges:
+                assert moved.confidence(src, dst) == stayed.confidence(src, dst)
         finally:
             scoped_rt.release()
+
+
+def _learn(topology, batch):
+    """Feed one tick to a learner the way the tick core does."""
+    if batch.edges:
+        topology.observe_traffic(batch.time, batch.edges)
+    topology.observe_comovement(
+        batch.time,
+        {
+            sample.component: sample.value
+            for sample in batch.samples
+            if sample.metric == Metric.NETWORK_OUT
+        },
+    )
