@@ -7,7 +7,10 @@ metrics per component at a 1-second sampling interval (paper Sec. III-A).
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
+from typing import List
 
 
 class Metric(enum.Enum):
@@ -54,3 +57,58 @@ class MetricSample:
     metric: Metric
     time: int
     value: float
+
+
+class TickSamples(Sequence):
+    """One tick's metric samples, held as columns.
+
+    The network edge decodes a push straight into these: ``components``,
+    ``metrics`` and ``values`` are parallel lists (``Metric`` members and
+    Python floats), and every sample carries the tick's ``time``.
+    :meth:`MetricStore.ingest <repro.monitoring.store.MetricStore.ingest>`
+    reads the columns directly; to everyone else this is a read-only
+    sequence of :class:`MetricSample`, built on demand, that compares
+    equal to the list of the same samples and pickles by its columns.
+    """
+
+    __slots__ = ("time", "components", "metrics", "values")
+
+    def __init__(
+        self,
+        time: int,
+        components: List[ComponentId],
+        metrics: List[Metric],
+        values: List[float],
+    ) -> None:
+        self.time = time
+        self.components = components
+        self.metrics = metrics
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        return MetricSample(
+            self.components[index], self.metrics[index], self.time, self.values[index]
+        )
+
+    def __iter__(self):
+        return map(
+            MetricSample, self.components, self.metrics, repeat(self.time), self.values
+        )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, TickSamples):
+            return list(self) == list(other)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __reduce__(self):
+        return TickSamples, (self.time, self.components, self.metrics, self.values)
+
+    def __repr__(self) -> str:
+        return f"TickSamples({list(self)!r})"

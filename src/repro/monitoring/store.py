@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,6 +50,7 @@ from repro.common.types import (
     ComponentId,
     Metric,
     MetricSample,
+    TickSamples,
 )
 from repro.monitoring.quality import (
     DataQualityPolicy,
@@ -331,9 +333,11 @@ class IngestBatch:
 
     Attributes:
         samples: Individually timestamped points
-            (:class:`~repro.common.types.MetricSample`), routed through
-            the full per-sample policy machinery (validation, gap fill,
-            skew alignment, backfill, duplicates).
+            (:class:`~repro.common.types.MetricSample`, or one tick's
+            :class:`~repro.common.types.TickSamples` columns), routed
+            through the full per-sample policy machinery (validation,
+            gap fill, skew alignment, backfill, duplicates); the next
+            in-order sample of a known series is appended inline.
         runs: Contiguous per-series :class:`IngestRun` blocks, applied
             through the vectorized append path.
         watermark: When set, ``advance_to(watermark)`` after the writes
@@ -355,8 +359,7 @@ class MetricStore:
     :class:`~repro.monitoring.quality.SeriesQuality` counters); a store
     constructed without one ingests batches under the
     :data:`~repro.monitoring.quality.STRICT_POLICY` preset, where every
-    defect raises. The legacy ``record``/``advance``/``record_at``
-    methods remain as deprecated wrappers for one release.
+    defect raises.
 
     Retention: each series keeps at most ``retention`` samples; once a
     ring is full the oldest slot is overwritten by the newest. Reads clip
@@ -388,6 +391,9 @@ class MetricStore:
         self._index = SeriesIndex(())
         self._length = 0
         self._quality: Dict[_Key, SeriesQuality] = {}
+        # Ring and counters of every writable series with a learned
+        # skew, under one key: the fused sample loop's single lookup.
+        self._appendable: Dict[_Key, Tuple[_Ring, SeriesQuality]] = {}
         self._revision = 0
         self._ingest_metrics: Optional[IngestMetrics] = None
         # Set on shared-memory attach: quality snapshots already carry
@@ -414,14 +420,7 @@ class MetricStore:
             policy = self.policy or STRICT_POLICY
             for run in batch.runs:
                 self._ingest_run(run, policy)
-            for sample in batch.samples:
-                self._ingest_sample(
-                    sample.component,
-                    sample.metric,
-                    sample.time,
-                    sample.value,
-                    policy,
-                )
+            self._ingest_samples(batch.samples, policy)
             if batch.watermark is not None:
                 self.advance_to(batch.watermark)
             return
@@ -510,6 +509,64 @@ class MetricStore:
             qual.missing += len(bad)
             qual.observed += n - len(bad)
             self._metrics().dropped.inc(len(bad), reason="invalid")
+
+    def _ingest_samples(
+        self, samples: Sequence[MetricSample], policy: DataQualityPolicy
+    ) -> None:
+        """Ingest timestamped samples in one fused loop.
+
+        The common case — the next in-order, finite sample of a known
+        series whose ring has room — is appended inline: both mirror
+        halves, the kind byte, the head and two counters, after one
+        dictionary lookup. Everything else (a series' first sample, a
+        gap, a late or duplicate delivery, NaN/inf, ring growth, a
+        read-only ring) takes :meth:`_ingest_sample`, the policy path,
+        which the inline append matches bit for bit.
+        """
+        if isinstance(samples, TickSamples):
+            rows = zip(
+                samples.components,
+                samples.metrics,
+                repeat(samples.time),
+                samples.values,
+            )
+        else:
+            rows = [(s.component, s.metric, s.time, s.value) for s in samples]
+        appendable = self._appendable
+        base = self.start
+        for component, metric, time, value in rows:
+            try:
+                ring, qual = appendable[component, metric]
+            except KeyError:
+                ring = None
+            if ring is None:
+                self._ingest_sample(component, metric, time, value, policy)
+                self._enlist((component, metric))
+                continue
+            head = ring.head
+            cap = ring.cap
+            if (
+                time - base - qual.skew_offset == head
+                and value.__class__ is float
+                and value - value == 0.0  # finite: NaN and inf give NaN
+                and (head < cap or cap >= ring.limit)
+            ):
+                p = head % cap
+                buffer = ring.values
+                buffer[p] = value
+                buffer[p + cap] = value
+                ring.kinds[p] = KIND_OBSERVED
+                ring.head = head + 1
+                qual.seen += 1
+                qual.observed += 1
+            else:
+                self._ingest_sample(component, metric, time, value, policy)
+
+    def _enlist(self, key: _Key) -> None:
+        """Let a series whose skew is now learned take the inline append."""
+        ring = self._series[key]
+        if ring.flat_base is None:
+            self._appendable[key] = (ring, self._quality[key])
 
     def _ingest_sample(
         self,

@@ -28,7 +28,7 @@ import csv
 import math
 import pathlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.common.errors import ReproError
 from repro.common.types import MetricSample
@@ -46,6 +46,9 @@ class TickBatch:
         samples: Timestamped metric samples that *arrived* during the
             tick. A sample's own ``time`` may differ from the batch time
             (late delivery, clock skew) — the ingest path sorts it out.
+            Feeds build a list; the network edge decodes a push into
+            :class:`~repro.common.types.TickSamples` columns, which read
+            as the same sequence and compare equal to that list.
         performance: The application-level SLO signal for this tick
             (average latency, job progress, ...), or ``None`` when no
             performance measurement arrived this tick.
@@ -58,7 +61,7 @@ class TickBatch:
     """
 
     time: int
-    samples: List[MetricSample] = field(default_factory=list)
+    samples: Sequence[MetricSample] = field(default_factory=list)
     performance: Optional[float] = None
     edges: Optional[Dict[tuple, float]] = None
 

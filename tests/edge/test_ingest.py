@@ -1,19 +1,29 @@
 """Wire-format decoding: strict validation, coalescing, tenant routing."""
 
+import json
 import math
+import pickle
 
+import numpy as np
 import pytest
 
-from repro.common.types import Metric
+from repro.common.types import METRIC_NAMES, Metric, MetricSample, TickSamples
+from repro.core.config import FChainConfig
+from repro.core.fchain import FChain
 from repro.edge.http import HttpRequest, ProtocolError
 from repro.edge.ingest import (
     PERFORMANCE_COMPONENT,
-    coalesce,
     decode_csv_push,
     decode_json_push,
     decode_push,
+    group_ticks,
     store_csv_text,
 )
+from repro.monitoring.quality import DataQualityPolicy
+from repro.monitoring.slo import LatencySLO
+from repro.monitoring.store import MetricStore
+from repro.service.sources import TickBatch
+from repro.service.tick import TickCore
 
 
 def sample(component="web", metric="cpu_usage", time=0, value=0.5):
@@ -21,8 +31,6 @@ def sample(component="web", metric="cpu_usage", time=0, value=0.5):
 
 
 def json_request(payload, query=None):
-    import json
-
     return HttpRequest(
         method="POST",
         path="/v1/ingest",
@@ -166,7 +174,135 @@ class TestCoalesce:
         assert push.batches[2].performance == 1.0
 
     def test_empty_inputs_yield_no_batches(self):
-        assert coalesce([], {}) == []
+        assert group_ticks([], [], [], [], {}) == []
+
+
+class TestOutOfRangeValues:
+    """An integer literal beyond float range is the client's fault."""
+
+    HUGE = 10**400
+
+    def test_sample_value_is_400(self):
+        payload = {"samples": [sample(), sample(time=1, value=self.HUGE)]}
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_json_push(payload)
+        assert excinfo.value.status == 400
+        assert str(excinfo.value) == "samples[1]: value out of range"
+
+    def test_performance_value_is_400(self):
+        payload = {
+            "samples": [sample()],
+            "performance": [{"time": 0, "value": 1}, {"time": 1, "value": -self.HUGE}],
+        }
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_json_push(payload)
+        assert excinfo.value.status == 400
+        assert str(excinfo.value) == "performance[1]: value out of range"
+
+    def test_the_edge_answers_400_not_500(self):
+        request = json_request({"samples": [sample(value=self.HUGE)]})
+        assert b"1" + b"0" * 400 in request.body
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_push(request)
+        assert excinfo.value.status == 400
+
+
+def _ticks(components=3, start=0, stop=80):
+    """``(tick, [(component, metric, value)], performance)`` of a run."""
+    rng = np.random.default_rng(5)
+    names = [f"vm{i}" for i in range(components)]
+    return [
+        (
+            t,
+            [
+                (name, metric, float(rng.normal(50.0, 5.0)))
+                for name in names
+                for metric in METRIC_NAMES
+            ],
+            0.05,
+        )
+        for t in range(start, stop)
+    ]
+
+
+def _json_push(ticks):
+    payload = {
+        "samples": [
+            {"component": c, "metric": m.value, "time": t, "value": v}
+            for t, rows, _ in ticks
+            for c, m, v in rows
+        ],
+        "performance": [{"time": t, "value": p} for t, _, p in ticks],
+    }
+    return decode_json_push(json.loads(json.dumps(payload)))
+
+
+def _list_batches(ticks):
+    return [
+        TickBatch(
+            time=t,
+            samples=[MetricSample(c, m, t, v) for c, m, v in rows],
+            performance=p,
+        )
+        for t, rows, p in ticks
+    ]
+
+
+def _state(core):
+    """Stored series, quality counters and warm-bank rows, as bytes."""
+    slave = core.fchain.master.slave
+    state = {}
+    for component in core.store.components:
+        for metric in core.store.metrics_for(component):
+            model = slave.model_for(component, metric)
+            state[component, metric] = (
+                core.store.series(component, metric).values.tobytes(),
+                core.store.series_quality(component, metric),
+                np.asarray(slave.errors_for(component, metric)).tobytes(),
+                model.bank.counts[model.row].tobytes(),
+                model.bank.row_dots[model.row].tobytes(),
+                int(model.bank.previous_bin[model.row]),
+                int(model.bank.updates[model.row]),
+            )
+    return state
+
+
+class TestTickSamplesTravel:
+    def test_decoded_columns_equal_their_list_form(self):
+        ticks = _ticks(stop=3)
+        decoded = _json_push(ticks).batches
+        assert all(isinstance(b.samples, TickSamples) for b in decoded)
+        assert decoded == _list_batches(ticks)
+        assert _list_batches(ticks) == decoded
+        first = decoded[0].samples
+        component, metric, value = ticks[0][1][1]
+        assert first[1] == MetricSample(component, metric, 0, value)
+        assert first[-1].component == "vm2"
+        assert first[2:5] == list(first)[2:5]
+
+    def test_a_decoded_batch_survives_pickle(self):
+        ticks = _ticks(stop=2)
+        for batch, listed in zip(_json_push(ticks).batches, _list_batches(ticks)):
+            copy = pickle.loads(pickle.dumps(batch))
+            assert isinstance(copy.samples, TickSamples)
+            assert copy == batch
+            assert copy == listed
+
+    def test_tick_core_fed_columns_equals_tick_core_fed_lists(self):
+        ticks = _ticks()
+        states = []
+        for batches in (_json_push(ticks).batches, _list_batches(ticks)):
+            core = TickCore(
+                MetricStore(policy=DataQualityPolicy()),
+                FChain(FChainConfig()),
+                LatencySLO(0.1, sustain=1),
+            )
+            for batch in batches:
+                core.process(batch)
+            assert core.store.end == len(ticks)
+            states.append(_state(core))
+        assert len(states[0]) == 3 * len(METRIC_NAMES)
+        assert states[0] == states[1]
 
 
 class TestDecodePush:
