@@ -55,21 +55,34 @@ def _bootstrap_confidence(
 ) -> float:
     """Fraction of value permutations with a smaller CUSUM spread.
 
-    The permutations are drawn exactly as the reference implementation
-    did — ``bootstraps`` sequential in-place shuffles of one work buffer,
-    so the RNG stream (and therefore every detected change point) is
-    unchanged — but the CUSUM spreads of all permutations are computed in
-    one vectorized batch instead of a Python loop. This test dominates
-    diagnosis latency (it runs per candidate split per metric), so the
-    batching is worth ~5x end-to-end.
+    The permutations are exactly those of the reference implementation —
+    ``bootstraps`` sequential in-place shuffles of one work buffer — and
+    the RNG ends in the same state, so every detected change point is
+    unchanged. They are drawn in one ``Generator.permuted`` call instead:
+    it shuffles the rows of a C-contiguous ``[bootstraps, n]`` tile of
+    ``arange(n)`` in row order with the same bounded-interval
+    Fisher–Yates as ``shuffle``, so row *i* is the position permutation
+    the *i*-th shuffle applies. Row *i* of the buffer after *i* shuffles
+    is that permutation composed onto the rows before it, which prefix
+    doubling computes in ``ceil(log2(bootstraps))`` flat gathers; the
+    CUSUM spreads of all permutations are then one vectorized batch.
+    This test dominates ``localize`` (it runs per candidate split per
+    metric), so its cost must not scale with Python calls per bootstrap.
     """
     if spread == 0.0:
         return 0.0
-    work = values.copy()
-    permutations = np.empty((bootstraps, len(values)))
-    for i in range(bootstraps):
-        rng.shuffle(work)
-        permutations[i] = work
+    n = len(values)
+    # C order matters: permuted() walks rows in memory order, and the
+    # flat gathers below read the rows through reshape(-1) as a view.
+    order = np.tile(np.arange(n), (bootstraps, 1))
+    rng.permuted(order, axis=1, out=order)
+    flat = order.reshape(-1)
+    row_starts = np.arange(0, bootstraps * n, n)[:, None]
+    shift = 1
+    while shift < bootstraps:
+        order[shift:] = flat[order[shift:] + row_starts[: bootstraps - shift]]
+        shift *= 2
+    permutations = values[order]
     deviations = permutations - permutations.mean(axis=1, keepdims=True)
     tracks = np.cumsum(deviations, axis=1)
     spreads = tracks.max(axis=1) - tracks.min(axis=1)
@@ -111,10 +124,10 @@ def detect_change_points(
         index = lo + peak
         if index - lo < min_segment or hi - index < min_segment:
             return
-        before = values[lo:index]
-        after = values[index:hi]
-        magnitude = float(abs(after.mean() - before.mean()))
-        direction = 1 if after.mean() >= before.mean() else -1
+        before = values[lo:index].mean()
+        after = values[index:hi].mean()
+        magnitude = float(abs(after - before))
+        direction = 1 if after >= before else -1
         found.append(
             ChangePoint(
                 time=series.start + index,

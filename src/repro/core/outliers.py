@@ -44,8 +44,8 @@ def outlier_change_points(
     """
     if not points:
         return []
-    reference = np.asarray(
-        list(reference_magnitudes) + [p.magnitude for p in points], dtype=float
+    reference = np.concatenate(
+        [np.asarray(reference_magnitudes, dtype=float), [p.magnitude for p in points]]
     )
     mean = float(reference.mean())
     std = float(reference.std())

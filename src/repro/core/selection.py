@@ -476,14 +476,18 @@ def select_abnormal_changes(
 
     abnormal: List[AbnormalChange] = []
     with span.child(STAGE_ROLLBACK) as rollback_span:
-        for point, burst_threshold in zip(outliers, burst_thresholds):
-            history_reference = 0.0
-            if history_errors is not None:
-                history_reference = history_error_reference(
-                    history_errors,
-                    point.direction,
-                    config.history_error_percentile,
+        # The routine error level depends only on the direction, so each
+        # direction's percentile over the whole error history is taken once.
+        history_references = {}
+        if history_errors is not None:
+            history_references = {
+                direction: history_error_reference(
+                    history_errors, direction, config.history_error_percentile
                 )
+                for direction in {point.direction for point in outliers}
+            }
+        for point, burst_threshold in zip(outliers, burst_thresholds):
+            history_reference = history_references.get(point.direction, 0.0)
             actual = actual_prediction_error(
                 errors, raw, point.time, direction=point.direction
             )

@@ -33,15 +33,13 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     if window <= 1 or len(values) <= 2:
         return values.copy()
     half = max(1, window // 2)
-    out = np.empty_like(values)
     n = len(values)
     # Prefix sums make each shrunken-window mean O(1).
     csum = np.concatenate([[0.0], np.cumsum(values)])
-    for i in range(n):
-        radius = min(half, i, n - 1 - i)
-        lo, hi = i - radius, i + radius + 1
-        out[i] = (csum[hi] - csum[lo]) / (hi - lo)
-    return out
+    i = np.arange(n)
+    radius = np.minimum(np.minimum(i, n - 1 - i), half)
+    lo, hi = i - radius, i + radius + 1
+    return (csum[hi] - csum[lo]) / (hi - lo)
 
 
 def smooth_series(series: TimeSeries, window: int) -> TimeSeries:
