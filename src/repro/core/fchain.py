@@ -79,6 +79,14 @@ _Key = Tuple[ComponentId, Metric]
 #: Entries kept per slave-side window cache (LRU eviction).
 _CACHE_LIMIT = 512
 
+#: Fewest owed ticks a group of series syncs as one block along the time
+#: axis. Below it the per-tick series axis is cheaper, because a block
+#: pays a fixed kernel cost plus a ring view and a stream append per
+#: series: a one-tick block costs 3.0x a per-tick sync at 600 series and
+#: 2.8x at 12. From 8 ticks the block wins on both sides (0.94x at 600
+#: series, 0.57x at 12; 0.26x for 12 series owing 20 ticks).
+_BLOCK_MIN_TICKS = 8
+
 #: Initial capacity of a prediction-error stream buffer.
 _MIN_BUFFER_CAPACITY = 256
 
@@ -277,12 +285,14 @@ class FChainSlave:
         fast on long histories.
 
         Which way the bank is advanced follows from how far behind the
-        series are. Series that share a cursor, still retain every slot
-        they owe and are fewer ticks behind than there are series in
-        the group — a warm slave one tick (or a diagnosis' few ticks)
-        behind a live store — advance together, tick by tick, along the
-        series axis. Everything else replays series by series along the
-        time axis (:meth:`_sync_series`). Both leave the same state.
+        series are. Series that share a cursor and still retain every
+        slot they owe advance as a group: a group owing at least
+        :data:`_BLOCK_MIN_TICKS` ticks gathers its block once and
+        advances it along the time axis for all its rows together; a
+        group owing fewer — a warm slave one tick (or a diagnosis' few
+        ticks) behind a live store — advances tick by tick along the
+        series axis. Everything else replays series by series
+        (:meth:`_sync_series`). All three leave the same state.
         """
         self.bind_store(store)
         needed = min(upto, store.end) - store.start
@@ -302,26 +312,47 @@ class FChainSlave:
         if not alone.any():
             return
         if index.mirrored:
-            # Candidates for the series axis owe whole ticks (their ring
-            # holds slot ``needed - 1``) of which none was evicted yet.
+            # Groups owe whole ticks (their ring holds slot
+            # ``needed - 1``) of which none was evicted yet.
             together = (
                 alone
                 & (heads >= needed)
                 & (heads - index.capacities() <= cursors)
             )
+            alone &= ~together
             pending = np.flatnonzero(together)
             while len(pending):
                 cursor = int(cursors[pending[0]])
                 same = cursors[pending] == cursor
                 group, pending = pending[same], pending[~same]
-                if needed - cursor < len(group):
-                    self._advance_together(index, group, cursor, needed)
-                    alone[group] = False
+                if needed - cursor >= _BLOCK_MIN_TICKS:
+                    self._advance_block(index, group, cursor, needed)
+                else:
+                    self._advance_ticks(index, group, cursor, needed)
         for position in np.flatnonzero(alone):
             component, metric = index.keys[position]
             self._sync_series(store, component, metric, needed)
 
-    def _advance_together(
+    def _advance_block(
+        self,
+        index: SeriesIndex,
+        positions: np.ndarray,
+        cursor: int,
+        needed: int,
+    ) -> None:
+        """Advance the series at ``positions`` of the index from slot
+        ``cursor`` to ``needed`` in one block along the time axis."""
+        rings = index.rings
+        block = np.array(
+            [rings[p].view(cursor, needed) for p in positions.tolist()]
+        )
+        rows = self._index_rows[positions]
+        errors = self._bank.advance_block(rows, block)
+        extend = self._streams.extend
+        for row, row_errors in zip(rows.tolist(), errors):
+            extend(row, row_errors)
+
+    def _advance_ticks(
         self,
         index: SeriesIndex,
         positions: np.ndarray,

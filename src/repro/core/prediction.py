@@ -14,22 +14,29 @@ large prediction errors.
 Model state lives in a :class:`ModelBank`: one structure-of-arrays whose
 leading axis is the series (*row*). A slave owns one bank for all its
 series; a standalone :class:`MarkovPredictor` is a one-row handle onto a
-bank of its own. There is one copy of every model and three ways to
+bank of its own. There is one copy of every model and four ways to
 advance it, all kept **bit-identical**:
 
 * :meth:`ModelBank.step` — one sample of one row (the scalar reference,
   public as :meth:`MarkovPredictor.step` / :meth:`MarkovPredictor.update`);
-* :meth:`ModelBank.update_many` — a chunk of consecutive samples of one
-  row, vectorized along the *time* axis. Bin assignment is vectorized on
-  the frozen grid, transition counts are accumulated with ``np.add.at``
-  on the lagged bin pairs, and the predictions are reconstructed from
-  per-row running aggregates whose ``np.cumsum`` accumulation performs
-  exactly the same sequence of float additions as the scalar path
-  (property-tested by ``tests/properties/test_update_many_properties.py``);
+* :meth:`ModelBank.advance_block` — a block of consecutive samples for
+  each of many rows, vectorized along the *time* axis: bin assignment
+  runs on every row's frozen grid at once, the transitions are grouped
+  by (row, source bin) with one stable sort, and the predictions are
+  reconstructed from the running aggregates by one ``np.cumsum`` over a
+  padded grid with a row per group, which performs exactly the same
+  sequence of float additions as the scalar path; transition counts
+  land with one flat ``np.add.at``;
+* :meth:`ModelBank.update_many` — a chunk of one row: the same kernel
+  with one row, called once per decay epoch, after the warmup and the
+  chain seed are peeled off (property-tested by
+  ``tests/properties/test_update_many_properties.py``);
 * :meth:`ModelBank.advance_tick` — one sample for each of many rows,
   vectorized along the *series* axis: every row performs the scalar
-  rule's own float operations, just side by side (property-tested by
-  ``tests/properties/test_model_bank_properties.py``).
+  rule's own float operations, just side by side.
+
+Any mix of the last three is property-tested against ``step`` by
+``tests/properties/test_model_bank_properties.py``.
 
 The time-axis exactness hinges on two facts: sequential aggregate updates
 are a left fold, which is precisely what ``np.cumsum`` computes; and
@@ -57,6 +64,14 @@ from repro.common.timeseries import TimeSeries
 #: values only modestly outside the grid, and ``int(inf)`` raises —
 #: such spans are treated like the zero-span degenerate grid instead.
 _MIN_SPAN = float(np.finfo(float).tiny)
+
+#: Most transitions one :meth:`ModelBank._count_epoch` call groups at
+#: once. Its padded grid has a row per (series, source bin) and a column
+#: per transition of the widest group, so this caps the grid at
+#: ``bins`` times this many cells (5 MB at 40 bins) however far behind a
+#: large slave is; one row's decay epoch (``halflife`` = 2000) and a
+#: fleet tenant's deferred block (12 series x 85 ticks) stay in one call.
+_EPOCH_TRANSITIONS = 1 << 14
 
 #: ``previous_bin`` of a row whose transition chain is severed (before
 #: the first post-warmup sample, and after every gap).
@@ -185,17 +200,20 @@ class ModelBank:
 
     def bins_of(self, row: int, values: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`bin_of` over a chunk (identical clamping)."""
-        lo = float(self.lo[row])
-        span = float(self.span[row])
-        if span < _MIN_SPAN:
-            return np.where(values <= lo, 0, self.bins - 1)
-        with np.errstate(over="ignore", invalid="ignore"):
+        return self._bins(self.lo[row], self.span[row], values)
+
+    def _bins(self, lo, span, values: np.ndarray) -> np.ndarray:
+        """:meth:`bin_of` of every value, with ``lo`` and ``span``
+        broadcast against ``values`` (one row's grid, or one per row of
+        a block)."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             raw = (values - lo) / span * self.bins
-        bad = ~np.isfinite(raw)
-        if bad.any():
-            # Same edge-bin rule as the scalar overflow path.
+        # A degenerate grid or an overflowed divide takes the edge bin
+        # the sign points at, as in the scalar rule.
+        edge = ~np.isfinite(raw) | (span < _MIN_SPAN)
+        if edge.any():
             raw = np.where(
-                bad, np.where(values <= lo, 0.0, float(self.bins - 1)), raw
+                edge, np.where(values <= lo, 0.0, float(self.bins - 1)), raw
             )
         # Clipping the float before truncation matches the scalar
         # ``min(bins - 1, max(0, int(raw)))`` for every finite value:
@@ -358,7 +376,7 @@ class ModelBank:
         return errors
 
     # ------------------------------------------------------------------
-    # The time axis (many samples, one row)
+    # The time axis (many samples, one row or a block of rows)
     # ------------------------------------------------------------------
     def update_many(self, row: int, values) -> np.ndarray:
         """Feed a chunk of consecutive samples to one row; signed errors.
@@ -412,6 +430,7 @@ class ModelBank:
         preds = np.empty(len(targets))
         total = len(targets)
         halflife = self.halflife
+        rows = np.array([row])
         position = 0
         while position < total:
             # Increments until (and including) the next halving point —
@@ -419,12 +438,9 @@ class ModelBank:
             # reconstructed from epoch-start aggregates plus cumsums.
             updates = int(self.updates[row])
             end = min(total, position + halflife - updates % halflife)
-            self._batch_epoch(
-                row,
-                sources[position:end],
-                targets[position:end],
-                preds[position:end],
-            )
+            preds[position:end] = self._count_epoch(
+                rows, sources[None, position:end], targets[None, position:end]
+            )[0]
             updates += end - position
             self.updates[row] = updates
             if updates % halflife == 0:
@@ -466,71 +482,140 @@ class ModelBank:
             self.previous_bin[row] = _NO_BIN
         return errors
 
-    def _batch_epoch(
-        self,
-        row: int,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        """Process one decay-free run of one row's transitions.
+    def advance_block(self, rows: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """Feed ``block[i]`` to row ``rows[i]``; return the signed errors.
 
-        Writes the per-step predictions (made *before* each step's own
-        transition lands, as the scalar path does) into ``out`` and
-        advances counts and aggregates. All accumulation is sequential
-        (``np.cumsum`` seeded with the running aggregate), so the floats
-        match a per-sample feed exactly.
+        Bit-identical to ``update_many_gapped(rows[i], block[i])`` for
+        every ``i``. Rows that have a chain state, are warm, hold no gap
+        in the block and reach their next halving no earlier than the
+        block's last sample — a warm slave some ticks behind a live
+        store — advance together in a fixed number of numpy calls; every
+        other row takes :meth:`update_many_gapped` itself.
+
+        Args:
+            rows: Distinct row indices.
+            block: ``[len(rows), ticks]`` consecutive samples per row;
+                non-finite marks a gap.
         """
-        centers = self.centers[row]
-        row_dots = self.row_dots[row]
-        row_sums = self.row_sums[row]
-        cadd = centers[targets]
-        k = len(sources)
-        order = np.argsort(sources, kind="stable")
-        sorted_sources = sources[order]
-        group_bounds = (
-            np.flatnonzero(sorted_sources[1:] != sorted_sources[:-1]) + 1
+        block = np.asarray(block, dtype=float)
+        ticks = block.shape[1]
+        errors = np.full(block.shape, np.nan)
+        if ticks == 0:
+            return errors
+        previous = self.previous_bin[rows]
+        updates = self.updates[rows]
+        together = (
+            self.ready[rows]
+            & (previous >= 0)
+            & (updates % self.halflife + ticks <= self.halflife)
+            & np.isfinite(block).all(axis=1)
         )
-        starts = np.concatenate(([0], group_bounds))
-        ends = np.concatenate((group_bounds, [k]))
-        row_dot = np.empty(k)
-        row_sum = np.empty(k)
-        seq = np.empty(k + 1)
-        for g0, g1 in zip(starts, ends):
-            source = int(sorted_sources[g0])
-            idx = order[g0:g1]
-            width = g1 - g0
-            seq[0] = row_dots[source]
-            seq[1 : width + 1] = cadd[idx]
-            dots = np.cumsum(seq[: width + 1])
-            row_dot[idx] = dots[:-1]
-            row_dots[source] = dots[-1]
-            seq[0] = row_sums[source]
-            seq[1 : width + 1] = 1.0
-            sums = np.cumsum(seq[: width + 1])
-            row_sum[idx] = sums[:-1]
-            row_sums[source] = sums[-1]
-        visited = row_sum > 0
-        np.divide(row_dot, row_sum, out=out, where=visited)
+        for i in np.flatnonzero(~together):
+            errors[i] = self.update_many_gapped(int(rows[i]), block[i])
+        keep = np.flatnonzero(together)
+        if len(keep) == 0:
+            return errors
+        rows, values = rows[keep], block[keep]
+        lo, span = self.lo[rows, None], self.span[rows, None]
+        targets = self._bins(lo, span, values)
+        sources = np.empty_like(targets)
+        sources[:, 0] = previous[keep]
+        sources[:, 1:] = targets[:, :-1]
+        errors[keep] = values - self._count_epoch(rows, sources, targets)
+        updates = updates[keep] + ticks
+        self.updates[rows] = updates
+        due = updates % self.halflife == 0
+        if due.any():
+            self._halve(rows[due])
+        self.previous_bin[rows] = targets[:, -1]
+        return errors
+
+    def _count_epoch(
+        self, rows: np.ndarray, sources: np.ndarray, targets: np.ndarray
+    ) -> np.ndarray:
+        """Count a decay-free run of transitions for each of ``rows``.
+
+        ``sources[i, j] -> targets[i, j]`` is row ``rows[i]``'s ``j``-th
+        transition. Returns the predictions (made *before* each
+        transition lands, as the scalar path does) and advances counts
+        and aggregates; ``updates``, halving and the chain state are the
+        caller's. Long blocks are counted in slices of at most
+        :data:`_EPOCH_TRANSITIONS` transitions, which bounds the padded
+        grids below.
+        """
+        width = sources.shape[1]
+        per_call = max(1, _EPOCH_TRANSITIONS // len(rows))
+        if width > per_call:
+            return np.concatenate(
+                [
+                    self._count_epoch(
+                        rows,
+                        sources[:, lo : lo + per_call],
+                        targets[:, lo : lo + per_call],
+                    )
+                    for lo in range(0, width, per_call)
+                ],
+                axis=1,
+            )
+        bins = self.bins
+        total = sources.size
+        cadd = np.take_along_axis(self.centers[rows], targets, axis=1)
+        # Group the transitions by (row, source bin). The sort is stable,
+        # so each group keeps time order; every group becomes one row of
+        # a zero-padded grid whose column 0 is the running aggregate, and
+        # a cumsum along it is the scalar path's sequence of additions.
+        # The padding only trails a group and is never read.
+        cells = (rows[:, None] * bins + sources).ravel()
+        order = np.argsort(cells, kind="stable")
+        sorted_cells = cells[order]
+        first = np.empty(total, dtype=bool)
+        first[0] = True
+        np.not_equal(sorted_cells[1:], sorted_cells[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        group = np.cumsum(first) - 1
+        column = np.arange(1, total + 1) - starts[group]
+        widths = np.append(starts[1:], total) - starts
+        keys = sorted_cells[starts]
+        groups = np.arange(len(starts))
+        grid = np.zeros((len(starts), int(widths.max()) + 1))
+        before = np.empty((2, total))
+        for name, increments, into in (
+            ("row_dots", cadd.ravel()[order], before[0]),
+            ("row_sums", 1.0, before[1]),
+        ):
+            aggregate = getattr(self, name).reshape(-1)
+            grid[:, 0] = aggregate[keys]
+            grid[group, column] = increments
+            running = np.cumsum(grid, axis=1)
+            aggregate[keys] = running[groups, widths]
+            into[order] = running[group, column - 1]
+        dots, sums = before
+        preds = np.empty(total)
+        visited = sums > 0
+        np.divide(dots, sums, out=preds, where=visited)
         # The marginal aggregates advance on every transition; computing
         # them as seeded cumsums keeps the float sequence identical to
         # the scalar path even when no prediction needs the fallback.
-        seq[0] = self.marginal_dot[row]
-        seq[1:] = cadd
-        marginal_dots = np.cumsum(seq)
-        seq[0] = self.marginal_total[row]
-        seq[1:] = 1.0
-        marginal_totals = np.cumsum(seq)
+        seq = np.empty((len(rows), width + 1))
+        seq[:, 0] = self.marginal_dot[rows]
+        seq[:, 1:] = cadd
+        marginal_dots = np.cumsum(seq, axis=1)
+        seq[:, 0] = self.marginal_total[rows]
+        seq[:, 1:] = 1.0
+        marginal_totals = np.cumsum(seq, axis=1)
         if not visited.all():
             fallback = np.flatnonzero(~visited)
-            mdot = marginal_dots[fallback]
-            mtot = marginal_totals[fallback]
-            marginal = centers[sources[fallback]].astype(float, copy=True)
+            at, when = np.divmod(fallback, width)
+            mdot = marginal_dots[at, when]
+            mtot = marginal_totals[at, when]
+            marginal = self.centers[rows[at], sources[at, when]]
             np.divide(mdot, mtot, out=marginal, where=mtot > 0)
-            out[fallback] = marginal
-        self.marginal_dot[row] = marginal_dots[-1]
-        self.marginal_total[row] = marginal_totals[-1]
-        np.add.at(self.counts[row], (sources, targets), 1.0)
+            preds[fallback] = marginal
+        self.marginal_dot[rows] = marginal_dots[:, -1]
+        self.marginal_total[rows] = marginal_totals[:, -1]
+        # One flat scatter: indexing the 3-D array directly is far slower.
+        np.add.at(self.counts.reshape(-1), cells * bins + targets.ravel(), 1.0)
+        return preds.reshape(sources.shape)
 
 
 class MarkovPredictor:

@@ -18,9 +18,11 @@ auxiliary state (detector, dedup state, pending triggers, counters).
 :meth:`TenantRuntime.from_state` rebuilds a live runtime on the
 receiving shard — the store via
 :func:`~repro.monitoring.shared.materialize_store`, the warm Markov
-models by resyncing from the rebuilt store, which
-``MarkovPredictor.update_many`` chunk invariance makes bit-identical to
-the models that never moved.
+models by resyncing from the rebuilt store. The model bank is chunk
+invariant — any mix of its time and series axes, synced at any moments,
+leaves the same state — so the resynced models are bit-identical to
+the ones that never moved, also when the source tenant had deferred
+its last syncs under a queue backlog.
 """
 
 from __future__ import annotations
@@ -157,10 +159,14 @@ class TenantRuntime:
     def topology(self) -> Optional[OnlineTopology]:
         return self.core.topology
 
-    def process(self, batch: TickBatch) -> List[Trigger]:
+    def process(
+        self, batch: TickBatch, *, queued: bool = False
+    ) -> List[Trigger]:
         """One tick of the core; returns the ready triggers — the
-        caller owns queueing them (with its own budget and fairness)."""
-        return self.core.process(batch)
+        caller owns queueing them (with its own budget and fairness).
+        ``queued`` lets the core defer its warm sync (see
+        :meth:`~repro.service.tick.TickCore.process`)."""
+        return self.core.process(batch, queued=queued)
 
     def diagnose(self, trigger: Trigger) -> Incident:
         """Run one localization; raises on engine failure."""
@@ -223,9 +229,10 @@ class TenantRuntime:
             # on the target shard would widen every scoped diagnosis
             # until the graph re-converged.
             runtime.fchain.master.topology = snapshot.topology
-        # Warm the models from the rebuilt store: update_many chunk
+        # Warm the models from the rebuilt store: the bank's chunk
         # invariance makes this bit-identical to models that streamed
-        # the same history tick by tick and never moved.
+        # the same history tick by tick, or block by block, and never
+        # moved.
         core.warm_sync()
         return runtime
 

@@ -9,8 +9,10 @@ forked worker process (multiprocessing.Queue) — the supervisor picks.
 **Isolation model.** Ingest and diagnosis never share a thread. The
 serve loop only ever does per-tick work (tolerant ingest, warm sync, SLO
 eval — microseconds per tenant); every ready trigger is handed to a
-dedicated dispatch thread. Two mechanisms keep one tenant's diagnosis
-storm from starving its neighbours:
+dedicated dispatch thread. While more commands are queued behind an
+ingest, the tenant defers its warm sync until its models owe a block
+(see :meth:`~repro.service.tick.TickCore.process`). Two mechanisms keep
+one tenant's diagnosis storm from starving its neighbours:
 
 * **bounded per-tenant budget** — each tenant may have at most
   ``tenant_budget`` triggers waiting; excess triggers are shed with a
@@ -74,7 +76,9 @@ class ShardWorker:
             command = commands.get()
             kind = command[0]
             if kind == "ingest":
-                self._handle_ingest(command[1], command[2])
+                self._handle_ingest(
+                    command[1], command[2], queued=_backlogged(commands)
+                )
             elif kind == "add":
                 self._handle_add(command[1])
             elif kind == "remove":
@@ -91,7 +95,9 @@ class ShardWorker:
                     ("error", self.shard, None, f"unknown command {kind!r}")
                 )
 
-    def _handle_ingest(self, tenant: str, batch) -> None:
+    def _handle_ingest(
+        self, tenant: str, batch, *, queued: bool = False
+    ) -> None:
         runtime = self.runtimes.get(tenant)
         if runtime is None:
             # Routed here after an export or before an add — the
@@ -99,7 +105,7 @@ class ShardWorker:
             self.ingest_ignored += 1
             return
         try:
-            ready = runtime.process(batch)
+            ready = runtime.process(batch, queued=queued)
         except Exception as error:  # keep the shard alive
             self.events.put(("error", self.shard, tenant, repr(error)))
             return
@@ -252,6 +258,14 @@ class ShardWorker:
             "ingest_ignored": self.ingest_ignored,
             "tenants": tenants,
         }
+
+
+def _backlogged(commands) -> bool:
+    """Whether more commands are already waiting on the shard's queue."""
+    try:
+        return commands.qsize() > 0
+    except NotImplementedError:  # multiprocessing queues on macOS
+        return False
 
 
 def shard_worker_main(

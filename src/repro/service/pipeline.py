@@ -183,9 +183,12 @@ class OnlinePipeline:
         the sinks, the worker is joined and the sinks are closed.
         """
         processed = 0
+        backlog = getattr(self.feed, "qsize", None)
         try:
             for batch in self.feed:
-                self.process(batch)
+                self.process(
+                    batch, queued=backlog is not None and backlog() > 0
+                )
                 processed += 1
                 if max_ticks is not None and processed >= max_ticks:
                     break
@@ -193,13 +196,17 @@ class OnlinePipeline:
             self.close()
         return list(self.incidents)
 
-    def process(self, batch: TickBatch) -> None:
-        """Feed one tick's batch through the core, dispatch what is ready."""
+    def process(self, batch: TickBatch, *, queued: bool = False) -> None:
+        """Feed one tick's batch through the core, dispatch what is ready.
+
+        ``queued``: the caller already holds its next batch, so the warm
+        sync may be deferred (see :meth:`TickCore.process`).
+        """
         if self._closed:
             raise ReproError("the pipeline is closed")
         tracer = self.tracer
         with tracer.span(STAGE_SERVICE_TICK, tick=int(batch.time)) as tick_span:
-            for trigger in self.core.process(batch, tick_span):
+            for trigger in self.core.process(batch, tick_span, queued=queued):
                 self._dispatch(trigger, tick_span)
         if tracer.enabled:
             tracer.observe(tick_span)

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.common.errors import ConfigurationError, ReproError
+from repro.common.types import Metric, MetricSample
 from repro.fleet import (
     FleetConfig,
     FleetSupervisor,
@@ -23,6 +24,7 @@ from repro.monitoring.slo import LatencySLO
 from repro.obs.registry import MetricsRegistry
 from repro.service.sources import TickBatch
 from repro.service.tick import Trigger
+from tests.service.test_tick import count_syncs
 
 
 def _manifest(count=6, shards=2, fault_tenant=None, **overrides):
@@ -261,3 +263,54 @@ class TestShardWorkerFairness:
         # One trigger per visit: a's backlog cannot monopolize the
         # dispatcher while b and c wait.
         assert order == ["a", "b", "c", "a", "a"]
+
+
+class _Commands:
+    """A command queue whose ``qsize`` reports the commands left, or
+    raises like a multiprocessing queue on macOS."""
+
+    def __init__(self, commands, *, sized=True):
+        self.commands = list(commands)
+        self.sized = sized
+
+    def get(self):
+        return self.commands.pop(0)
+
+    def qsize(self):
+        if not self.sized:
+            raise NotImplementedError
+        return len(self.commands)
+
+
+class TestShardWarmSyncDeferral:
+    TICKS = 30
+
+    def _synced(self, *, sized):
+        worker = ShardWorker(0, _Events())
+        worker._handle_add(
+            TenantSpec(tenant="t", detector=LatencySLO(0.1, sustain=3))
+        )
+        synced = count_syncs(worker.runtimes["t"].core)
+        batches = [
+            TickBatch(
+                time=t,
+                samples=[
+                    MetricSample(f"c{i}", Metric.CPU_USAGE, t, 1.0 + i)
+                    for i in range(12)
+                ],
+                performance=0.01,
+            )
+            for t in range(self.TICKS)
+        ]
+        commands = [("ingest", "t", batch) for batch in batches]
+        worker.serve(_Commands(commands + [("drain",)], sized=sized))
+        return synced
+
+    def test_a_backlogged_shard_defers(self):
+        # 30 ticks of 12 samples owe far less than a block, and every
+        # ingest had another command queued behind it.
+        assert self._synced(sized=True) == []
+
+    def test_a_queue_without_qsize_syncs_every_tick(self):
+        synced = self._synced(sized=False)
+        assert synced == list(range(1, self.TICKS + 1))

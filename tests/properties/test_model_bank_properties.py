@@ -1,11 +1,13 @@
 """Property-based proof that the model bank is the scalar rule, side by side.
 
 A slave keeps every series' Markov model in one
-:class:`~repro.core.prediction.ModelBank` and advances it three ways:
+:class:`~repro.core.prediction.ModelBank` and advances it four ways:
 one sample for many rows (``advance_tick``, the warm service loop), a
-few such ticks in a row (the catch-up after a diagnosis), and a chunk of
-samples for one row (``update_many_gapped``, history replay). Whatever
-mix of the three a run happens to use, every row must end up *bit for
+few such ticks in a row (the catch-up after a diagnosis), a chunk of
+samples for one row (``update_many_gapped``, history replay), and a
+block of ticks for many rows at once (``advance_block``, a deferred
+sync). Whatever mix of the four a run happens to use, every row must
+end up *bit for
 bit* where a lone :class:`~repro.core.prediction.MarkovPredictor` fed
 the same samples through ``step`` ends up — error stream and every
 array of model state, compared with no tolerance.
@@ -61,7 +63,7 @@ bank_params = st.fixed_dictionaries(
 
 #: One step of a run: ``(kind, a, b)`` — see ``_run_schedule``.
 operations = st.lists(
-    st.tuples(st.integers(0, 2), st.integers(0, 255), st.integers(0, 255)),
+    st.tuples(st.integers(0, 3), st.integers(0, 255), st.integers(0, 255)),
     min_size=1,
     max_size=40,
 )
@@ -78,7 +80,11 @@ def _run_schedule(bank, data, schedule, late_after):
     * kind 1 — a catch-up of ``b % 6 + 2`` ticks for the rows picked by
       bit mask ``a`` (all of them when the mask picks none);
     * kind 2 — a chunk of ``b % 60 + 1`` samples for one row along the
-      time axis.
+      time axis;
+    * kind 3 — a block of up to ``b % 60 + 1`` ticks (as many as every
+      picked row has left) for the rows picked by bit mask ``a`` (all
+      of them when the mask picks none), each from its own cursor, in
+      one ``advance_block`` call.
     """
     series, ticks = data.shape
     cursors = np.zeros(series, dtype=int)
@@ -109,12 +115,21 @@ def _run_schedule(bank, data, schedule, late_after):
             picked = live[(a >> live) & 1 == 1]
             for _ in range(b % 6 + 2):
                 tick(picked if len(picked) else live)
-        else:
+        elif kind == 2:
             row = int(live[a % len(live)])
             lo = cursors[row]
             hi = min(ticks, lo + b % 60 + 1)
             errors[row, lo:hi] = bank.update_many_gapped(row, data[row, lo:hi])
             cursors[row] = hi
+        else:
+            picked = live[(a >> live) & 1 == 1]
+            rows = picked if len(picked) else live
+            width = min(b % 60 + 1, int((ticks - cursors[rows]).min()))
+            at = cursors[rows][:, None] + np.arange(width)
+            errors[rows[:, None], at] = bank.advance_block(
+                rows, data[rows[:, None], at]
+            )
+            cursors[rows] += width
     return errors
 
 

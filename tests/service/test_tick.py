@@ -9,17 +9,19 @@ no queue, no worker thread, no shard. What the drivers add on top
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.common.types import Metric, MetricSample
 from repro.core.config import FChainConfig
-from repro.core.fchain import FChain
+from repro.core.fchain import FChain, FChainSlave
+from repro.eval.bench import synthetic_store
 from repro.monitoring.quality import DataQualityPolicy
 from repro.monitoring.slo import LatencySLO
 from repro.monitoring.store import MetricStore
 from repro.obs.registry import MetricsRegistry
-from repro.service import OnlinePipeline, TickBatch
-from repro.service.tick import TickCore, Trigger
+from repro.service import OnlinePipeline, StoreReplayFeed, TickBatch
+from repro.service.tick import DEFER_SAMPLES, TickCore, Trigger
 
 #: Small grace so triggers are released after two more ticks.
 GRACE = 2
@@ -46,14 +48,14 @@ class RecordingTopology:
         self.calls.append(("comovement", t, dict(signals)))
 
 
-def make_core(*, topology=None, origin=None, **settings):
+def make_core(*, topology=None, origin=None, policy=None, **settings):
     settings = {"analysis_grace": GRACE, "service_cooldown": 5, **settings}
     fchain = FChain(FChainConfig(**settings), topology=topology)
     fchain.localize = lambda store, violation_time=None, origin=None: (
         FakeDiagnosis()
     )
     return TickCore(
-        MetricStore(policy=DataQualityPolicy()),
+        MetricStore(policy=policy or DataQualityPolicy()),
         fchain,
         LatencySLO(0.1, sustain=1),
         origin=origin,
@@ -147,6 +149,164 @@ class TestWarmSync:
         )
         assert core.warm_sync_skipped == 1
         assert slave.model_for("c", CPU) is not None
+
+
+def count_syncs(core):
+    """Wrap the core's slave sync; returns the list of synced horizons."""
+    slave = core.fchain.master.slave
+    synced = []
+    original = slave.sync_with_store
+
+    def counting(store, upto):
+        synced.append(upto)
+        original(store, upto)
+
+    slave.sync_with_store = counting
+    return synced
+
+
+def tick_of(t, series=12, value=None):
+    """One tick carrying a sample for each of ``series`` series."""
+    return TickBatch(
+        time=t,
+        samples=[
+            MetricSample(f"c{i}", CPU, t, i + t % 7 if value is None else value)
+            for i in range(series)
+        ],
+    )
+
+
+def slave_state(slave):
+    """Every bank array, warmup list, row and error stream of a slave."""
+    bank = slave._bank
+    state = {name: getattr(bank, name)[: bank.size] for name in bank.ARRAYS}
+    state["warmup_values"] = bank.warmup_values
+    state["rows"] = slave._rows
+    state["streams"] = {key: slave.errors_for(*key) for key in slave._rows}
+    return state
+
+
+class TestDeferredSync:
+    def test_queued_ticks_sync_once_a_block_is_owed(self):
+        core = make_core()
+        synced = count_syncs(core)
+        per_block = -(-DEFER_SAMPLES // 12)  # ticks until 1024 owed
+        for t in range(per_block - 1):
+            core.process(tick_of(t), queued=True)
+        assert synced == []
+        assert core.owed == 12 * (per_block - 1) < DEFER_SAMPLES
+        core.process(tick_of(per_block - 1), queued=True)
+        assert synced == [per_block]
+        assert core.owed == 0
+        assert len(core.fchain.master.slave.errors_for("c0", CPU)) == per_block
+
+    def test_an_unqueued_tick_syncs_whatever_is_owed(self):
+        core = make_core()
+        synced = count_syncs(core)
+        for t in range(5):
+            core.process(tick_of(t), queued=True)
+        core.process(tick_of(5))
+        assert synced == [6]
+        assert core.owed == 0
+
+    def test_pipeline_run_defers_while_its_feed_has_a_backlog(self):
+        class BackloggedFeed:
+            def __init__(self, batches):
+                self.batches = list(batches)
+
+            def qsize(self):
+                return len(self.batches)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                if not self.batches:
+                    raise StopIteration
+                return self.batches.pop(0)
+
+        pipeline = OnlinePipeline(
+            BackloggedFeed(tick_of(t) for t in range(30)),
+            LatencySLO(0.1, sustain=1),
+        )
+        synced = count_syncs(pipeline.core)
+        pipeline.run()
+        # Only the last tick found nothing queued behind it.
+        assert synced == [30]
+
+    @pytest.mark.parametrize(
+        "queued", [lambda t: True, lambda t: t % 20 != 0],
+        ids=["all-queued", "every-20th-unqueued"],
+    )
+    def test_deferral_leaves_incidents_and_models_bit_identical(self, queued):
+        store = synthetic_store(
+            samples=2_100, components=4, metrics=3, seed=5, fault_lead=40
+        )
+        onset = store.end - 40 + 5
+        violating = set(range(800, 806)) | set(range(1500, 1506))
+        violating |= set(range(onset, store.end))
+        performance = {
+            t: 0.5 if t in violating else 0.01
+            for t in range(store.start, store.end)
+        }
+
+        def run(deferred):
+            core = TickCore(
+                MetricStore(policy=DataQualityPolicy()),
+                FChain(FChainConfig(), seed=3),
+                LatencySLO(0.1, sustain=5),
+            )
+            synced = count_syncs(core)
+            incidents = []
+            for batch in StoreReplayFeed(store, performance=performance):
+                t = int(batch.time)
+                ready = core.process(batch, queued=deferred and queued(t))
+                incidents += [core.diagnose(trigger) for trigger in ready]
+            incidents += map(core.diagnose, core.flush_pending())
+            core.warm_sync()
+            state = slave_state(core.fchain.master.slave)
+            return incidents, state, len(synced)
+
+        deferred, deferred_state, deferred_syncs = run(True)
+        every_tick, every_tick_state, syncs = run(False)
+        assert syncs == store.end + 1  # every tick, then the final sync
+        assert deferred_syncs < syncs / 10
+        assert len(every_tick) == len(deferred) == 3
+        assert "c0" in every_tick[-1].diagnosis.faulty
+        for left, right in zip(deferred, every_tick):
+            assert left.violation_tick == right.violation_tick
+            assert left.dispatched_tick == right.dispatched_tick
+            assert left.diagnosis.faulty == right.diagnosis.faulty
+            assert left.diagnosis.reports == right.diagnosis.reports
+            assert left.diagnosis.chain.links == right.diagnosis.chain.links
+        np.testing.assert_equal(deferred_state, every_tick_state)
+
+    def test_deferred_sync_learns_a_slot_repaired_before_it(self):
+        """The one way sync timing shows: a slot rewritten in place
+        after its tick but before the deferred sync is learned with its
+        repaired value, where a per-tick sync learned the original."""
+
+        def run(queued):
+            core = make_core(policy=DataQualityPolicy(on_duplicate="last"))
+            for t in range(80):
+                core.process(tick_of(t, series=1), queued=queued)
+                if t == 70:
+                    # A second delivery of tick 70 overwrites it in place.
+                    duplicate = tick_of(70, series=1, value=99.0)
+                    core.process(duplicate, queued=queued)
+            core.warm_sync()
+            assert core.store.revision == 1
+            return core
+
+        per_tick, deferred = run(False), run(True)
+        fresh = FChainSlave()
+        fresh.sync_with_store(deferred.store, deferred.store.end)
+        learned = deferred.fchain.master.slave.errors_for("c0", CPU)
+        np.testing.assert_array_equal(learned, fresh.errors_for("c0", CPU))
+        original = per_tick.fchain.master.slave.errors_for("c0", CPU)
+        assert len(original) == len(learned) == 80
+        assert not np.array_equal(original, learned, equal_nan=True)
+        np.testing.assert_array_equal(original[:70], learned[:70])
 
 
 class TestTopologyLearning:
