@@ -14,22 +14,16 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 
-def fill_gaps(
-    values: np.ndarray, *, max_gap: int, method: str = "interpolate"
-) -> Tuple[np.ndarray, int, int]:
-    """Fill NaN runs of length ``<= max_gap`` in a 1-D array.
+def fill_gaps(values: np.ndarray, *, max_gap: int) -> Tuple[np.ndarray, int, int]:
+    """Interpolate NaN runs of length ``<= max_gap`` in a 1-D array.
 
     Degraded telemetry leaves holes (missing samples, rejected NaN
     readings) as NaN entries; this bounded repair makes short holes
-    analysable without fabricating data across long outages.
-
-    * ``"forward"`` repeats the last observed value;
-    * ``"interpolate"`` draws the line between the observed neighbours.
-
-    Both are clamped by construction to the closed range of the observed
-    neighbours, so no filled value ever falls outside the observed
-    min/max of the series (property-tested). Leading runs (no previous
-    observation) fall back to the next observed value. Runs longer than
+    analysable without fabricating data across long outages. A run is
+    filled with the line between its observed neighbours, so no filled
+    value ever falls outside the observed min/max of the series
+    (property-tested). Leading runs (no previous observation) take the
+    next observed value, trailing runs the last one. Runs longer than
     ``max_gap``, and arrays with no finite sample at all, are left
     untouched.
 
@@ -38,13 +32,11 @@ def fill_gaps(
         nothing needs filling the input array itself is returned
         (no copy), with ``(values, 0, 0)``.
     """
-    if method not in ("none", "forward", "interpolate"):
-        raise ValueError(f"unknown fill method {method!r}")
     finite = np.isfinite(values)
     n_missing = int(len(values) - finite.sum())
     if n_missing == 0:
         return values, 0, 0
-    if method == "none" or not finite.any():
+    if not finite.any():
         return values, 0, n_missing
     out = values.copy()
     filled = 0
@@ -68,7 +60,7 @@ def fill_gaps(
             continue
         if prev is None:
             out[run] = nxt
-        elif nxt is None or method == "forward":
+        elif nxt is None:
             out[run] = prev
         else:
             out[run] = np.linspace(prev, nxt, len(run) + 2)[1:-1]
@@ -230,16 +222,14 @@ class TimeSeries:
         """Length of the longest NaN run (0 when fully observed)."""
         return max((length for _, length in self.gaps()), default=0)
 
-    def filled(
-        self, *, max_gap: int, method: str = "interpolate"
-    ) -> "TimeSeries":
+    def filled(self, *, max_gap: int) -> "TimeSeries":
         """Copy with NaN runs of length ``<= max_gap`` repaired.
 
         See :func:`fill_gaps` for the fill semantics; a series with no
         gaps is returned as-is (same backing array, zero copies), which
         keeps the clean-data path bit-identical.
         """
-        out, filled, _ = fill_gaps(self.values, max_gap=max_gap, method=method)
+        out, filled, _ = fill_gaps(self.values, max_gap=max_gap)
         if filled == 0 and out is self.values:
             return self
         return TimeSeries(out, start=self.start)

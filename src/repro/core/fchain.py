@@ -62,7 +62,7 @@ from repro.core.validation import (
     apply_validation,
     validate_pinpointing,
 )
-from repro.monitoring.quality import DEFAULT_POLICY, DataQualityReport
+from repro.monitoring.quality import DataQualityPolicy, DataQualityReport
 from repro.monitoring.store import MetricStore, SeriesIndex
 from repro.obs.trace import (
     STAGE_COMPONENT,
@@ -435,7 +435,6 @@ class FChainSlave:
         window_start = violation_time - config.look_back_window
         window_end = violation_time + config.analysis_grace + 1
         self.bind_store(store)
-        policy = getattr(store, "policy", None) or DEFAULT_POLICY
         revision = getattr(store, "revision", 0)
         tracer = self.tracer
         with tracer.span(STAGE_COMPONENT, component=component) as comp_span:
@@ -499,7 +498,7 @@ class FChainSlave:
                         windows.append((metric, full))
                         continue
                     analysis, n_filled, analyzable = self._degraded_series(
-                        full, finite, span_lo, expected, observed, policy
+                        full, finite, span_lo, expected, observed
                     )
                     filled_total += n_filled
                     missing_total += max(
@@ -551,7 +550,7 @@ class FChainSlave:
             else:
                 skip_reason = (
                     f"telemetry coverage below the "
-                    f"{policy.min_coverage:.0%} policy floor on all "
+                    f"{DataQualityPolicy.min_coverage:.0%} policy floor on all "
                     f"{metrics_total} metric(s)"
                 )
         return ComponentReport(
@@ -570,7 +569,6 @@ class FChainSlave:
         span_lo: int,
         expected: int,
         observed: int,
-        policy,
     ) -> Tuple[TimeSeries, int, bool]:
         """Repair, coverage-gate and clip a gap-afflicted series.
 
@@ -578,22 +576,22 @@ class FChainSlave:
         the bounded-fill repair of ``full``, clipped past any unfillable
         gap that lies before the look-back window (``span_lo``); it is
         only ``analyzable`` when the window's *observed* coverage meets
-        the policy floor and no unfillable gap remains inside the window
+        the coverage floor and no unfillable gap remains inside the window
         — a metric failing either test is inconclusive and must not vote,
         because selection on mostly-synthesized data risks a confident
         mis-ranking.
         """
         coverage = observed / expected if expected else 0.0
         repaired = full
-        if policy.fill != "none" and not finite.all():
-            repaired = full.filled(max_gap=policy.max_gap, method=policy.fill)
+        if not finite.all():
+            repaired = full.filled(max_gap=DataQualityPolicy.max_gap)
         n_filled = 0
         if repaired is not full:
             now_finite = np.isfinite(repaired.values)
             n_filled = int((now_finite & ~finite)[span_lo:].sum())
         else:
             now_finite = finite
-        if coverage < policy.min_coverage:
+        if coverage < DataQualityPolicy.min_coverage:
             return repaired, n_filled, False
         bad = np.flatnonzero(~now_finite)
         if len(bad) == 0:

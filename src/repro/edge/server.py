@@ -237,7 +237,6 @@ class EdgeServer:
         seed: object = 0,
         jobs: Optional[int] = None,
         slave_timeout: Optional[float] = None,
-        policy=None,
         sinks=(),
     ) -> None:
         """Single-tenant mode: pushes feed one online pipeline."""
@@ -254,7 +253,6 @@ class EdgeServer:
             seed=seed,
             jobs=jobs,
             slave_timeout=slave_timeout,
-            policy=policy,
             sinks=[IncidentStoreSink(self.store), *sinks],
             registry=self._registry,
         )

@@ -14,9 +14,8 @@ defect classes a production collector produces:
 
 Everything is driven by one :class:`numpy.random.Generator` seeded from
 ``ChaosSpec.seed`` and iterated in sorted series order, so a given
-``(store, spec, policy)`` triple always yields the same corrupted store
-— the chaos suite asserts determinism per seed on exactly this
-property.
+``(store, spec)`` pair always yields the same corrupted store — the
+chaos suite asserts determinism per seed on exactly this property.
 
 :class:`CorruptedFeed` applies the same defect processes to a *live*
 feed of the online service loop (:mod:`repro.service`), so degraded
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -67,11 +66,7 @@ class ChaosSpec:
     churn_max: int = 40
 
 
-def corrupt_store(
-    source: MetricStore,
-    spec: ChaosSpec,
-    policy: Optional[DataQualityPolicy] = None,
-) -> MetricStore:
+def corrupt_store(source: MetricStore, spec: ChaosSpec) -> MetricStore:
     """Replay a clean store through tolerant ingestion with faults injected.
 
     The first tick of every series is always delivered intact so the
@@ -84,16 +79,12 @@ def corrupt_store(
     Args:
         source: The clean recorded store to corrupt (read-only).
         spec: The corruption recipe.
-        policy: Data-quality policy of the corrupted store (defaults to
-            :data:`~repro.monitoring.quality.DEFAULT_POLICY` semantics
-            via ``DataQualityPolicy()``).
 
     Returns:
-        A new policy-enabled store covering the same time span.
+        A new tolerant store covering the same time span.
     """
-    policy = policy or DataQualityPolicy()
     rng = np.random.default_rng(spec.seed)
-    out = MetricStore(start=source.start, policy=policy)
+    out = MetricStore(start=source.start, policy=DataQualityPolicy())
     keys = [
         (component, metric)
         for component in source.components

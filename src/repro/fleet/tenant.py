@@ -59,8 +59,6 @@ class TenantSpec:
         detector: SLO detector instance evaluating the tenant's
             performance signal (plain-list state, picklable).
         config: FChain configuration for this tenant's diagnosis engine.
-        policy: Data-quality policy of the tenant's store (defaults to
-            the tolerant defaults).
         seed: Deterministic seed label for the diagnosis engine.
         jobs: Slave fan-out width (``>= 2`` spreads component analyses
             over the configured executor).
@@ -80,7 +78,6 @@ class TenantSpec:
     tenant: str
     detector: SLODetector
     config: FChainConfig = field(default_factory=FChainConfig)
-    policy: Optional[DataQualityPolicy] = None
     seed: object = 0
     jobs: Optional[int] = None
     slave_timeout: Optional[float] = None
@@ -131,7 +128,7 @@ class TenantRuntime:
         self.spec = spec
         self.store = store if store is not None else MetricStore(
             start=spec.start,
-            policy=spec.policy or DataQualityPolicy(),
+            policy=DataQualityPolicy(),
             retention=spec.retention,
         )
         self.fchain = FChain(

@@ -6,16 +6,17 @@ progress, or per-tuple processing time). This package holds the metric
 store both sides share and the SLO detectors that trigger diagnosis.
 
 The supported write surface is :meth:`MetricStore.ingest` fed with
-:class:`IngestBatch` / :class:`IngestRun`; strictness is a policy preset
-(:data:`STRICT_POLICY`), not a separate API. Import those names from
-here — ``repro.monitoring.store`` internals are not a stable surface.
+:class:`IngestBatch` / :class:`IngestRun`. A store has two ingest modes,
+not a policy language: ``MetricStore(policy=DataQualityPolicy())`` is
+tolerant (gaps, NaN, skew and late delivery are repaired or recorded),
+``MetricStore()`` is strict (every defect raises). Import those names
+from here — ``repro.monitoring.store`` internals are not a stable
+surface.
 """
 
 from repro.monitoring.quality import (
-    DEFAULT_POLICY,
     DataQualityPolicy,
     DataQualityReport,
-    STRICT_POLICY,
     SeriesQuality,
 )
 from repro.monitoring.slo import (
@@ -27,7 +28,6 @@ from repro.monitoring.slo import (
 from repro.monitoring.store import IngestBatch, IngestRun, MetricStore
 
 __all__ = [
-    "DEFAULT_POLICY",
     "DataQualityPolicy",
     "DataQualityReport",
     "IngestBatch",
@@ -35,7 +35,6 @@ __all__ = [
     "LatencySLO",
     "MetricStore",
     "ProgressSLO",
-    "STRICT_POLICY",
     "SeriesQuality",
     "SLODetector",
     "SLOStatus",

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import pathlib
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ReproError
@@ -53,11 +55,12 @@ def load_store_csv(
     over the same contiguous time range — anything else raises.
 
     With a :class:`~repro.monitoring.quality.DataQualityPolicy` the load
-    is tolerant: rows stream through :meth:`MetricStore.ingest` in file
-    order, so gaps are repaired or recorded as missing, non-finite
-    values and duplicates are resolved, and out-of-order rows backfill —
-    recorded production telemetry can be diagnosed offline without
-    pre-cleaning.
+    is tolerant: rows are delivered through :meth:`MetricStore.ingest`
+    tick by tick, in time order and file order within a tick, as a live
+    collector would have delivered them. Gaps are repaired or recorded
+    as missing, non-finite values and duplicates are resolved, and a
+    series that starts late is placed at its own first tick — recorded
+    production telemetry can be diagnosed offline without pre-cleaning.
 
     Raises:
         ReproError: On malformed headers, unknown metrics, and (strict
@@ -91,18 +94,13 @@ def load_store_csv(
         raise ReproError(f"{path}: no samples")
 
     if policy is not None:
-        start = min(min(samples) for samples in by_series.values())
-        end = max(max(samples) for samples in by_series.values())
-        store = MetricStore(start=start, policy=policy)
-        store.ingest(
-            IngestBatch(
-                samples=[
-                    MetricSample(component, metric, time, value)
-                    for time, component, metric, value in rows
-                ],
-                watermark=end + 1,
-            )
-        )
+        rows.sort(key=itemgetter(0))
+        store = MetricStore(start=rows[0][0], policy=policy)
+        for time, tick in groupby(rows, key=itemgetter(0)):
+            store.advance_to(time)
+            samples = [MetricSample(c, m, t, v) for t, c, m, v in tick]
+            store.ingest(IngestBatch(samples=samples))
+        store.advance_to(rows[-1][0] + 1)
         return store
 
     starts = {min(samples) for samples in by_series.values()}

@@ -1,4 +1,4 @@
-"""Data-quality policies and reports for degraded telemetry.
+"""The tolerant ingest mode and data-quality reports for degraded telemetry.
 
 FChain's algorithms assume clean 1 Hz samples from every VM; a
 production collector sees missing samples, NaN readings, duplicated and
@@ -7,9 +7,10 @@ leaving mid-window. This module is the vocabulary of the resilience
 layer that lets the pipeline run on such telemetry with *graceful
 degradation*:
 
-* :class:`DataQualityPolicy` — how ingestion and analysis respond to
-  each defect class (reject / forward-fill / interpolate, gap budget,
-  skew alignment, duplicate handling, coverage floor);
+* :class:`DataQualityPolicy` — the tolerant ingest mode and its fixed
+  budgets (gap fill up to 10 ticks, a 10-tick skew and late window, a
+  0.6 coverage floor); a store built without one is strict, and every
+  defect raises;
 * :class:`SeriesQuality` — mutable per-(component, metric) ingest
   counters kept by :class:`~repro.monitoring.store.MetricStore`;
 * :class:`DataQualityReport` — the frozen per-component summary a
@@ -19,7 +20,8 @@ degradation*:
 
 The critical invariant, regression-tested: on clean telemetry every
 stage of the pipeline is bit-identical to a run without the layer —
-policies only change behaviour where the data is already broken.
+the tolerant mode only changes behaviour where the data is already
+broken.
 
 Drop/fill/skew events are exported as counters through the existing
 Prometheus registry (:mod:`repro.obs.registry`); clean ingest emits
@@ -31,14 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.common.errors import ConfigurationError
-
-#: Valid per-defect strategies.
-INVALID_ACTIONS = ("gap", "reject")
-FILL_METHODS = ("none", "forward", "interpolate")
-DUPLICATE_ACTIONS = ("first", "last", "reject")
-GAP_ACTIONS = ("pad", "reject")
-
 #: Confidence grades a component-level quality report can carry.
 CONFIDENCE_FULL = "full"
 CONFIDENCE_DEGRADED = "degraded"
@@ -47,41 +41,29 @@ CONFIDENCE_INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class DataQualityPolicy:
-    """How the pipeline responds to each class of telemetry defect.
+    """The tolerant ingest mode: a store built with one survives broken
+    telemetry; a store built without one (``policy=None``) is strict.
+
+    The tolerant store records a NaN/inf reading as a missing tick, pads
+    a hole between the series head and an arriving sample, learns a
+    constant per-series clock offset from the first sample, accepts
+    late samples as backfill and keeps the first of two deliveries. The
+    strict store raises :class:`~repro.common.errors.DataQualityError`
+    on each of these, except that a series' very first sample may start
+    mid-run (a late-joining VM); the prefix before it is missing.
+
+    The budgets are constants, not settings:
 
     Attributes:
-        on_invalid: NaN/inf sample handling — ``"gap"`` records the tick
-            as missing (repairable like any other gap), ``"reject"``
-            raises :class:`~repro.common.errors.DataQualityError` (the
-            strict pre-policy behaviour).
-        fill: Bounded gap repair — ``"none"`` leaves holes as NaN,
-            ``"forward"`` repeats the last observed value,
-            ``"interpolate"`` draws the line between the observed
-            neighbours. Both repairs stay inside the observed min/max by
-            construction.
-        max_gap: Longest run of consecutive missing ticks the fill
-            policy may repair; longer outages stay NaN (*unfillable*)
-            and degrade the affected metric instead of being papered
-            over.
-        max_skew: Tolerance, in ticks, for timestamp disagreement: a
-            series whose first sample is offset by at most this much is
-            clock-skew aligned (see ``align_skew``), and late
-            out-of-order samples no older than this many ticks behind
-            the series head are still accepted as backfill.
-        align_skew: Learn a constant per-series clock offset from the
-            first timestamped sample (slaves with skewed clocks are
-            offset by a constant); subsequent timestamps are shifted
-            back onto the master grid.
-        on_duplicate: Second delivery for an already-observed tick —
-            ``"first"`` keeps the original, ``"last"`` overwrites,
-            ``"reject"`` raises.
-        on_gap: What a hole between the series head and an arriving
-            sample means — ``"pad"`` records the missing ticks (and
-            hands them to the fill policy), ``"reject"`` raises: the
-            writer promised contiguous 1 Hz delivery, so a gap is a
-            programming error, not a telemetry defect. A series' very
-            first sample is exempt (a late-joining VM legitimately
-            starts mid-run).
+        max_gap: Longest run of consecutive missing ticks that is
+            repaired, by interpolation between the observed neighbours
+            (a forward pad when the sample closing the gap is itself
+            invalid). Longer outages stay NaN (*unfillable*) and degrade
+            the metric instead of being papered over.
+        max_skew: A series whose first sample is at most this many
+            ticks off the tick being delivered is clock-skew aligned;
+            late samples no older than this behind the series head are
+            still accepted as backfill.
         min_coverage: Fraction of a metric's look-back window that must
             be covered by *observed* (not filled) samples for the metric
             to take part in change-point selection; below it the metric
@@ -90,61 +72,9 @@ class DataQualityPolicy:
             mis-ranking built on mostly-synthesized data.
     """
 
-    on_invalid: str = "gap"
-    fill: str = "interpolate"
-    max_gap: int = 10
-    max_skew: int = 10
-    align_skew: bool = True
-    on_duplicate: str = "first"
-    on_gap: str = "pad"
-    min_coverage: float = 0.6
-
-    def __post_init__(self) -> None:
-        if self.on_invalid not in INVALID_ACTIONS:
-            raise ConfigurationError(
-                f"on_invalid={self.on_invalid!r}: choose one of "
-                f"{INVALID_ACTIONS}"
-            )
-        if self.fill not in FILL_METHODS:
-            raise ConfigurationError(
-                f"fill={self.fill!r}: choose one of {FILL_METHODS}"
-            )
-        if self.on_duplicate not in DUPLICATE_ACTIONS:
-            raise ConfigurationError(
-                f"on_duplicate={self.on_duplicate!r}: choose one of "
-                f"{DUPLICATE_ACTIONS}"
-            )
-        if self.on_gap not in GAP_ACTIONS:
-            raise ConfigurationError(
-                f"on_gap={self.on_gap!r}: choose one of {GAP_ACTIONS}"
-            )
-        if self.max_gap < 0:
-            raise ConfigurationError("max_gap must be >= 0 ticks")
-        if self.max_skew < 0:
-            raise ConfigurationError("max_skew must be >= 0 ticks")
-        if not 0.0 <= self.min_coverage <= 1.0:
-            raise ConfigurationError("min_coverage must be in [0, 1]")
-
-
-#: Policy the analysis side falls back to when a store carries no
-#: explicit policy but its data turns out to contain gaps (e.g. a store
-#: built via ``from_arrays`` from already-holey telemetry).
-DEFAULT_POLICY = DataQualityPolicy()
-
-#: The clean-data contract as a policy preset: every defect class is an
-#: error. Batch ingestion into a store constructed *without* a policy
-#: runs under this preset, which is what makes the historical strict
-#: ``record``/``advance`` path a special case of the unified
-#: ``MetricStore.ingest`` surface rather than a separate code path.
-STRICT_POLICY = DataQualityPolicy(
-    on_invalid="reject",
-    fill="none",
-    max_gap=0,
-    max_skew=0,
-    align_skew=False,
-    on_duplicate="reject",
-    on_gap="reject",
-)
+    max_gap = 10
+    max_skew = 10
+    min_coverage = 0.6
 
 
 @dataclass
@@ -354,10 +284,8 @@ __all__ = [
     "CONFIDENCE_DEGRADED",
     "CONFIDENCE_FULL",
     "CONFIDENCE_INCONCLUSIVE",
-    "DEFAULT_POLICY",
     "DataQualityPolicy",
     "DataQualityReport",
     "IngestMetrics",
-    "STRICT_POLICY",
     "SeriesQuality",
 ]

@@ -27,11 +27,10 @@ state ingest is allocation-free.
 There is one write surface: :meth:`MetricStore.ingest` accepts either
 an :class:`IngestBatch` (per-sample points, vectorized contiguous runs,
 and a watermark in one call) or the legacy per-sample
-``(component, metric, time, value)`` form. Batches ingested into a
-store constructed without a policy run under the
-:data:`~repro.monitoring.quality.STRICT_POLICY` preset — the historical
-strict ``record``/``advance`` path is now just that preset (the
-deprecated wrapper methods were removed after one release).
+``(component, metric, time, value)`` form. A store has two modes: one
+built with a :class:`~repro.monitoring.quality.DataQualityPolicy` is
+tolerant, one built without is strict, and every defect site branches
+on that one fact.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from repro.common.types import (
 from repro.monitoring.quality import (
     DataQualityPolicy,
     IngestMetrics,
-    STRICT_POLICY,
     SeriesQuality,
 )
 
@@ -335,8 +333,8 @@ class IngestBatch:
         samples: Individually timestamped points
             (:class:`~repro.common.types.MetricSample`, or one tick's
             :class:`~repro.common.types.TickSamples` columns), routed
-            through the full per-sample policy machinery (validation,
-            gap fill, skew alignment, backfill, duplicates); the next
+            through the full per-sample machinery (validation, gap
+            fill, skew alignment, backfill, duplicates); the next
             in-order sample of a known series is appended inline.
         runs: Contiguous per-series :class:`IngestRun` blocks, applied
             through the vectorized append path.
@@ -353,13 +351,12 @@ class MetricStore:
     """Ring-buffered storage of per-component metric samples.
 
     All writes go through :meth:`ingest`. A store constructed with a
-    :class:`~repro.monitoring.quality.DataQualityPolicy` runs the
-    tolerant path (bounded gap fill, clock-skew alignment, late
-    backfill, duplicate resolution, per-series
+    :class:`~repro.monitoring.quality.DataQualityPolicy` is tolerant
+    (bounded gap fill, clock-skew alignment, late backfill, first
+    delivery wins, per-series
     :class:`~repro.monitoring.quality.SeriesQuality` counters); a store
-    constructed without one ingests batches under the
-    :data:`~repro.monitoring.quality.STRICT_POLICY` preset, where every
-    defect raises.
+    constructed without one is strict: NaN, a gap, an out-of-order or
+    duplicate sample all raise.
 
     Retention: each series keeps at most ``retention`` samples; once a
     ring is full the oldest slot is overwritten by the newest. Reads clip
@@ -369,7 +366,7 @@ class MetricStore:
     observes the overwrite once the ring wraps past them.
 
     ``revision`` increments whenever a *past* slot is rewritten in
-    place (late backfill, duplicate-last); window-keyed caches include
+    place (late backfill); window-keyed caches include
     it so a repaired window is never served stale. Eviction does not
     bump it: retained slots are immutable, and a clipped window differs
     in its bounds, which every cache key already carries.
@@ -409,30 +406,26 @@ class MetricStore:
         The single entry point for all writes:
 
         * ``ingest(IngestBatch(...))`` — points, vectorized runs and an
-          optional watermark in one call. On a store without a policy
-          the batch runs under the strict preset.
+          optional watermark in one call, in either mode.
         * ``ingest(component, metric, time, value)`` — the legacy
-          per-sample form; requires the store to carry a policy.
+          per-sample form; tolerant stores only.
         """
         if isinstance(batch, IngestBatch):
             if metric is not None or time is not None or value is not None:
                 raise TypeError("ingest(IngestBatch) takes no extra arguments")
-            policy = self.policy or STRICT_POLICY
             for run in batch.runs:
-                self._ingest_run(run, policy)
-            self._ingest_samples(batch.samples, policy)
+                self._ingest_run(run)
+            self._ingest_samples(batch.samples)
             if batch.watermark is not None:
                 self.advance_to(batch.watermark)
             return
-        component = batch
-        policy = self.policy
-        if policy is None:
+        if self.policy is None:
             raise DataQualityError(
                 "timestamped per-sample ingestion needs a "
                 "DataQualityPolicy: construct MetricStore(policy=...) or "
-                "ingest an IngestBatch (strict preset)"
+                "ingest an IngestBatch (strict)"
             )
-        self._ingest_sample(component, metric, time, value, policy)
+        self._ingest_sample(batch, metric, time, value)
 
     def advance_to(self, time: int) -> None:
         """Mark every tick before ``time`` as complete (monotonic)."""
@@ -440,7 +433,7 @@ class MetricStore:
 
     @property
     def revision(self) -> int:
-        """Bumped whenever a past slot is rewritten (backfill/overwrite)."""
+        """Bumped whenever a past slot is rewritten (late backfill)."""
         return self._revision
 
     # ------------------------------------------------------------------
@@ -459,7 +452,7 @@ class MetricStore:
             qual = self._quality[key] = SeriesQuality()
         return qual
 
-    def _ingest_run(self, run: IngestRun, policy: DataQualityPolicy) -> None:
+    def _ingest_run(self, run: IngestRun) -> None:
         component, metric = run.component, run.metric
         key = (component, metric)
         values = np.asarray(run.values, dtype=np.float64)
@@ -476,15 +469,13 @@ class MetricStore:
             # Overlapping run: fall back to the per-sample path, which
             # knows how to backfill and resolve duplicates.
             for i in range(n):
-                self._ingest_sample(
-                    component, metric, run.start + i, values[i], policy
-                )
+                self._ingest_sample(component, metric, run.start + i, values[i])
             return
         qual.seen += n
         finite = np.isfinite(values)
         bad = None
         if not finite.all():
-            if policy.on_invalid == "reject":
+            if self.policy is None:
                 i = int(np.flatnonzero(~finite)[0])
                 raise DataQualityError(
                     f"non-finite sample {values[i]!r} for "
@@ -494,9 +485,7 @@ class MetricStore:
             values = values.copy()
             values[bad] = math.nan
         if slot > ring.head:
-            self._fill_gap(
-                key, ring, qual, ring.head, slot, float(values[0]), policy
-            )
+            self._fill_gap(key, ring, qual, ring.head, slot, float(values[0]))
         write_start = ring.append_run(values, KIND_OBSERVED)
         if bad is None:
             qual.observed += n
@@ -510,9 +499,7 @@ class MetricStore:
             qual.observed += n - len(bad)
             self._metrics().dropped.inc(len(bad), reason="invalid")
 
-    def _ingest_samples(
-        self, samples: Sequence[MetricSample], policy: DataQualityPolicy
-    ) -> None:
+    def _ingest_samples(self, samples: Sequence[MetricSample]) -> None:
         """Ingest timestamped samples in one fused loop.
 
         The common case — the next in-order, finite sample of a known
@@ -520,8 +507,8 @@ class MetricStore:
         halves, the kind byte, the head and two counters, after one
         dictionary lookup. Everything else (a series' first sample, a
         gap, a late or duplicate delivery, NaN/inf, ring growth, a
-        read-only ring) takes :meth:`_ingest_sample`, the policy path,
-        which the inline append matches bit for bit.
+        read-only ring) takes :meth:`_ingest_sample`, the per-sample
+        rule, which the inline append matches bit for bit.
         """
         if isinstance(samples, TickSamples):
             rows = zip(
@@ -540,7 +527,7 @@ class MetricStore:
             except KeyError:
                 ring = None
             if ring is None:
-                self._ingest_sample(component, metric, time, value, policy)
+                self._ingest_sample(component, metric, time, value)
                 self._enlist((component, metric))
                 continue
             head = ring.head
@@ -560,7 +547,7 @@ class MetricStore:
                 qual.seen += 1
                 qual.observed += 1
             else:
-                self._ingest_sample(component, metric, time, value, policy)
+                self._ingest_sample(component, metric, time, value)
 
     def _enlist(self, key: _Key) -> None:
         """Let a series whose skew is now learned take the inline append."""
@@ -574,7 +561,6 @@ class MetricStore:
         metric: Metric,
         time: int,
         value: float,
-        policy: DataQualityPolicy,
     ) -> None:
         key = (component, metric)
         ring = self._ring(key)
@@ -582,7 +568,7 @@ class MetricStore:
         qual.seen += 1
         value = float(value)
         if not math.isfinite(value):
-            if policy.on_invalid == "reject":
+            if self.policy is None:
                 raise DataQualityError(
                     f"non-finite sample {value!r} for {component}/{metric} "
                     f"at t={time}"
@@ -592,15 +578,16 @@ class MetricStore:
             value = math.nan
 
         # Constant clock-skew alignment: the offset of the first sample
-        # (bounded by max_skew) is treated as the slave's clock error
-        # and subtracted from every timestamp of this series. A first
-        # sample far off the grid is a genuine gap (late-joining VM),
-        # not skew.
+        # from the tick being delivered (bounded by max_skew) is treated
+        # as the slave's clock error and subtracted from every timestamp
+        # of this series. A first sample far off that tick is a genuine
+        # gap, not skew, and a series that joins late is on time for the
+        # tick it joins at.
         if qual.skew_offset is None:
             offset = 0
-            if policy.align_skew:
-                delta = time - (self.start + ring.head)
-                if delta != 0 and abs(delta) <= policy.max_skew:
+            if self.policy is not None:
+                delta = time - self.end
+                if delta != 0 and abs(delta) <= DataQualityPolicy.max_skew:
                     offset = delta
                     self._metrics().skew_aligned.inc(1)
             qual.skew_offset = offset
@@ -611,10 +598,10 @@ class MetricStore:
         if slot == head:
             self._append_sample(ring, qual, value)
         elif slot > head:
-            self._fill_gap(key, ring, qual, head, slot, value, policy)
+            self._fill_gap(key, ring, qual, head, slot, value)
             self._append_sample(ring, qual, value)
         else:
-            self._backfill(key, ring, qual, slot, value, policy)
+            self._backfill(key, ring, qual, slot, value)
 
     def _append_sample(
         self, ring: _Ring, qual: SeriesQuality, value: float
@@ -634,9 +621,8 @@ class MetricStore:
         head: int,
         slot: int,
         arriving: float,
-        policy: DataQualityPolicy,
     ) -> None:
-        """Pad ``[head, slot)`` — repaired per policy or left missing.
+        """Pad ``[head, slot)`` — repaired when short, else left missing.
 
         The ring retains at most ``limit`` slots, so the front of a
         longer gap would be evicted on arrival: it is skipped unwritten
@@ -645,30 +631,28 @@ class MetricStore:
         gap.
         """
         gap = slot - head
-        if policy.on_gap == "reject" and head > 0:
+        if self.policy is None and head > 0:
             raise DataQualityError(
                 f"gap of {gap} tick(s) for {key[0]}/{key[1]} before "
                 f"t={self.start + slot}: this store expects contiguous "
                 f"per-tick delivery"
             )
+        # A strict store gets here only for a series' first sample, which
+        # has nothing before it to fill from.
         prev = ring.value_at(head - 1) if head > 0 else math.nan
-        fillable = (
-            policy.fill != "none"
-            and gap <= policy.max_gap
-            and math.isfinite(prev)
-        )
+        fillable = gap <= DataQualityPolicy.max_gap and math.isfinite(prev)
         keep = min(gap, ring.limit)
         if keep < gap:
             ring.skip_to(slot - keep)
-        if fillable and policy.fill == "interpolate" and math.isfinite(arriving):
+        if fillable and math.isfinite(arriving):
             step = (arriving - prev) / (gap + 1)
             pad = prev + step * np.arange(gap - keep + 1, gap + 1, dtype=np.float64)
             ring.append_run(pad, KIND_INTERPOLATED)
             qual.filled_interpolated += gap
             self._metrics().filled.inc(gap, method="interpolate")
         elif fillable:
-            # Forward fill — also the fallback when the sample closing
-            # the gap is itself invalid (nothing to interpolate toward).
+            # Forward fill: the sample closing the gap is itself invalid,
+            # so there is nothing to interpolate toward.
             pad = np.full(keep, prev, dtype=np.float64)
             ring.append_run(pad, KIND_FORWARD)
             qual.filled_forward += gap
@@ -686,16 +670,15 @@ class MetricStore:
         qual: SeriesQuality,
         slot: int,
         value: float,
-        policy: DataQualityPolicy,
     ) -> None:
         """Resolve a sample older than the series head (out-of-order)."""
-        if policy.on_gap == "reject":
+        if self.policy is None:
             raise DataQualityError(
                 f"out-of-order sample for {key[0]}/{key[1]} at "
                 f"t={self.start + slot}: this store is append-only per tick"
             )
         age = ring.head - slot
-        if slot < 0 or age > policy.max_skew:
+        if slot < 0 or age > DataQualityPolicy.max_skew:
             qual.late_dropped += 1
             self._metrics().dropped.inc(1, reason="late")
             return
@@ -722,16 +705,10 @@ class MetricStore:
             qual.late_accepted += 1
             self._metrics().backfilled.inc(1)
             return
-        # The slot already holds an observed value: a duplicate delivery.
-        if policy.on_duplicate == "reject":
-            raise DataQualityError(
-                f"duplicate sample for {key[0]}/{key[1]} at slot "
-                f"t={self.start + slot}"
-            )
+        # The slot already holds an observed value: a duplicate delivery,
+        # and the first one wins.
         qual.duplicates += 1
         self._metrics().dropped.inc(1, reason="duplicate")
-        if policy.on_duplicate == "last" and math.isfinite(value):
-            self._rewrite(ring, slot, value)
 
     def _rewrite(self, ring: _Ring, slot: int, value: float) -> None:
         """Write into a retained past slot, invalidating window caches."""
@@ -862,8 +839,7 @@ class MetricStore:
         """Build a store from complete per-series arrays (tests, examples).
 
         The arrays are taken verbatim (no validation or repair) — a
-        ``policy`` only parameterizes later ``ingest`` calls and the
-        analysis-side gap handling.
+        ``policy`` only makes later ``ingest`` calls tolerant.
         """
         store = cls(start=start, policy=policy, retention=retention)
         lengths = set()

@@ -72,11 +72,9 @@ class OnlinePipeline:
         jobs: Slave fan-out width (``>= 2`` analyses components in
             parallel on the configured executor).
         slave_timeout: Optional per-slave analysis timeout in seconds.
-        store: The store to ingest into; defaults to a fresh
-            policy-enabled store. A caller-supplied store must carry a
+        store: The store to ingest into; defaults to a fresh tolerant
+            store. A caller-supplied store must carry a
             :class:`~repro.monitoring.quality.DataQualityPolicy`.
-        policy: Policy of the default store (ignored when ``store`` is
-            given).
         sinks: Callables receiving each finished
             :class:`~repro.service.incident.Incident`; sinks with a
             ``close()`` method are closed at drain time.
@@ -115,7 +113,6 @@ class OnlinePipeline:
         jobs: Optional[int] = None,
         slave_timeout: Optional[float] = None,
         store: Optional[MetricStore] = None,
-        policy: Optional[DataQualityPolicy] = None,
         sinks=(),
         registry=None,
         topology: Optional[OnlineTopology] = None,
@@ -125,7 +122,7 @@ class OnlinePipeline:
         self.feed = iter(feed)
         self.detector = detector
         if store is None:
-            store = MetricStore(policy=policy or DataQualityPolicy())
+            store = MetricStore(policy=DataQualityPolicy())
         elif store.policy is None:
             raise ReproError(
                 "the online pipeline ingests through the tolerant path: "

@@ -8,7 +8,7 @@ loop's rule set with no thread, queue or sink of its own:
 1. **Ingest** — every :class:`~repro.service.sources.TickBatch` goes
    through the tolerant, watermarked :meth:`MetricStore.ingest` path, so
    gaps, NaN readings, clock skew and late delivery are handled by the
-   data-quality policy, not by the loop.
+   store, not by the loop.
 2. **Learn** — an optional :class:`~repro.core.topology.OnlineTopology`
    is fed the batch's traffic counts, then its ``network_out``
    co-movement.
@@ -76,7 +76,8 @@ class TickCore:
     """One application's tick state: store, engine, detector, dedup.
 
     Args:
-        store: The tolerant (policy-carrying) store to ingest into.
+        store: The tolerant store (built with a ``DataQualityPolicy``)
+            to ingest into.
         fchain: The diagnosis engine whose persistent slave stays warm;
             its ``topology``, when set, keeps learning from the batches.
         detector: The SLO detector evaluating the performance signal.
@@ -144,11 +145,11 @@ class TickCore:
         :data:`DEFER_SAMPLES` samples and catches them up in one block;
         a caller that passes nothing syncs every tick. What the models
         compute does not depend on when they sync, with one exception:
-        a slot rewritten in place after its tick (late backfill,
-        ``on_duplicate="last"``) but before the deferred sync is learned
-        repaired, where a per-tick sync learned the original value — as
-        a sync skipped under a running diagnosis already does. The
-        diagnosis reads the repaired store either way.
+        a gap slot that a late sample backfills after its tick but
+        before the deferred sync is learned repaired, where a per-tick
+        sync learned the gap — as a sync skipped under a running
+        diagnosis already does. The diagnosis reads the repaired store
+        either way.
         """
         t = int(batch.time)
         self.store.ingest(IngestBatch(samples=batch.samples, watermark=t + 1))

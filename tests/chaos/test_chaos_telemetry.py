@@ -26,7 +26,6 @@ from repro.apps.rubis import DB
 from repro.core.config import FChainConfig
 from repro.core.fchain import FChain
 from repro.eval.chaos import ChaosSpec, corrupt_store
-from repro.monitoring.quality import DataQualityPolicy
 from repro.monitoring.store import KIND_MISSING
 
 #: Cheap bootstraps: chaos coverage does not need tight CUSUM intervals.
@@ -122,10 +121,9 @@ class TestTargetedChurn:
     ):
         """VM churn blacking out the culprit's window must be hedged."""
         app, violation = rubis_cpuhog_run
-        policy = DataQualityPolicy()
         # Black out every db sample inside [t_v - W, t_v + grace].
         window = range(violation - CONFIG.look_back_window, violation + 9)
-        silent = corrupt_store(app.store, ChaosSpec(seed=3), policy)
+        silent = corrupt_store(app.store, ChaosSpec(seed=3))
         for metric in silent.metrics_for(DB):
             ring = silent._series[(DB, metric)]
             qual = silent._quality[(DB, metric)]

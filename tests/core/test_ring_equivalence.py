@@ -111,7 +111,7 @@ class TestContinuousSyncIdentity:
         if gaps:
             # NaN readings, including a lone one the tick-by-tick side
             # syncs as a chunk of its own.
-            policy = DataQualityPolicy(fill="none")
+            policy = DataQualityPolicy()
             data["comp-0"][Metric.CPU_USAGE][200] = np.nan
             data["comp-2"][Metric.MEMORY_USAGE][300:304] = np.nan
             data["comp-3"][Metric.CPU_USAGE][1_000] = np.nan

@@ -2,10 +2,11 @@
 
 Covers the behavior the dict-backed store never had to define: bounded
 retention with overwrite, reads across the physical wrap seam, backfill
-into evicted history, misaligned ticks, the strict ingest preset, and
+into evicted history, misaligned ticks, the strict ingest mode, and
 shared-memory export of a wrapped store.
 """
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -107,34 +108,30 @@ class TestFarAheadGap:
 
     def test_long_gap_matches_the_fully_padded_tail(self):
         # An unbounded store pads every slot of the gap; the bounded one
-        # must retain exactly that store's tail, under every fill mode,
-        # through both the per-sample and the run path.
+        # must retain exactly that store's tail, under every kind of pad
+        # (interpolated, forward to an invalid reading, missing past the
+        # 10-tick budget), through both the per-sample and the run path.
         retention = 8
-        gap = 3 * retention
-        policies = [
-            DataQualityPolicy(fill="none"),
-            DataQualityPolicy(fill="forward", max_gap=10 * retention),
-            DataQualityPolicy(fill="interpolate", max_gap=10 * retention),
-        ]
-        for policy in policies:
+        cases = [(9, 7.0), (9, math.nan), (3 * retention, 7.0)]
+        for gap, value in cases:
             for as_run in (False, True):
                 stores = [
-                    self._store_with_history(r, policy)
+                    self._store_with_history(r, DataQualityPolicy())
                     for r in (retention, DEFAULT_RETENTION)
                 ]
                 t = 100 + gap
                 for store in stores:
                     if as_run:
-                        store.ingest(_run_batch("c", t, [7.0], watermark=t + 1))
+                        store.ingest(_run_batch("c", t, [value], watermark=t + 1))
                     else:
                         store.ingest(
                             IngestBatch(
-                                samples=[MetricSample("c", CPU, t, 7.0)],
+                                samples=[MetricSample("c", CPU, t, value)],
                                 watermark=t + 1,
                             )
                         )
                 bounded, padded = stores
-                label = f"{policy.fill} run={as_run}"
+                label = f"gap={gap} value={value} run={as_run}"
                 assert bounded.end == padded.end, label
                 series = bounded.series("c", CPU)
                 full = padded.series("c", CPU)
@@ -175,11 +172,11 @@ class TestWrapSeamReads:
 
 class TestEvictedBackfill:
     def test_rejected_with_counted_drop(self):
-        policy = DataQualityPolicy(max_skew=100)
-        store = MetricStore(policy=policy, retention=8)
+        store = MetricStore(policy=DataQualityPolicy(), retention=8)
         store.ingest(_run_batch("c", 0, np.arange(12.0), watermark=12))
         revision_before = store.revision
-        store.ingest("c", CPU, 1, 99.0)  # slot 1 was evicted at slot 12
+        # Slot 3 is within the 10-tick late window but was evicted.
+        store.ingest("c", CPU, 3, 99.0)
         assert store.revision == revision_before
         assert store.series_quality("c", CPU).late_dropped == 1
         series = store.series("c", CPU)
@@ -187,8 +184,7 @@ class TestEvictedBackfill:
         np.testing.assert_array_equal(series.values, np.arange(4.0, 12.0))
 
     def test_retained_backfill_still_repairs(self):
-        policy = DataQualityPolicy(max_skew=100, fill="none")
-        store = MetricStore(policy=policy, retention=8)
+        store = MetricStore(policy=DataQualityPolicy(), retention=8)
         store.ingest(_run_batch("c", 0, np.arange(10.0), watermark=10))
         store.ingest("c", CPU, 4, float("nan"))  # duplicate -> dropped
         assert store.series_quality("c", CPU).duplicates == 1
@@ -207,7 +203,7 @@ class TestMisalignedTicks:
             )
         )
         # "b" skips tick 1; its next sample at t=2 leaves a hole the
-        # strict preset refuses to paper over.
+        # strict store refuses to paper over.
         store.ingest(IngestBatch(samples=[MetricSample("a", CPU, 1, 2.0)]))
         with pytest.raises(DataQualityError, match="gap of 1 tick"):
             store.ingest(

@@ -164,10 +164,10 @@ class TestMaterialize:
         assert rebuilt.series("c", Metric.CPU_USAGE).start == 6
 
     def test_gap_bitmap_survives_materialization(self):
-        policy = DataQualityPolicy(fill="forward")
-        store = MetricStore(policy=policy)
+        store = MetricStore(policy=DataQualityPolicy())
         store.ingest("c", Metric.CPU_USAGE, 0, 1.0)
-        store.ingest("c", Metric.CPU_USAGE, 3, 4.0)  # gap at 1, 2
+        # A gap at 1, 2 closed by an invalid reading: forward-padded.
+        store.ingest("c", Metric.CPU_USAGE, 3, float("nan"))
         store.advance_to(4)
         before = store.series_quality("c", Metric.CPU_USAGE)
         with SharedStoreExport(store) as export:

@@ -8,8 +8,8 @@ feeds the very same samples, in the same order, through
 ``_ingest_sample`` one by one. Whatever the schedule, both stores must
 hold bit-identical rings (retained values in both mirror halves, gap
 kinds, heads, capacities), equal ``SeriesQuality`` counters, the same
-``revision`` and the same ingest counters; under ``STRICT_POLICY`` the
-first defect must raise the same exception with the same message.
+``revision`` and the same ingest counters; in a strict store the first
+defect must raise the same exception with the same message.
 
 Schedules are built from a drawn seed: in-order ticks mixed with gaps,
 late backfills, duplicates, NaN/±inf and integer readings, a constant
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import DataQualityError
 from repro.common.types import Metric, MetricSample, TickSamples
-from repro.monitoring.quality import STRICT_POLICY, DataQualityPolicy, IngestMetrics
+from repro.monitoring.quality import DataQualityPolicy, IngestMetrics
 from repro.monitoring.store import DEFAULT_RETENTION, IngestBatch, MetricStore
 from repro.obs.registry import MetricsRegistry
 
@@ -37,9 +37,6 @@ SERIES = [
 
 POLICIES = {
     "default": DataQualityPolicy(),
-    "forward": DataQualityPolicy(fill="forward", max_gap=3),
-    "none": DataQualityPolicy(fill="none", on_duplicate="last"),
-    "unaligned": DataQualityPolicy(align_skew=False, max_skew=2),
     "strict": None,
 }
 
@@ -121,10 +118,9 @@ def _fused(store, batches):
 
 
 def _scalar(store, batches):
-    policy = store.policy or STRICT_POLICY
     for samples, watermark, _ in batches:
         for s in samples:
-            store._ingest_sample(s.component, s.metric, s.time, s.value, policy)
+            store._ingest_sample(s.component, s.metric, s.time, s.value)
         if watermark is not None:
             store.advance_to(watermark)
 

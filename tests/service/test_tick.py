@@ -48,14 +48,14 @@ class RecordingTopology:
         self.calls.append(("comovement", t, dict(signals)))
 
 
-def make_core(*, topology=None, origin=None, policy=None, **settings):
+def make_core(*, topology=None, origin=None, **settings):
     settings = {"analysis_grace": GRACE, "service_cooldown": 5, **settings}
     fchain = FChain(FChainConfig(**settings), topology=topology)
     fchain.localize = lambda store, violation_time=None, origin=None: (
         FakeDiagnosis()
     )
     return TickCore(
-        MetricStore(policy=policy or DataQualityPolicy()),
+        MetricStore(policy=DataQualityPolicy()),
         fchain,
         LatencySLO(0.1, sustain=1),
         origin=origin,
@@ -287,13 +287,17 @@ class TestDeferredSync:
         repaired value, where a per-tick sync learned the original."""
 
         def run(queued):
-            core = make_core(policy=DataQualityPolicy(on_duplicate="last"))
+            core = make_core()
             for t in range(80):
-                core.process(tick_of(t, series=1), queued=queued)
                 if t == 70:
-                    # A second delivery of tick 70 overwrites it in place.
-                    duplicate = tick_of(70, series=1, value=99.0)
-                    core.process(duplicate, queued=queued)
+                    # Tick 70 is lost; tick 71 closes the gap with a fill.
+                    core.process(TickBatch(time=70), queued=queued)
+                    continue
+                core.process(tick_of(t, series=1), queued=queued)
+                if t == 72:
+                    # Tick 70 arrives late and backfills the filled slot.
+                    late = tick_of(70, series=1, value=99.0)
+                    core.process(late, queued=queued)
             core.warm_sync()
             assert core.store.revision == 1
             return core
