@@ -10,7 +10,7 @@ import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List
+from typing import List, Optional
 
 
 class Metric(enum.Enum):
@@ -84,6 +84,23 @@ class TickSamples(Sequence):
         self.components = components
         self.metrics = metrics
         self.values = values
+
+    @classmethod
+    def of(cls, samples: Sequence) -> Optional["TickSamples"]:
+        """``samples`` as one tick's columns: ``samples`` itself when it
+        already is one, None when there are none or they do not share
+        one time."""
+        if isinstance(samples, TickSamples):
+            return samples
+        times = [s.time for s in samples]
+        if not times or times.count(times[0]) != len(times):
+            return None
+        return cls(
+            times[0],
+            [s.component for s in samples],
+            [s.metric for s in samples],
+            [s.value for s in samples],
+        )
 
     def __len__(self) -> int:
         return len(self.values)

@@ -81,76 +81,98 @@ _CACHE_LIMIT = 512
 
 #: Fewest owed ticks a group of series syncs as one block along the time
 #: axis. Below it the per-tick series axis is cheaper, because a block
-#: pays a fixed kernel cost plus a ring view and a stream append per
-#: series: a one-tick block costs 3.0x a per-tick sync at 600 series and
-#: 2.8x at 12. From 8 ticks the block wins on both sides (0.94x at 600
-#: series, 0.57x at 12; 0.26x for 12 series owing 20 ticks).
+#: pays a fixed kernel cost: on a 2-core host a one-tick block costs
+#: 1.6x a per-tick sync at 600 series and 3.4x at 12. At 8 ticks the two
+#: are level at 600 series (1.08x) and the block wins at 12 (0.74x).
 _BLOCK_MIN_TICKS = 8
 
-#: Initial capacity of a prediction-error stream buffer.
+#: Initial width of the prediction-error matrix, in slots.
 _MIN_BUFFER_CAPACITY = 256
 
 
 class _ErrorStreams:
-    """Append-only signed prediction-error buffers, one per bank row.
+    """Append-only signed prediction-error streams: row ``r`` of one
+    ``[rows, T]`` float64 matrix is bank row ``r``'s stream.
 
     ``lengths[row]`` counts a row's errors — which is also how many
     store slots its series has consumed, so the lengths double as the
-    sync cursors. Each row owns a float64 buffer that grows by doubling
-    into a fresh array; reads are zero-copy prefix views, and because
-    entries are append-only and a grown buffer leaves the old one
-    untouched, a view taken for one diagnosis window stays valid while
-    streaming continues.
+    sync cursors. A tick of every row is one scatter into a column and
+    a block one 2-D scatter, both into the flattened matrix (numpy
+    releases the GIL for a fancy index into a 2-D array, and a threaded
+    caller then waits out another thread's switch interval). The
+    matrix grows by doubling its width (or its rows) into a fresh
+    array; reads are zero-copy row-prefix views, and because entries
+    are append-only and a grown matrix leaves the old one untouched, a
+    view taken for one diagnosis window stays valid while streaming
+    continues.
     """
 
-    __slots__ = ("_buffers", "lengths")
+    __slots__ = ("_data", "lengths", "rows")
 
     def __init__(self) -> None:
-        self._buffers: List[np.ndarray] = []
-        self.lengths = np.zeros(1, dtype=np.int64)
+        self._data = np.empty((0, _MIN_BUFFER_CAPACITY))
+        self.lengths = np.zeros(0, dtype=np.int64)
+        self.rows = 0
+
+    def reserve(self, rows: int) -> None:
+        """Make room for ``rows`` streams in one reallocation."""
+        if rows > len(self.lengths):
+            self._reshape(rows, self._data.shape[1])
 
     def add_row(self) -> None:
         """Append an empty stream for the next bank row."""
-        if len(self._buffers) == len(self.lengths):
-            self.lengths = np.concatenate(
-                (self.lengths, np.zeros_like(self.lengths))
-            )
-        self._buffers.append(np.empty(_MIN_BUFFER_CAPACITY, dtype=float))
+        if self.rows == len(self.lengths):
+            self.reserve(max(1, 2 * self.rows))
+        self.rows += 1
 
-    def _grown(self, row: int, used: int, needed: int) -> np.ndarray:
-        capacity = len(self._buffers[row])
-        while capacity < needed:
-            capacity *= 2
-        grown = np.empty(capacity, dtype=float)
-        grown[:used] = self._buffers[row][:used]
-        self._buffers[row] = grown
-        return grown
+    def _reshape(self, rows: int, width: int) -> None:
+        n = self.rows
+        data = np.empty((rows, width))
+        lengths = np.zeros(rows, dtype=np.int64)
+        if n:
+            used = int(self.lengths[:n].max())
+            data[:n, :used] = self._data[:n, :used]
+            lengths[:n] = self.lengths[:n]
+        self._data, self.lengths = data, lengths
+
+    def _widen(self, stop: int) -> None:
+        """Widen the matrix until a stream of ``stop`` errors fits."""
+        width = self._data.shape[1]
+        if stop > width:
+            while width < stop:
+                width *= 2
+            self._reshape(len(self.lengths), width)
 
     def extend(self, row: int, errors: np.ndarray) -> None:
         """Append a chunk of one row's errors with one vectorized copy."""
         start = int(self.lengths[row])
         stop = start + len(errors)
-        data = self._buffers[row]
-        if stop > len(data):
-            data = self._grown(row, start, stop)
-        data[start:stop] = errors
+        self._widen(stop)
+        self._data[row, start:stop] = errors
         self.lengths[row] = stop
+
+    def append_block(
+        self, rows: np.ndarray, start: int, errors: np.ndarray
+    ) -> None:
+        """Append ``errors[i]`` to row ``rows[i]``, each ``start`` long."""
+        stop = start + errors.shape[1]
+        self._widen(stop)
+        width = self._data.shape[1]
+        at = (rows * width + start)[:, None] + np.arange(errors.shape[1])
+        self._data.reshape(-1)[at] = errors
+        self.lengths[rows] = stop
 
     def append_tick(
         self, rows: np.ndarray, slot: int, errors: np.ndarray
     ) -> None:
         """Append one error to each of ``rows``, all ``slot`` long."""
-        buffers = self._buffers
-        for row, error in zip(rows.tolist(), errors.tolist()):
-            data = buffers[row]
-            if slot == len(data):
-                data = self._grown(row, slot, slot + 1)
-            data[slot] = error
+        self._widen(slot + 1)
+        self._data.reshape(-1)[rows * self._data.shape[1] + slot] = errors
         self.lengths[rows] = slot + 1
 
     def view(self, row: int, count: Optional[int] = None) -> np.ndarray:
         """The first ``count`` errors of a row (all when None), no copy."""
-        return self._buffers[row][: self.lengths[row] if count is None else count]
+        return self._data[row, : self.lengths[row] if count is None else count]
 
 
 class FChainSlave:
@@ -302,6 +324,7 @@ class FChainSlave:
         if index is not self._index:
             new = sum(1 for key in index.keys if key not in self._rows)
             self._bank.reserve(self._bank.size + new)
+            self._streams.reserve(self._bank.size + new)
             self._index_rows = np.array(
                 [self._row(key) for key in index.keys], dtype=np.int64
             )
@@ -312,12 +335,10 @@ class FChainSlave:
         if not alone.any():
             return
         if index.mirrored:
-            # Groups owe whole ticks (their ring holds slot
+            # Groups owe whole ticks (their row holds slot
             # ``needed - 1``) of which none was evicted yet.
             together = (
-                alone
-                & (heads >= needed)
-                & (heads - index.capacities() <= cursors)
+                alone & (heads >= needed) & (heads - index.cap <= cursors)
             )
             alone &= ~together
             pending = np.flatnonzero(together)
@@ -342,15 +363,11 @@ class FChainSlave:
     ) -> None:
         """Advance the series at ``positions`` of the index from slot
         ``cursor`` to ``needed`` in one block along the time axis."""
-        rings = index.rings
-        block = np.array(
-            [rings[p].view(cursor, needed) for p in positions.tolist()]
-        )
         rows = self._index_rows[positions]
-        errors = self._bank.advance_block(rows, block)
-        extend = self._streams.extend
-        for row, row_errors in zip(rows.tolist(), errors):
-            extend(row, row_errors)
+        errors = self._bank.advance_block(
+            rows, index.block(positions, cursor, needed)
+        )
+        self._streams.append_block(rows, cursor, errors)
 
     def _advance_ticks(
         self,
@@ -384,7 +401,7 @@ class FChainSlave:
 
         The stream index must always equal the absolute store slot —
         that is what lets :meth:`analyze` slice error windows by slot
-        even after the ring wrapped. Slots the ring evicted before this
+        even after the row wrapped. Slots the store evicted before this
         slave consumed them are therefore fed as NaN: the fluctuation
         model treats them like any other gap (severing the Markov
         chain), and the cursor keeps counting in store slots.
@@ -478,7 +495,7 @@ class FChainSlave:
                         if slots:
                             # Slot keys are absolute (from store.start);
                             # shift into the series' local index space,
-                            # which starts later once the ring wrapped.
+                            # which starts later once the row wrapped.
                             synth = sum(
                                 1
                                 for s, kind in slots.items()

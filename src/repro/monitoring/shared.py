@@ -3,13 +3,13 @@
 The process-based :class:`~repro.core.engine.SlavePool` executor must hand
 every worker the full metric history without pickling it per task (a
 fleet-scale store is hundreds of megabytes). This module flattens each
-series' *retained* ring window into one ``multiprocessing.shared_memory``
+series' *retained* window into one ``multiprocessing.shared_memory``
 segment:
 
 * the master calls :class:`SharedStoreExport` once per diagnosis, paying
-  one vectorized copy of each retained ring view into the segment —
-  because the rings are mirrored, every view is already one contiguous
-  slice regardless of where the ring head is;
+  one vectorized copy of each retained row view into the segment —
+  because the store's matrix is mirrored, every view is already one
+  contiguous slice regardless of where the row's head is;
 * workers call :func:`attach_store` with the (tiny, picklable)
   :class:`SharedStoreHandle` and get back a read-only ``MetricStore``
   whose series are numpy views *into the shared segment* — attaching
@@ -17,9 +17,9 @@ segment:
 
 The attached store supports every read path (``series``, ``window``,
 ``metrics_for``, ``components``, ``series_quality``) byte-for-byte
-identically to the original, including rings that have wrapped: each
+identically to the original, including rows that have wrapped: each
 layout entry carries the series' retained-start timestamp, so an
-attached series reports the same clipped ``start`` as the live ring.
+attached series reports the same clipped ``start`` as the live row.
 Writing to an attached store raises.
 """
 
@@ -40,7 +40,7 @@ from repro.monitoring.store import (
     KIND_OBSERVED,
     MetricStore,
     _KIND_NAMES,
-    _Ring,
+    _FlatRing,
 )
 
 #: Reverse of the gap-bitmap name table: kind name -> bitmap code.
@@ -167,7 +167,7 @@ def attach_store(handle: SharedStoreHandle) -> MetricStore:
     """Open a read-only ``MetricStore`` view of an exported segment.
 
     The returned store's series are zero-copy numpy views into the
-    shared segment, wrapped as *flat* (read-only) rings; the segment
+    shared segment, wrapped as *flat* (read-only) handles; the segment
     mapping is kept alive by the store object itself.
     """
     # Attaching re-registers the segment with the resource tracker (a
@@ -187,7 +187,7 @@ def attach_store(handle: SharedStoreHandle) -> MetricStore:
     store._attached = True
     for component, metric_value, offset, count, first_slot in handle.layout:
         key = (component, Metric(metric_value))
-        store._series[key] = _Ring.flat(
+        store._series[key] = _FlatRing(
             flat[offset : offset + count], base=first_slot
         )
     for component, metric_value, qual in handle.quality:
@@ -206,14 +206,14 @@ def materialize_store(
 
     Where :func:`attach_store` hands out a read-only zero-copy view for
     the lifetime of one diagnosis, this copies the snapshot out of the
-    segment into fresh mirrored rings so ingest can continue — the fleet
+    segment into a fresh mirrored matrix so ingest can continue — the fleet
     layer uses it to relocate a tenant's store to another shard worker.
 
     The rebuilt store is indistinguishable from the original live store
     for every read and every future ingest: retained values, per-slot
     gap kinds, quality counters (including the learned ``skew_offset``),
     ``length`` and ``revision`` all carry over. Slots evicted from the
-    original ring before export are re-padded as missing, so the ring
+    original row before export are re-padded as missing, so the row's
     head lands on the same absolute slot and future eviction behaves
     identically (pass the original store's ``retention``).
     """
@@ -227,29 +227,32 @@ def materialize_store(
             policy=handle.policy,
             retention=retention,
         )
+        # Quality records first: a row created afterwards picks up its
+        # series' learned clock skew from its record.
+        gap_slots = {}
+        for component, metric_value, qual in handle.quality:
+            key = (component, Metric(metric_value))
+            snap = qual.snapshot()
+            # Live stores keep gap state in the gap bitmap, not in the
+            # quality record — restore the bitmap and clear the map.
+            gap_slots[key], snap.gap_slots = snap.gap_slots, {}
+            store._quality[key] = snap
         for component, metric_value, offset, count, first_slot in (
             handle.layout
         ):
             ring = store._ring((component, Metric(metric_value)))
             if first_slot > 0:
                 # Evicted history: values are gone, but the head must
-                # land on the same absolute slot as the source ring.
+                # land on the same absolute slot as the source row.
                 ring.append_run(np.full(first_slot, np.nan), KIND_MISSING)
             ring.append_run(
                 np.array(flat[offset : offset + count]), KIND_OBSERVED
             )
-        for component, metric_value, qual in handle.quality:
-            key = (component, Metric(metric_value))
-            snap = qual.snapshot()
-            gap_slots = snap.gap_slots
-            # Live stores keep gap state in the ring bitmap, not in the
-            # quality record — restore the bitmap and clear the map.
-            snap.gap_slots = {}
-            store._quality[key] = snap
+        for key, slots in gap_slots.items():
             ring = store._series.get(key)
             if ring is None:
                 continue
-            for slot, name in gap_slots.items():
+            for slot, name in slots.items():
                 if ring.first <= slot < ring.head:
                     ring.set_kind(slot, _KIND_CODES[name])
         store._length = handle.length

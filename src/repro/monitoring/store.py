@@ -1,4 +1,4 @@
-"""Ring-buffered in-memory store for sampled metric time series.
+"""Row-matrix in-memory store for sampled metric time series.
 
 One :class:`MetricStore` holds every (component, metric) series of one
 application run at the 1-second sampling interval. FChain slaves read
@@ -6,38 +6,43 @@ look-back windows out of it; the evaluation harness replays the same
 store through every localization scheme so all schemes see identical
 data.
 
-Storage is one preallocated *mirrored ring buffer* per series: a
-float64 buffer of twice the ring capacity in which every sample is
-written at both ``slot % cap`` and ``slot % cap + cap``. The mirror
-makes any retained window of at most ``cap`` samples a single
-contiguous zero-copy slice — readers never see the wrap seam, and
-:meth:`MetricStore.series` / :meth:`MetricStore.window` hand out plain
-numpy views no matter where the ring head currently is. A parallel
-``uint8`` gap bitmap (one code per retained slot: observed / missing /
-forward-filled / interpolated) replaces the old per-series fill-slot
-dictionary; :meth:`series_quality` materializes the historical
-``gap_slots`` mapping from it on demand.
+Storage is one preallocated *mirrored* matrix for the whole store: row
+``r`` is one series, a float64 row of twice the store's capacity in
+which every sample is written at both ``slot % cap`` and
+``slot % cap + cap``. The mirror makes any retained window of at most
+``cap`` samples a single contiguous zero-copy slice of its row — readers
+never see the wrap seam, and :meth:`MetricStore.series` /
+:meth:`MetricStore.window` hand out plain numpy views no matter where a
+row's head currently is. A parallel ``uint8`` ``[rows, cap]`` gap
+bitmap (one code per retained slot: observed / missing /
+forward-filled / interpolated) backs :meth:`series_quality`'s
+``gap_slots`` mapping, and one ``int64`` ``[rows, 4]`` array holds every
+row's head, next expected timestamp and seen / observed counters.
+``store._series[key]`` is a :class:`_Ring` handle onto one row.
 
-Rings grow by doubling (old buffers are left behind intact, so
-previously returned views stay valid) until they reach the store's
-``retention``; past that point the ring stops allocating and retains
-the newest ``retention`` samples by overwriting the oldest — steady
-state ingest is allocation-free.
+One capacity serves every row. It doubles when any row's head needs
+room (new arrays are allocated and the old ones left intact, so
+previously returned views stay valid) until it reaches the store's
+``retention``; past that point each row retains its newest
+``retention`` samples by overwriting the oldest — steady state ingest
+is allocation-free. Rows are added by doubling the same way.
 
 There is one write surface: :meth:`MetricStore.ingest` accepts either
 an :class:`IngestBatch` (per-sample points, vectorized contiguous runs,
 and a watermark in one call) or the legacy per-sample
-``(component, metric, time, value)`` form. A store has two modes: one
-built with a :class:`~repro.monitoring.quality.DataQualityPolicy` is
-tolerant, one built without is strict, and every defect site branches
-on that one fact.
+``(component, metric, time, value)`` form. A tick's points are one
+gathered write: every row whose sample is the next in-order finite
+float with room is written by one fancy-index assignment per mirror
+half. A store has two modes: one built with a
+:class:`~repro.monitoring.quality.DataQualityPolicy` is tolerant, one
+built without is strict, and every defect site branches on that one
+fact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,7 +64,7 @@ from repro.monitoring.quality import (
 
 _Key = Tuple[ComponentId, Metric]
 
-#: Initial ring capacity; rings double from here up to the retention.
+#: Initial store capacity; it doubles from here up to the retention.
 _MIN_RING_CAPACITY = 256
 
 #: Default retention: effectively unbounded for test/evaluation runs —
@@ -79,65 +84,178 @@ _KIND_NAMES = {
     KIND_INTERPOLATED: "interpolate",
 }
 
+#: Columns of the ``[rows, 4]`` state array: one past the newest written
+#: slot, the timestamp the next in-order sample carries (``start`` plus
+#: the learned clock skew plus the head), and the ``seen`` / ``observed``
+#: counters. An in-order append moves all four by one.
+_HEAD, _NEXT, _SEEN, _OBSERVED = range(4)
 
-class _Ring:
-    """One series: a mirrored ring buffer plus its gap bitmap.
+#: ``_NEXT`` of a row whose clock skew is not learned yet: no timestamp
+#: matches it, so such a row's samples take the per-sample rule.
+_UNALIGNED = -(1 << 62)
 
-    ``values`` has physical size ``2 * cap``; every retained slot ``s``
-    is stored at both ``s % cap`` and ``s % cap + cap``, so the window
-    ``[lo, hi)`` (``hi - lo <= cap``) is always the contiguous slice
-    ``values[lo % cap : lo % cap + (hi - lo)]``. ``kinds`` is the gap
-    bitmap, ``cap`` slots, *not* mirrored (only point reads and the
-    on-demand ``gap_slots`` materialization touch it).
+#: Exceptions ``np.array`` raises on a values column some entry of
+#: which is not a number.
+_NOT_NUMERIC = (TypeError, ValueError, OverflowError)
 
-    A ring attached from a shared-memory snapshot is *flat*:
-    ``flat_base`` is the first snapshotted slot, ``values`` holds
-    exactly the snapshot (no mirror), and writes are refused.
+
+def _fields_of(rows: np.ndarray) -> np.ndarray:
+    """Where the state of ``rows`` lies in the flattened state array."""
+    return (rows[:, None] * 4 + np.arange(4)).ravel()
+
+
+class _Rows:
+    """Every series of one store, a row each.
+
+    ``values`` is the mirrored ``[rows, 2 * cap]`` float64 matrix,
+    ``kinds`` the ``[rows, cap]`` gap bitmap and ``state`` the
+    ``[rows, 4]`` head / next timestamp / seen / observed array; the
+    first ``count`` rows are in use, and no head exceeds ``top``. One
+    ``cap`` serves every row and doubles up to ``limit`` (the store's
+    retention) when a head needs room, and rows are added by doubling.
+    Either reallocates: fresh arrays take the used columns and the old
+    ones are left untouched, so views handed out earlier stay valid.
+    Row views are cached only until the next reallocation, and nothing
+    here refers back to the store or to a handle, so old arrays and a
+    dropped store's matrices are freed as soon as no caller holds a
+    view.
     """
 
-    __slots__ = ("values", "kinds", "cap", "limit", "head", "flat_base")
+    __slots__ = ("values", "kinds", "state", "cap", "limit", "count", "top", "_views")
 
     def __init__(self, cap: int, limit: int) -> None:
         self.cap = cap
         self.limit = limit
-        self.values = np.empty(2 * cap, dtype=np.float64)
-        self.kinds = np.zeros(cap, dtype=np.uint8)
-        self.head = 0
-        self.flat_base: Optional[int] = None
+        self.count = 0
+        self.top = 0
+        self.values = np.empty((0, 2 * cap), dtype=np.float64)
+        self.kinds = np.zeros((0, cap), dtype=np.uint8)
+        self.state = np.zeros((0, 4), dtype=np.int64)
+        self._views: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
 
-    @classmethod
-    def flat(cls, values: np.ndarray, base: int) -> "_Ring":
-        ring = object.__new__(cls)
-        ring.values = values
-        ring.kinds = None
-        ring.cap = max(1, len(values))
-        ring.limit = ring.cap
-        ring.head = base + len(values)
-        ring.flat_base = base
-        return ring
+    def __getstate__(self) -> dict:
+        # A copy must view its own arrays, not copies of these views.
+        return {
+            name: getattr(self, name) for name in self.__slots__ if name != "_views"
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._views = [None] * len(self.state)
+
+    def row_views(self, row: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(values, kinds)`` of one row: the same two view objects
+        until the next reallocation."""
+        views = self._views[row]
+        if views is None:
+            views = self._views[row] = (self.values[row], self.kinds[row])
+        return views
+
+    def add(self) -> int:
+        """A fresh row (head 0, skew not learned); returns its index."""
+        row = self.count
+        if row == len(self.state):
+            self.reshape(max(1, 2 * row), self.cap)
+        self.count = row + 1
+        return row
+
+    def reserve(self, needed: int) -> None:
+        """Double the capacity (up to the limit) until a head of
+        ``needed`` fits."""
+        cap = self.cap
+        if needed <= cap or cap >= self.limit:
+            return
+        while cap < needed and cap < self.limit:
+            cap = min(2 * cap, self.limit)
+        self.reshape(len(self.state), cap)
+
+    def reshape(self, rows: int, cap: int) -> None:
+        """Move the rows into fresh arrays of ``rows`` rows, ``cap`` slots.
+
+        The capacity only grows while no row has wrapped, so each row's
+        retained region is then the plain prefix ``[0, head)``; a
+        reshape at the same capacity keeps every position.
+        """
+        n = self.count
+        values = np.empty((rows, 2 * cap), dtype=np.float64)
+        kinds = np.zeros((rows, cap), dtype=np.uint8)
+        state = np.zeros((rows, 4), dtype=np.int64)
+        state[:, _NEXT] = _UNALIGNED
+        if n:
+            used = min(self.cap, int(self.state[:n, _HEAD].max()))
+            values[:n, :used] = self.values[:n, :used]
+            values[:n, cap : cap + used] = self.values[:n, :used]
+            kinds[:n, :used] = self.kinds[:n, :used]
+            state[:n] = self.state[:n]
+        self.values, self.kinds, self.state, self.cap = values, kinds, state, cap
+        self._views = [None] * rows
+
+    def move_head(self, row: int, head: int) -> None:
+        state = self.state[row]
+        state[_NEXT] += head - state[_HEAD]
+        state[_HEAD] = head
+        self.top = max(self.top, head)
+
+
+class _Ring:
+    """One series: a handle onto its row of the store's :class:`_Rows`.
+
+    ``values`` is the row of the mirrored value matrix, ``2 * cap``
+    floats; every retained slot ``s`` is stored at both ``s % cap`` and
+    ``s % cap + cap``, so the window ``[lo, hi)`` (``hi - lo <= cap``)
+    is always the contiguous slice ``values[lo % cap : lo % cap +
+    (hi - lo)]``. ``kinds`` is the row of the gap bitmap, ``cap`` slots,
+    *not* mirrored (only point reads and the on-demand ``gap_slots``
+    materialization touch it). Both are views, the same objects until
+    the rows are reallocated. ``head``, ``cap`` and ``limit`` are read
+    from the rows.
+    """
+
+    __slots__ = ("_rows", "row")
+
+    #: Only snapshot handles (:class:`_FlatRing`) carry a base.
+    flat_base = None
+
+    def __init__(self, rows: _Rows, row: int) -> None:
+        self._rows = rows
+        self.row = row
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._rows.row_views(self.row)[0]
+
+    @property
+    def kinds(self) -> np.ndarray:
+        return self._rows.row_views(self.row)[1]
+
+    @property
+    def cap(self) -> int:
+        return self._rows.cap
+
+    @property
+    def limit(self) -> int:
+        return self._rows.limit
+
+    @property
+    def head(self) -> int:
+        """One past the newest written slot."""
+        return int(self._rows.state[self.row, _HEAD])
 
     @property
     def first(self) -> int:
         """Oldest retained slot."""
-        if self.flat_base is not None:
-            return self.flat_base
         return max(0, self.head - self.cap)
 
     def view(self, lo: int, hi: int) -> np.ndarray:
         """Zero-copy view of retained slots ``[lo, hi)``."""
-        if self.flat_base is not None:
-            return self.values[lo - self.flat_base : hi - self.flat_base]
         p = lo % self.cap
         return self.values[p : p + (hi - lo)]
 
     def value_at(self, slot: int) -> float:
-        if self.flat_base is not None:
-            return float(self.values[slot - self.flat_base])
         return float(self.values[slot % self.cap])
 
     def kind_at(self, slot: int) -> int:
-        if self.kinds is None:
-            return KIND_OBSERVED
         return int(self.kinds[slot % self.cap])
 
     def set_kind(self, slot: int, kind: int) -> None:
@@ -145,111 +263,98 @@ class _Ring:
 
     def write_at(self, slot: int, value: float) -> None:
         """Rewrite one retained slot in place (backfill repair)."""
-        self._check_writable()
-        p = slot % self.cap
-        self.values[p] = value
-        self.values[p + self.cap] = value
-
-    def _check_writable(self) -> None:
-        if self.flat_base is not None:
-            raise RuntimeError(
-                "attached shared-memory store snapshots are read-only"
-            )
-
-    def _grow(self, needed: int) -> None:
-        """Double capacity (up to the retention limit) to fit ``needed``.
-
-        Only ever called while ``head <= cap`` (before any eviction),
-        so the retained region is the plain prefix ``[0, head)``. The
-        old buffer is left behind untouched: views handed out earlier
-        keep their then-current contents.
-        """
         cap = self.cap
-        while cap < needed and cap < self.limit:
-            cap = min(2 * cap, self.limit)
-        if cap == self.cap:
-            return
-        values = np.empty(2 * cap, dtype=np.float64)
-        kinds = np.zeros(cap, dtype=np.uint8)
-        n = self.head
-        values[:n] = self.values[:n]
-        values[cap : cap + n] = self.values[:n]
-        kinds[:n] = self.kinds[:n]
-        self.values, self.kinds, self.cap = values, kinds, cap
+        p = slot % cap
+        values = self.values
+        values[p] = value
+        values[p + cap] = value
 
     def append_one(self, value: float, kind: int) -> None:
-        """Append a single sample at the head (the 1 Hz hot path)."""
-        self._check_writable()
+        """Append a single sample at the head."""
         s = self.head
-        cap = self.cap
-        if s >= cap and cap < self.limit:
-            self._grow(s + 1)
-            cap = self.cap
-        p = s % cap
-        self.values[p] = value
-        self.values[p + cap] = value
-        self.kinds[p] = kind
-        self.head = s + 1
+        self._rows.reserve(s + 1)
+        self.write_at(s, value)
+        self.set_kind(s, kind)
+        self._rows.move_head(self.row, s + 1)
 
     def skip_to(self, head: int) -> None:
         """Move the head forward to ``head`` without writing the slots
         passed over.
 
         For a caller that appends ``limit`` slots right after, which
-        evicts everything retained: the ring is first grown to its limit
-        (the only moment it can still copy a plain prefix), so the jump
-        never has to move or clear retained data.
+        evicts everything retained: the rows are first grown to their
+        limit (the only moment they can still copy plain prefixes), so
+        the jump never has to move or clear retained data.
         """
-        self._check_writable()
-        self._grow(self.limit)
-        self.head = head
+        self._rows.reserve(self.limit)
+        self._rows.move_head(self.row, head)
 
     def append_run(self, values: np.ndarray, kind: int) -> int:
         """Append a contiguous run at the head; returns the first slot
         actually written.
 
-        If the run is longer than the ring capacity, only its newest
-        ``cap`` samples are stored — the earlier ones are evicted on
-        arrival.
+        If the run is longer than the capacity, only its newest ``cap``
+        samples are stored — the earlier ones are evicted on arrival.
         """
-        self._check_writable()
         n = len(values)
         s = self.head
-        if s + n > self.cap and self.cap < self.limit:
-            self._grow(s + n)
+        self._rows.reserve(s + n)
         cap = self.cap
+        buffer, kinds = self.values, self.kinds
         new_head = s + n
         write_start = max(s, new_head - cap)
         run = values[write_start - s :]
         p = write_start % cap
         m = len(run)
         fit = min(m, cap - p)
-        self.values[p : p + fit] = run[:fit]
-        self.values[cap + p : cap + p + fit] = run[:fit]
-        self.kinds[p : p + fit] = kind
+        buffer[p : p + fit] = run[:fit]
+        buffer[cap + p : cap + p + fit] = run[:fit]
+        kinds[p : p + fit] = kind
         if fit < m:
             rest = m - fit
-            self.values[:rest] = run[fit:]
-            self.values[cap : cap + rest] = run[fit:]
-            self.kinds[:rest] = kind
-        self.head = new_head
+            buffer[:rest] = run[fit:]
+            buffer[cap : cap + rest] = run[fit:]
+            kinds[:rest] = kind
+        self._rows.move_head(self.row, new_head)
         return write_start
 
     def gap_slots(self) -> Dict[int, str]:
         """Materialize the historical slot -> kind-name mapping."""
-        if self.flat_base is not None or self.head == 0:
+        head = self.head
+        kinds = self.kinds
+        if head == 0:
             return {}
         cap = self.cap
+        if head <= cap:
+            marked = np.flatnonzero(kinds[:head])
+            return {int(p): _KIND_NAMES[int(kinds[p])] for p in marked}
         first = self.first
-        if self.head <= cap:
-            marked = np.flatnonzero(self.kinds[: self.head])
-            return {int(p): _KIND_NAMES[int(self.kinds[p])] for p in marked}
         out = {}
-        for p in np.flatnonzero(self.kinds):
+        for p in np.flatnonzero(kinds):
             p = int(p)
             slot = first + ((p - first) % cap)
-            out[slot] = _KIND_NAMES[int(self.kinds[p])]
+            out[slot] = _KIND_NAMES[int(kinds[p])]
         return out
+
+
+class _FlatRing:
+    """One series of an attached shared-memory snapshot: read-only and
+    not mirrored. ``values`` holds exactly the snapshotted slots, the
+    first of which is ``flat_base``."""
+
+    __slots__ = ("values", "flat_base", "head")
+
+    def __init__(self, values: np.ndarray, base: int) -> None:
+        self.values = values
+        self.flat_base = base
+        self.head = base + len(values)
+
+    @property
+    def first(self) -> int:
+        return self.flat_base
+
+    def view(self, lo: int, hi: int) -> np.ndarray:
+        return self.values[lo - self.flat_base : hi - self.flat_base]
 
 
 class SeriesIndex:
@@ -257,18 +362,28 @@ class SeriesIndex:
 
     Readers that walk every series on every tick (the slave's warm sync)
     take this instead of rescanning the key set: ``keys[i]`` and
-    ``rings[i]`` describe one series, ``components`` is the sorted
-    component list and ``metrics[component]`` its metrics in canonical
-    order. The snapshot itself never changes — a store that gains a
-    series builds a new one — so ``index is previous`` tells a reader
-    whether anything it derived from the last snapshot is still valid.
-    The rings are live: the per-tick accessors below read their current
-    heads and values.
+    ``rings[i]`` describe one series, the store's row ``i``;
+    ``components`` is the sorted component list and
+    ``metrics[component]`` its metrics in canonical order. The snapshot
+    itself never changes — a store that gains a series builds a new one
+    — so ``index is previous`` tells a reader whether anything it
+    derived from the last snapshot is still valid.
+
+    The per-tick accessors read the store's live arrays: the heads are
+    one slice, a slot across rows is one gather (:meth:`column`), and a
+    run of slots across rows one 2-D gather (:meth:`block`), each from
+    the flattened matrix. An index of an attached snapshot is not
+    ``mirrored``: its flat handles have no matrix, and only
+    :meth:`heads` applies.
     """
 
-    __slots__ = ("keys", "rings", "components", "metrics", "mirrored")
+    __slots__ = ("keys", "rings", "components", "metrics", "mirrored", "_rows")
 
-    def __init__(self, entries: Sequence[Tuple[_Key, _Ring]]) -> None:
+    def __init__(
+        self,
+        entries: Sequence[Tuple[_Key, _Ring]],
+        rows: Optional[_Rows] = None,
+    ) -> None:
         self.keys: Tuple[_Key, ...] = tuple(key for key, _ in entries)
         self.rings: Tuple[_Ring, ...] = tuple(ring for _, ring in entries)
         self.components: Tuple[ComponentId, ...] = tuple(
@@ -281,33 +396,50 @@ class SeriesIndex:
             component: tuple(m for m in METRIC_NAMES if m in metrics)
             for component, metrics in present.items()
         }
-        #: False when any ring is a flat shared-memory snapshot, which
-        #: :meth:`column` cannot address.
-        self.mirrored = all(ring.flat_base is None for ring in self.rings)
+        self._rows = rows
+        self.mirrored = rows is not None
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def heads(self) -> np.ndarray:
         """One past the newest written slot of every series."""
-        return np.array([ring.head for ring in self.rings], dtype=np.int64)
+        if self._rows is None:
+            return np.array([ring.head for ring in self.rings], dtype=np.int64)
+        return self._rows.state[: len(self.keys), _HEAD].copy()
 
-    def capacities(self) -> np.ndarray:
-        """Current ring capacity of every series (``mirrored`` only)."""
-        return np.array([ring.cap for ring in self.rings], dtype=np.int64)
+    @property
+    def cap(self) -> int:
+        """The store's capacity, shared by every row (``mirrored`` only)."""
+        return self._rows.cap
 
     def column(
-        self, slot: int, positions: Optional[Sequence[int]] = None
+        self, slot: int, positions: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """The value every series (or those at ``positions``) holds at
         one slot. The slot must be written and still retained in each
-        addressed ring, and the index ``mirrored``."""
-        rings = self.rings
-        if positions is not None:
-            rings = [rings[i] for i in positions]
-        return np.array(
-            [ring.values[slot % ring.cap] for ring in rings], dtype=np.float64
-        )
+        addressed row, and the index ``mirrored``."""
+        values = self._rows.values
+        width = values.shape[1]
+        p = slot % (width // 2)
+        if positions is None:
+            return values[: len(self.keys), p].copy()
+        return values.reshape(-1)[positions * width + p]
+
+    def block(self, positions: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """``[len(positions), hi - lo]``: slots ``[lo, hi)`` of the series
+        at ``positions`` (ascending), which must all retain them
+        (``mirrored`` only). Copies just the block, never whole rows:
+        one slice when the positions are consecutive, else one gather
+        from the flattened matrix."""
+        values = self._rows.values
+        width = values.shape[1]
+        p = lo % (width // 2)
+        first = int(positions[0])
+        if int(positions[-1]) - first + 1 == len(positions):
+            return values[first : first + len(positions), p : p + (hi - lo)].copy()
+        starts = positions * width + p
+        return values.reshape(-1)[starts[:, None] + np.arange(hi - lo)]
 
 
 @dataclass(frozen=True)
@@ -315,8 +447,8 @@ class IngestRun:
     """A contiguous run of samples for one series.
 
     ``values[i]`` is the sample at absolute time ``start + i``. Runs are
-    the vectorized fast path: one slice assignment per ring half instead
-    of a Python-level loop per sample.
+    the vectorized fast path: one slice assignment per mirror half
+    instead of a Python-level loop per sample.
     """
 
     component: ComponentId
@@ -332,14 +464,18 @@ class IngestBatch:
     Attributes:
         samples: Individually timestamped points
             (:class:`~repro.common.types.MetricSample`, or one tick's
-            :class:`~repro.common.types.TickSamples` columns), routed
-            through the full per-sample machinery (validation, gap
-            fill, skew alignment, backfill, duplicates); the next
-            in-order sample of a known series is appended inline.
+            :class:`~repro.common.types.TickSamples` columns). Points
+            sharing one time are written as one tick: the next in-order
+            sample of a known series is appended in one gathered write,
+            and every other point goes through the full per-sample
+            machinery (validation, gap fill, skew alignment, backfill,
+            duplicates).
         runs: Contiguous per-series :class:`IngestRun` blocks, applied
             through the vectorized append path.
         watermark: When set, ``advance_to(watermark)`` after the writes
-            — every tick before it is marked complete.
+            — every tick before it is marked complete. A tolerant store
+            drops a point stamped more than ``max_skew`` ticks past the
+            batch's newest tick (``watermark - 1``).
     """
 
     samples: Sequence[MetricSample] = ()
@@ -348,22 +484,25 @@ class IngestBatch:
 
 
 class MetricStore:
-    """Ring-buffered storage of per-component metric samples.
+    """Row-matrix storage of per-component metric samples.
 
     All writes go through :meth:`ingest`. A store constructed with a
     :class:`~repro.monitoring.quality.DataQualityPolicy` is tolerant
     (bounded gap fill, clock-skew alignment, late backfill, first
-    delivery wins, per-series
+    delivery wins, far-future stamps dropped, per-series
     :class:`~repro.monitoring.quality.SeriesQuality` counters); a store
     constructed without one is strict: NaN, a gap, an out-of-order or
     duplicate sample all raise.
 
-    Retention: each series keeps at most ``retention`` samples; once a
-    ring is full the oldest slot is overwritten by the newest. Reads clip
-    to the retained range — :meth:`series` returns a view whose ``start``
-    reflects any evicted prefix. Views stay valid while their window
-    stays retained; a view still holding the oldest retained slots
-    observes the overwrite once the ring wraps past them.
+    Every series is one row of the store's mirrored value matrix (see
+    the module docstring); ``store._series[key]`` is its :class:`_Ring`
+    handle. Retention: each row keeps at most ``retention`` samples;
+    once the store's capacity has reached it, a row's oldest slot is
+    overwritten by its newest. Reads clip to the retained range —
+    :meth:`series` returns a view whose ``start`` reflects any evicted
+    prefix. Views stay valid while their window stays retained; a view
+    still holding the oldest retained slots observes the overwrite once
+    the row wraps past them.
 
     ``revision`` increments whenever a *past* slot is rewritten in
     place (late backfill); window-keyed caches include
@@ -384,17 +523,20 @@ class MetricStore:
         self.start = start
         self.policy = policy
         self.retention = int(retention)
+        self._rows = _Rows(min(_MIN_RING_CAPACITY, self.retention), self.retention)
         self._series: Dict[_Key, _Ring] = {}
         self._index = SeriesIndex(())
+        # (components, metrics, (fields, rows, offsets), cap) of the last
+        # tick layout.
+        self._layout: Optional[tuple] = None
         self._length = 0
+        # Per-series counters; a row's seen / observed counts live in
+        # the rows' state and add to the record's own.
         self._quality: Dict[_Key, SeriesQuality] = {}
-        # Ring and counters of every writable series with a learned
-        # skew, under one key: the fused sample loop's single lookup.
-        self._appendable: Dict[_Key, Tuple[_Ring, SeriesQuality]] = {}
         self._revision = 0
         self._ingest_metrics: Optional[IngestMetrics] = None
         # Set on shared-memory attach: quality snapshots already carry
-        # their materialized gap_slots and the rings are flat/read-only.
+        # their materialized gap_slots and the series are flat handles.
         self._attached = False
 
     # ------------------------------------------------------------------
@@ -410,12 +552,16 @@ class MetricStore:
         * ``ingest(component, metric, time, value)`` — the legacy
           per-sample form; tolerant stores only.
         """
+        if self._attached:
+            raise RuntimeError(
+                "attached shared-memory store snapshots are read-only"
+            )
         if isinstance(batch, IngestBatch):
             if metric is not None or time is not None or value is not None:
                 raise TypeError("ingest(IngestBatch) takes no extra arguments")
             for run in batch.runs:
                 self._ingest_run(run)
-            self._ingest_samples(batch.samples)
+            self._ingest_samples(batch.samples, batch.watermark)
             if batch.watermark is not None:
                 self.advance_to(batch.watermark)
             return
@@ -440,11 +586,19 @@ class MetricStore:
     # Ingest machinery
     # ------------------------------------------------------------------
     def _ring(self, key: _Key) -> _Ring:
+        """The row handle of one series, added on first sight."""
         ring = self._series.get(key)
         if ring is None:
-            cap = min(_MIN_RING_CAPACITY, self.retention)
-            ring = self._series[key] = _Ring(cap, self.retention)
+            ring = self._series[key] = _Ring(self._rows, self._rows.add())
+            qual = self._quality.get(key)
+            if qual is not None and qual.skew_offset is not None:
+                self._learn_skew(ring, qual, qual.skew_offset)
         return ring
+
+    def _learn_skew(self, ring: _Ring, qual: SeriesQuality, offset: int) -> None:
+        qual.skew_offset = offset
+        state = self._rows.state[ring.row]
+        state[_NEXT] = self.start + offset + state[_HEAD]
 
     def _qual(self, key: _Key) -> SeriesQuality:
         qual = self._quality.get(key)
@@ -463,7 +617,7 @@ class MetricStore:
         qual = self._qual(key)
         if qual.skew_offset is None:
             # Runs are produced on the master grid; no skew to learn.
-            qual.skew_offset = 0
+            self._learn_skew(ring, qual, 0)
         slot = run.start - self.start - qual.skew_offset
         if slot < ring.head:
             # Overlapping run: fall back to the per-sample path, which
@@ -471,7 +625,7 @@ class MetricStore:
             for i in range(n):
                 self._ingest_sample(component, metric, run.start + i, values[i])
             return
-        qual.seen += n
+        self._rows.state[ring.row, _SEEN] += n
         finite = np.isfinite(values)
         bad = None
         if not finite.all():
@@ -488,7 +642,7 @@ class MetricStore:
             self._fill_gap(key, ring, qual, ring.head, slot, float(values[0]))
         write_start = ring.append_run(values, KIND_OBSERVED)
         if bad is None:
-            qual.observed += n
+            self._rows.state[ring.row, _OBSERVED] += n
         else:
             for i in bad:
                 s = slot + int(i)
@@ -496,64 +650,176 @@ class MetricStore:
                     ring.set_kind(s, KIND_MISSING)
             qual.invalid += len(bad)
             qual.missing += len(bad)
-            qual.observed += n - len(bad)
+            self._rows.state[ring.row, _OBSERVED] += n - len(bad)
             self._metrics().dropped.inc(len(bad), reason="invalid")
 
-    def _ingest_samples(self, samples: Sequence[MetricSample]) -> None:
-        """Ingest timestamped samples in one fused loop.
+    def _ingest_samples(
+        self, samples: Sequence[MetricSample], watermark: Optional[int]
+    ) -> None:
+        """Ingest timestamped samples; those sharing one time as a tick.
 
-        The common case — the next in-order, finite sample of a known
-        series whose ring has room — is appended inline: both mirror
-        halves, the kind byte, the head and two counters, after one
-        dictionary lookup. Everything else (a series' first sample, a
-        gap, a late or duplicate delivery, NaN/inf, ring growth, a
-        read-only ring) takes :meth:`_ingest_sample`, the per-sample
-        rule, which the inline append matches bit for bit.
+        The tick's series layout is resolved to rows once per distinct
+        layout (:meth:`_layout_rows`). Every row whose sample is the next
+        in-order finite float with room is then written in one gathered
+        write (:meth:`_append_rows`). Everything else — a series' first
+        sample, a gap, a late, duplicate or far-future delivery, NaN/inf,
+        growth — takes :meth:`_ingest_sample`, the per-sample rule, in
+        arrival order; so does every sample of a batch that spans
+        several times, names a new series or one series twice, or
+        carries a value that is not a float. The gathered write matches
+        the per-sample rule bit for bit. Each sample touches only its own
+        row, so writing the in-order rows first is the arrival order,
+        except that a strict store stops at its first defect: there only
+        the rows before it are written together.
         """
-        if isinstance(samples, TickSamples):
-            rows = zip(
-                samples.components,
-                samples.metrics,
-                repeat(samples.time),
-                samples.values,
+        tick = TickSamples.of(samples)
+        if tick is None:
+            for s in samples:
+                self._ingest_sample(
+                    s.component, s.metric, s.time, s.value, watermark
+                )
+            return
+        n = len(tick.values)
+        if n == 0:
+            return
+        time = tick.time
+        layout = self._layout_rows(tick.components, tick.metrics)
+        try:
+            values = np.array(tick.values)
+        except _NOT_NUMERIC:
+            values = None
+        if (
+            layout is None
+            or values is None
+            or values.dtype.char != "d"
+            or values.ndim != 1
+            or self._beyond_horizon(time, watermark)
+        ):
+            self._ingest_columns(tick, 0, watermark)
+            return
+        fields, rows, offsets = layout
+        matrices = self._rows
+        state = matrices.state.reshape(-1)[fields].reshape(-1, 4)
+        heads = state[:, _HEAD]
+        fast = state[:, _NEXT] == time
+        fast &= np.isfinite(values)
+        if matrices.top >= matrices.cap and matrices.cap < self.retention:
+            fast &= heads < matrices.cap
+        if np.count_nonzero(fast) == n:
+            self._append_rows(fields, offsets, heads, values)
+            return
+        if self.policy is None:
+            first = int(np.argmin(fast))
+            before = slice(first)
+            self._append_rows(
+                _fields_of(rows[before]),
+                offsets[before],
+                heads[before],
+                values[before],
             )
-        else:
-            rows = [(s.component, s.metric, s.time, s.value) for s in samples]
-        appendable = self._appendable
-        base = self.start
-        for component, metric, time, value in rows:
-            try:
-                ring, qual = appendable[component, metric]
-            except KeyError:
-                ring = None
-            if ring is None:
-                self._ingest_sample(component, metric, time, value)
-                self._enlist((component, metric))
-                continue
-            head = ring.head
-            cap = ring.cap
-            if (
-                time - base - qual.skew_offset == head
-                and value.__class__ is float
-                and value - value == 0.0  # finite: NaN and inf give NaN
-                and (head < cap or cap >= ring.limit)
-            ):
-                p = head % cap
-                buffer = ring.values
-                buffer[p] = value
-                buffer[p + cap] = value
-                ring.kinds[p] = KIND_OBSERVED
-                ring.head = head + 1
-                qual.seen += 1
-                qual.observed += 1
-            else:
-                self._ingest_sample(component, metric, time, value)
+            self._ingest_columns(tick, first, watermark)
+            return
+        self._append_rows(
+            _fields_of(rows[fast]), offsets[fast], heads[fast], values[fast]
+        )
+        components, metrics, raw = tick.components, tick.metrics, tick.values
+        for i in np.flatnonzero(~fast).tolist():
+            self._ingest_sample(
+                components[i], metrics[i], time, raw[i], watermark
+            )
 
-    def _enlist(self, key: _Key) -> None:
-        """Let a series whose skew is now learned take the inline append."""
-        ring = self._series[key]
-        if ring.flat_base is None:
-            self._appendable[key] = (ring, self._quality[key])
+    def _layout_rows(
+        self, components: List[ComponentId], metrics: List[Metric]
+    ) -> Optional[Tuple[object, np.ndarray, np.ndarray]]:
+        """``(fields, rows, offsets)`` of one tick's series layout.
+
+        ``rows[i]`` is the row of sample ``i``'s series and
+        ``offsets[i]`` where that row starts in the flattened value
+        matrix; ``fields`` addresses those rows' state in the flattened
+        state array, as a slice when the rows are consecutive — the
+        common case of a feed in creation order, which reads the state
+        as a view instead of a gather. None when the layout names a
+        series not seen yet or one series twice.
+
+        A layout is kept and matched against the next tick's columns by
+        list equality, so a steady feed never hashes a
+        ``(component, Metric)`` key.
+        """
+        layout = self._layout
+        cap = self._rows.cap
+        if layout is not None and components == layout[0] and metrics == layout[1]:
+            fields, rows, offsets = layout[2]
+            if layout[3] != cap:
+                offsets = rows * (2 * cap)
+                self._layout = (layout[0], layout[1], (fields, rows, offsets), cap)
+            return fields, rows, offsets
+        keys = list(zip(components, metrics))
+        series = self._series
+        new = len(set(keys) - series.keys())
+        if new:
+            # The per-sample rule adds the rows; make room in one go.
+            matrices = self._rows
+            if matrices.count + new > len(matrices.state):
+                matrices.reshape(matrices.count + new, cap)
+            return None
+        if len(set(keys)) != len(keys):
+            return None
+        rows = np.array([series[key].row for key in keys], dtype=np.int64)
+        first = int(rows[0])
+        fields = slice(4 * first, 4 * (first + len(rows)))
+        if not (rows == np.arange(first, first + len(rows))).all():
+            fields = _fields_of(rows)
+        resolved = (fields, rows, rows * (2 * cap))
+        self._layout = (components[:], metrics[:], resolved, cap)
+        return resolved
+
+    def _append_rows(
+        self, fields, offsets: np.ndarray, heads: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Append ``values[i]`` at the head of the row that starts at
+        ``offsets[i]`` of the flattened value matrix (distinct rows, each
+        with room and a learned skew, whose state ``fields`` addresses in
+        the flattened state array).
+
+        Every write goes through a flattened array: numpy releases the
+        GIL for a fancy index into a 2-D array, and under threads the
+        writer then waits out another thread's switch interval.
+        """
+        matrices = self._rows
+        cap = matrices.cap
+        wraps = cap >= self.retention
+        slots = heads % cap if wraps else heads
+        at = offsets + slots
+        flat = matrices.values.reshape(-1)
+        flat[at] = values
+        flat[at + cap] = values
+        if wraps:
+            # Below the retention every slot past a head still holds
+            # KIND_OBSERVED; a wrapped slot holds the evicted one's code.
+            matrices.kinds.reshape(-1)[offsets // 2 + slots] = KIND_OBSERVED
+        matrices.state.reshape(-1)[fields] += 1
+        # Each written head moved up by one.
+        matrices.top += 1
+
+    def _ingest_columns(
+        self, tick: TickSamples, start: int, watermark: Optional[int]
+    ) -> None:
+        """The per-sample rule for ``tick``'s samples from ``start`` on."""
+        time = tick.time
+        for component, metric, value in zip(
+            tick.components[start:], tick.metrics[start:], tick.values[start:]
+        ):
+            self._ingest_sample(component, metric, time, value, watermark)
+
+    def _beyond_horizon(self, time: int, watermark: Optional[int]) -> bool:
+        """Whether a tolerant store drops a sample stamped ``time`` in a
+        batch closed by ``watermark``: more than ``max_skew`` ticks past
+        the batch's newest tick is a broken clock, not skew or a gap."""
+        return (
+            watermark is not None
+            and self.policy is not None
+            and time >= watermark + DataQualityPolicy.max_skew
+        )
 
     def _ingest_sample(
         self,
@@ -561,11 +827,16 @@ class MetricStore:
         metric: Metric,
         time: int,
         value: float,
+        watermark: Optional[int] = None,
     ) -> None:
         key = (component, metric)
         ring = self._ring(key)
         qual = self._qual(key)
-        qual.seen += 1
+        self._rows.state[ring.row, _SEEN] += 1
+        if self._beyond_horizon(time, watermark):
+            qual.invalid += 1
+            self._metrics().dropped.inc(1, reason="future")
+            return
         value = float(value)
         if not math.isfinite(value):
             if self.policy is None:
@@ -590,7 +861,7 @@ class MetricStore:
                 if delta != 0 and abs(delta) <= DataQualityPolicy.max_skew:
                     offset = delta
                     self._metrics().skew_aligned.inc(1)
-            qual.skew_offset = offset
+            self._learn_skew(ring, qual, offset)
         time -= qual.skew_offset
 
         slot = time - self.start
@@ -611,7 +882,7 @@ class MetricStore:
             qual.missing += 1
         else:
             ring.append_one(value, KIND_OBSERVED)
-            qual.observed += 1
+            self._rows.state[ring.row, _OBSERVED] += 1
 
     def _fill_gap(
         self,
@@ -624,11 +895,10 @@ class MetricStore:
     ) -> None:
         """Pad ``[head, slot)`` — repaired when short, else left missing.
 
-        The ring retains at most ``limit`` slots, so the front of a
-        longer gap would be evicted on arrival: it is skipped unwritten
-        and only the retained tail is padded, keeping one far-ahead
-        sample from allocating O(gap). The counters still see the whole
-        gap.
+        A row retains at most ``limit`` slots, so the front of a longer
+        gap would be evicted on arrival: it is skipped unwritten and
+        only the retained tail is padded, keeping one far-ahead sample
+        from allocating O(gap). The counters still see the whole gap.
         """
         gap = slot - head
         if self.policy is None and head > 0:
@@ -683,8 +953,8 @@ class MetricStore:
             self._metrics().dropped.inc(1, reason="late")
             return
         if slot < ring.first:
-            # The slot was already evicted by ring wraparound: the ring
-            # cannot accept a write into history it no longer retains.
+            # The slot was already evicted by wraparound: the row cannot
+            # accept a write into history it no longer retains.
             qual.late_dropped += 1
             self._metrics().dropped.inc(1, reason="evicted")
             return
@@ -701,7 +971,7 @@ class MetricStore:
                 qual.filled_forward -= 1
             else:
                 qual.filled_interpolated -= 1
-            qual.observed += 1
+            self._rows.state[ring.row, _OBSERVED] += 1
             qual.late_accepted += 1
             self._metrics().backfilled.inc(1)
             return
@@ -723,12 +993,23 @@ class MetricStore:
     # ------------------------------------------------------------------
     # Data-quality introspection
     # ------------------------------------------------------------------
+    def _counters(self, key: _Key, qual: SeriesQuality) -> SeriesQuality:
+        """A detached copy of one series' counters, its row's seen /
+        observed counts included."""
+        snap = qual.snapshot()
+        ring = self._series.get(key)
+        if ring is not None and ring.flat_base is None:
+            state = self._rows.state[ring.row]
+            snap.seen += int(state[_SEEN])
+            snap.observed += int(state[_OBSERVED])
+        return snap
+
     def series_quality(
         self, component: ComponentId, metric: Metric
     ) -> SeriesQuality:
         """Ingest counters of one series (zeros when never ingested).
 
-        ``gap_slots`` is materialized from the ring's gap bitmap on
+        ``gap_slots`` is materialized from the row's gap bitmap on
         demand; its keys are absolute slot indices counted from the
         store's ``start`` (evicted slots no longer appear).
         """
@@ -738,20 +1019,18 @@ class MetricStore:
             return SeriesQuality()
         if self._attached:
             return qual
+        snap = self._counters(key, qual)
         ring = self._series.get(key)
-        slots = ring.gap_slots() if ring is not None else {}
-        if not slots and not qual.gap_slots:
-            return qual
-        snap = qual.snapshot()
-        snap.gap_slots = slots
+        if ring is not None:
+            snap.gap_slots = ring.gap_slots()
         return snap
 
     def quality_for(self, component: ComponentId) -> SeriesQuality:
         """Aggregated ingest counters across a component's metrics."""
         total = SeriesQuality()
-        for (comp, _metric), qual in self._quality.items():
-            if comp == component:
-                total.merge(qual)
+        for key, qual in self._quality.items():
+            if key[0] == component:
+                total.merge(self._counters(key, qual))
         return total
 
     # ------------------------------------------------------------------
@@ -769,7 +1048,9 @@ class MetricStore:
         if len(index) != len(self._series):
             # list() snapshots the items: a concurrent first-ever ingest
             # of a new series must not blow up a reader mid-iteration.
-            index = self._index = SeriesIndex(list(self._series.items()))
+            index = self._index = SeriesIndex(
+                list(self._series.items()), None if self._attached else self._rows
+            )
         return index
 
     @property
@@ -790,9 +1071,9 @@ class MetricStore:
     def series(self, component: ComponentId, metric: Metric) -> TimeSeries:
         """The retained series for one (component, metric).
 
-        Returns a zero-copy view of the ring. Its ``start`` is the
-        timestamp of the oldest *retained* sample — after the ring has
-        wrapped, that is later than the store's ``start``. The view
+        Returns a zero-copy view of the series' row. Its ``start`` is
+        the timestamp of the oldest *retained* sample — after the row
+        has wrapped, that is later than the store's ``start``. The view
         reflects only ticks completed at call time, and stays valid as
         long as its window stays retained.
         """

@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.common.types import ComponentId, Metric
+from repro.common.types import ComponentId, Metric, TickSamples
 from repro.core.fchain import FChain
 from repro.core.topology import OnlineTopology
 from repro.monitoring.slo import SLODetector
@@ -121,6 +121,9 @@ class TickCore:
         self.warm_sync_skipped = 0
         self.incident_count = 0
         self.owed = 0
+        # (components, metrics, names, positions) of network_out in the
+        # last tick's series layout.
+        self._signal_layout: Optional[tuple] = None
 
     @property
     def topology(self) -> Optional[OnlineTopology]:
@@ -152,9 +155,11 @@ class TickCore:
         either way.
         """
         t = int(batch.time)
-        self.store.ingest(IngestBatch(samples=batch.samples, watermark=t + 1))
+        tick = TickSamples.of(batch.samples)
+        samples = batch.samples if tick is None else tick
+        self.store.ingest(IngestBatch(samples=samples, watermark=t + 1))
         span.count("samples_ingested", len(batch.samples))
-        self._learn_topology(t, batch)
+        self._learn_topology(t, batch, tick)
         self.owed += len(batch.samples)
         if not queued or self.owed >= DEFER_SAMPLES:
             self.warm_sync(span)
@@ -171,25 +176,52 @@ class TickCore:
         self.ticks += 1
         return ready
 
-    def _learn_topology(self, t: int, batch: TickBatch) -> None:
+    def _learn_topology(
+        self, t: int, batch: TickBatch, tick: Optional[TickSamples]
+    ) -> None:
         """Feed one tick's evidence into the online topology, if any.
 
         Traffic counts are the primary channel (they create and refresh
         edges); the per-component ``network_out`` samples corroborate
         already-known edges through delta co-movement. Both run on the
         ingest side, so the learned graph is always current when a
-        diagnosis snapshots it.
+        diagnosis snapshots it. The ``network_out`` positions of a
+        tick's columns are found once per series layout, which is
+        matched against the previous tick's by list equality, as the
+        store does.
         """
         topology = self.topology
         if topology is None:
             return
         if batch.edges:
             topology.observe_traffic(t, batch.edges)
-        signals = {
-            sample.component: sample.value
-            for sample in batch.samples
-            if sample.metric == Metric.NETWORK_OUT
-        }
+        if tick is None:
+            signals = {
+                sample.component: sample.value
+                for sample in batch.samples
+                if sample.metric == Metric.NETWORK_OUT
+            }
+        else:
+            layout = self._signal_layout
+            if (
+                layout is None
+                or tick.components != layout[0]
+                or tick.metrics != layout[1]
+            ):
+                positions = [
+                    i
+                    for i, metric in enumerate(tick.metrics)
+                    if metric == Metric.NETWORK_OUT
+                ]
+                names = [tick.components[i] for i in positions]
+                layout = self._signal_layout = (
+                    tick.components[:],
+                    tick.metrics[:],
+                    names,
+                    positions,
+                )
+            values = tick.values
+            signals = dict(zip(layout[2], [values[i] for i in layout[3]]))
         if signals:
             topology.observe_comovement(t, signals)
 

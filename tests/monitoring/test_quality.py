@@ -5,8 +5,8 @@ A store has two ingest modes: tolerant (built with a
 ``TestPresets`` is the contract of both, one row per defect class. The
 other classes cover the tolerant path in detail — validation, bounded
 gap fill, clock-skew alignment, out-of-order backfill, duplicate
-resolution — plus the ``SeriesQuality`` / ``DataQualityReport``
-bookkeeping and the tolerant CSV loader.
+resolution, far-future stamps — plus the ``SeriesQuality`` /
+``DataQualityReport`` bookkeeping and the tolerant CSV loader.
 """
 
 import math
@@ -23,9 +23,11 @@ from repro.monitoring.quality import (
     CONFIDENCE_INCONCLUSIVE,
     DataQualityPolicy,
     DataQualityReport,
+    IngestMetrics,
     SeriesQuality,
 )
 from repro.monitoring.store import IngestBatch, IngestRun, MetricStore
+from repro.obs.registry import MetricsRegistry
 
 CPU = Metric.CPU_USAGE
 
@@ -313,6 +315,52 @@ class TestBackfill:
         store = MetricStore()
         with pytest.raises(DataQualityError, match="out-of-order"):
             deliver(store, [[("web", 0, 1.0)], [("web", 1, 2.0)], [("web", 1, 7.0)]])
+
+
+class TestFutureStamp:
+    """A sample stamped past its batch's newest tick by more than any
+    clock skew is a broken clock: dropped, not taken as a gap."""
+
+    @staticmethod
+    def _tick(t, db_time=None):
+        return IngestBatch(
+            samples=[
+                MetricSample("web", CPU, t, 50.0 + t % 7),
+                MetricSample(
+                    "db", CPU, t if db_time is None else db_time, 20.0 + t % 5
+                ),
+            ],
+            watermark=t + 1,
+        )
+
+    def test_one_future_sample_does_not_blind_its_series(self):
+        store = MetricStore(policy=DataQualityPolicy())
+        store._ingest_metrics = IngestMetrics(MetricsRegistry())
+        for t in range(100):
+            store.ingest(self._tick(t))
+        store.ingest(self._tick(100, db_time=5000))
+        for t in range(101, 200):
+            store.ingest(self._tick(t))
+        db = store.window("db", CPU, 100, 200)
+        assert int(np.isfinite(db.values).sum()) == 100
+        qual = store.series_quality("db", CPU)
+        assert qual.late_dropped == 0
+        assert qual.invalid == 1
+        assert dict(store._ingest_metrics.dropped.samples()) == {("future",): 1.0}
+
+    def test_strict_store_and_unwatermarked_batch_are_unchanged(self):
+        strict = MetricStore()
+        strict.ingest(self._tick(0))
+        with pytest.raises(DataQualityError, match="gap of"):
+            strict.ingest(self._tick(1, db_time=5000))
+        tolerant = MetricStore(policy=DataQualityPolicy())
+        tolerant.ingest(self._tick(0))
+        tolerant.ingest(
+            IngestBatch(samples=[MetricSample("db", CPU, 5000, 1.0)])
+        )
+        qual = tolerant.series_quality("db", CPU)
+        assert qual.invalid == 0
+        assert qual.missing == 4999
 
 
 class TestQualityAccounting:

@@ -120,7 +120,7 @@ def _fused(store, batches):
 def _scalar(store, batches):
     for samples, watermark, _ in batches:
         for s in samples:
-            store._ingest_sample(s.component, s.metric, s.time, s.value)
+            store._ingest_sample(s.component, s.metric, s.time, s.value, watermark)
         if watermark is not None:
             store.advance_to(watermark)
 
