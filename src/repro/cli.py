@@ -119,7 +119,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.eval.bench import synthetic_store
     from repro.obs import default_registry
 
-    config = FChainConfig(executor=args.executor, telemetry=args.telemetry)
+    config = FChainConfig(telemetry=args.telemetry)
     store = synthetic_store(
         samples=args.samples,
         components=args.components,
@@ -137,8 +137,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(
             f"synthetic scenario: {args.samples} samples x "
             f"{args.components} components x {args.metrics} metrics, "
-            f"violation at t={violation}s, executor={args.executor}, "
-            f"jobs={args.jobs or 1}"
+            f"violation at t={violation}s, jobs={args.jobs or 1}"
         )
         print()
         print(diagnosis.trace.format_tree(min_ms=args.min_ms))
@@ -154,7 +153,6 @@ def _service_config(args) -> "FChainConfig":
     return FChainConfig(
         service_cooldown=args.cooldown,
         service_queue_depth=args.queue_depth,
-        executor=args.executor,
         telemetry=args.telemetry,
         topology_mode=getattr(args, "topology_mode", "full"),
         topology_top_k=getattr(args, "topology_top_k", 0) or 0,
@@ -589,10 +587,6 @@ def main(argv: List[str] = None) -> int:
         help="slave fan-out width (default serial)",
     )
     trace.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="slave pool executor used when --jobs >= 2",
-    )
-    trace.add_argument(
         "--telemetry", choices=("timings", "full"), default="full",
         help="telemetry level for the traced run",
     )
@@ -621,10 +615,6 @@ def main(argv: List[str] = None) -> int:
         parser.add_argument(
             "--jobs", type=int, default=None,
             help="slave fan-out width (default serial)",
-        )
-        parser.add_argument(
-            "--executor", choices=("thread", "process"), default="thread",
-            help="slave pool executor used when --jobs >= 2",
         )
         parser.add_argument(
             "--telemetry", choices=("off", "timings", "full"), default="off",

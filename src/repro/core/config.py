@@ -59,13 +59,6 @@ class FChainConfig:
         markov_bins: Number of value bins in the Markov prediction model.
         markov_halflife: Updates after which old transition counts decay to
             half weight (online learning forgetting rate).
-        executor: How a :class:`~repro.core.engine.SlavePool` fans
-            per-component analyses out when ``jobs >= 2``: ``"thread"``
-            (default — shares the warm slave state, cheap to start, but
-            the numpy-light parts of selection contend on the GIL) or
-            ``"process"`` (worker processes read the metric history
-            through a ``multiprocessing.shared_memory`` view, escaping
-            the GIL without copying the store; results are identical).
         telemetry: Pipeline observability level (``repro.obs``):
             ``"off"`` (default — instrumentation collapses onto a no-op
             singleton, near-zero overhead), ``"timings"`` (nested stage
@@ -122,7 +115,6 @@ class FChainConfig:
     analysis_grace: int = 8
     markov_bins: int = 40
     markov_halflife: int = 2000
-    executor: str = "thread"
     telemetry: str = "off"
     service_cooldown: int = 60
     service_queue_depth: int = 4
@@ -149,12 +141,6 @@ class FChainConfig:
             raise ConfigurationError("markov_bins must be >= 2")
         if not 0 < self.cusum_confidence < 1:
             raise ConfigurationError("cusum_confidence must be in (0, 1)")
-        if self.executor not in ("thread", "process"):
-            raise ConfigurationError(
-                f"executor={self.executor!r} is not supported: choose "
-                "'thread' (shared warm slave state) or 'process' "
-                "(shared-memory store view, escapes the GIL)"
-            )
         if self.topology_mode not in ("full", "neighborhood"):
             raise ConfigurationError(
                 f"topology_mode={self.topology_mode!r} is not supported: "

@@ -31,6 +31,7 @@ results are bit-identical to the warm engine's (asserted by
 
 from __future__ import annotations
 
+import copy
 import time
 import weakref
 from collections import OrderedDict
@@ -298,6 +299,24 @@ class FChainSlave:
         self._selection_cache.clear()
         self._store_ref = None
 
+    def warm_state(self) -> Tuple[ModelBank, Dict[_Key, int], _ErrorStreams]:
+        """Copies of everything the slave has learned: the model bank,
+        its ``(component, metric)`` -> row map and the error streams."""
+        return copy.deepcopy((self._bank, self._rows, self._streams))
+
+    def adopt(
+        self,
+        store: MetricStore,
+        warm: Tuple[ModelBank, Dict[_Key, int], _ErrorStreams],
+    ) -> None:
+        """Make ``warm`` (a :meth:`warm_state`) this slave's state, bound
+        to ``store`` — the store those models consumed. The slave then
+        carries on exactly where the one that learned them stood: its
+        next sync consumes what they had not."""
+        self.reset()
+        self._store_ref = weakref.ref(store)
+        self._bank, self._rows, self._streams = warm
+
     def sync_with_store(self, store: MetricStore, upto: int) -> None:
         """Stream every store sample before ``upto`` into the models.
 
@@ -334,22 +353,19 @@ class FChainSlave:
         alone = np.minimum(heads, needed) > cursors
         if not alone.any():
             return
-        if index.mirrored:
-            # Groups owe whole ticks (their row holds slot
-            # ``needed - 1``) of which none was evicted yet.
-            together = (
-                alone & (heads >= needed) & (heads - index.cap <= cursors)
-            )
-            alone &= ~together
-            pending = np.flatnonzero(together)
-            while len(pending):
-                cursor = int(cursors[pending[0]])
-                same = cursors[pending] == cursor
-                group, pending = pending[same], pending[~same]
-                if needed - cursor >= _BLOCK_MIN_TICKS:
-                    self._advance_block(index, group, cursor, needed)
-                else:
-                    self._advance_ticks(index, group, cursor, needed)
+        # Groups owe whole ticks (their row holds slot ``needed - 1``)
+        # of which none was evicted yet.
+        together = alone & (heads >= needed) & (heads - index.cap <= cursors)
+        alone &= ~together
+        pending = np.flatnonzero(together)
+        while len(pending):
+            cursor = int(cursors[pending[0]])
+            same = cursors[pending] == cursor
+            group, pending = pending[same], pending[~same]
+            if needed - cursor >= _BLOCK_MIN_TICKS:
+                self._advance_block(index, group, cursor, needed)
+            else:
+                self._advance_ticks(index, group, cursor, needed)
         for position in np.flatnonzero(alone):
             component, metric = index.keys[position]
             self._sync_series(store, component, metric, needed)
@@ -718,16 +734,10 @@ class FChainMaster:
         self.dependency_graph = dependency_graph
         self.topology = topology
         self.jobs = jobs
-        self.slave_timeout = slave_timeout
         self.tracer = make_tracer(self.config.telemetry)
         #: The persistent slave: its models stay warm across diagnoses.
         self.slave = FChainSlave(self.config, seed=seed)
-        self._pool: Optional[SlavePool] = None
-
-    def close(self) -> None:
-        """Release pooled resources (cached worker processes)."""
-        if self._pool is not None:
-            self._pool.close()
+        self._pool = SlavePool(self.slave, jobs=jobs, timeout=slave_timeout)
 
     def _diagnosis_graph(self) -> Optional[nx.DiGraph]:
         """The dependency graph this diagnosis prunes against.
@@ -817,19 +827,11 @@ class FChainMaster:
         """
         if violation_time <= store.start:
             raise DiagnosisError("violation time precedes recorded history")
-        if self._pool is None:
-            # Cached across diagnoses so the process executor reuses
-            # its warm worker processes instead of re-forking a pool
-            # per violation.
-            self._pool = SlavePool(
-                self.slave, jobs=self.jobs, timeout=self.slave_timeout
-            )
         pool = self._pool
         graph = self._diagnosis_graph()
         scope = self._scope(graph, store, origin)
         trace = self.tracer.span(
             STAGE_DIAGNOSIS,
-            executor=pool.executor,
             jobs=self.jobs or 1,
             violation_time=violation_time,
         )
@@ -946,8 +948,9 @@ class FChain:
         return self.master.topology
 
     def close(self) -> None:
-        """Release pooled resources (cached worker processes)."""
-        self.master.close()
+        """End the engine's lifetime. It holds no pooled resources (a
+        fan-out's threads end with its diagnosis), so this releases
+        nothing; it is what ``with FChain(...)`` calls on exit."""
 
     def __enter__(self) -> "FChain":
         return self

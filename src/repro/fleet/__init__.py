@@ -6,8 +6,7 @@ metric store, warm Markov slaves and SLO detector, and tenants are
 consistently hashed onto a small pool of long-lived shard workers. The
 :class:`~repro.fleet.supervisor.FleetSupervisor` owns placement, routed
 ingest with backpressure, the shared incident bus, and live rebalancing
-(tenants relocate with their ring-buffer state over the zero-copy
-shared-memory export).
+(tenants relocate with their store and their warm models as they are).
 """
 
 from repro.fleet.manifest import (

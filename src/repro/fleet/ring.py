@@ -4,8 +4,8 @@ The fleet supervisor places every tenant on exactly one shard. Placement
 must be (a) deterministic across processes and runs — routing decisions
 may not depend on ``PYTHONHASHSEED`` — and (b) *stable under resharding*:
 growing the pool from N to N+1 shards should relocate only ~1/(N+1) of
-the tenants, because each relocation pays a shared-memory store export
-plus a warm-model resync on the receiving shard.
+the tenants, because each relocation hands a tenant's store and a copy
+of its warm models to the receiving shard.
 
 Classic consistent hashing with virtual nodes delivers both: each shard
 owns ``DEFAULT_VNODES`` pseudo-random points on a 64-bit ring (blake2b of

@@ -14,20 +14,17 @@
   shared event queue; a collector thread fans them out to per-tenant
   sinks, fleet-wide sinks and tenant-labeled Prometheus counters;
 * **rebalance** — ``add_shard()`` / ``remove_shard()`` / ``move_tenant()``
-  relocate live tenants: the source shard snapshots the tenant through
-  the zero-copy shared-memory store export, the target materializes a
-  writable store from the segment and resyncs its warm models
-  (bit-identically — see ``tests/fleet/test_rebalance.py``), and only
-  then does the source release the segment.
+  relocate live tenants: the source shard gives up the tenant's store
+  and copies of its warm models, and the target installs them as they
+  are, so the moved tenant is bit-identical to one that never moved
+  (see ``tests/fleet/test_rebalance.py``).
 
 Two interchangeable backends run the same
 :class:`~repro.fleet.worker.ShardWorker` code: ``"thread"`` (default —
 shards are daemon threads, zero-copy in-process queues) and
-``"process"`` (shards are forked worker processes, escaping the GIL for
-per-tick work at the cost of pickling batches over the queues). Tenants
-that need parallel *diagnosis* get it on either backend by configuring
-``executor="process"`` — the per-tenant SlavePool keeps its cached
-``ProcessPoolExecutor`` warm across triggers.
+``"process"`` (shards are forked worker processes, so one shard's ticks
+and diagnoses do not contend with another's for the GIL, at the cost of
+pickling batches and relocation snapshots over the queues).
 
 Supervisor methods (``add_tenant``/``ingest``/``move_tenant``/``close``)
 are driver-facing and expected to be called from one thread; the
@@ -43,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, ReproError
-from repro.core.engine import fork_available
 from repro.fleet.ring import HashRing
 from repro.fleet.tenant import TenantSnapshot, TenantSpec
 from repro.fleet.worker import ShardWorker, shard_worker_main
@@ -54,6 +50,16 @@ from repro.service.sources import TickBatch
 _EVENT_POLL_SECONDS = 0.2
 #: Ceiling on one relocation step (export or import acknowledgement).
 _MOVE_TIMEOUT_SECONDS = 60.0
+
+
+def fork_available() -> bool:
+    """Whether the ``fork`` multiprocessing start method exists here.
+
+    The process backend forks its shard workers, so they inherit the
+    imported modules instead of re-importing them. POSIX platforms have
+    it; Windows (and some sandboxed runtimes) do not.
+    """
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 @dataclass(frozen=True)
@@ -318,13 +324,11 @@ class FleetSupervisor:
         Protocol (each step acknowledged over the event bus):
 
         1. buffer the tenant's inbound batches in the supervisor;
-        2. ``export`` on the source shard — snapshot store + aux state,
-           keep the shared segment alive;
-        3. ``add(snapshot)`` on the target — materialize a writable
-           store from the segment, resync warm models, ack ``imported``;
-        4. ``release`` on the source — close the segment, drop the old
-           runtime;
-        5. reroute and flush the buffered batches to the target.
+        2. ``export`` on the source shard — hand over the store, copies
+           of the warm models and the aux state, close the old runtime;
+        3. ``add(snapshot)`` on the target — install the snapshot as a
+           live runtime, ack ``imported``;
+        4. reroute and flush the buffered batches to the target.
         """
         if target not in self._shards:
             raise ConfigurationError(f"shard {target} does not exist")
@@ -350,7 +354,6 @@ class FleetSupervisor:
                 f"shard {target} did not import tenant {tenant!r} in time"
             )
         del self._import_events[tenant]
-        self._shards[source].commands.put(("release", tenant))
         self._routing[tenant] = target
         buffered = self._moving.pop(tenant)
         for batch in buffered:

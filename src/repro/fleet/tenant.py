@@ -12,17 +12,17 @@ the shard worker can dispatch *fairly across its tenants* (see
 :mod:`repro.fleet.worker`). What the runtime adds to the core is how a
 tenant is built from its picklable :class:`TenantSpec`, and relocation.
 
-Relocation: :meth:`TenantRuntime.export_state` snapshots the store
-through the zero-copy shared-memory export and pickles the small
-auxiliary state (detector, dedup state, pending triggers, counters).
-:meth:`TenantRuntime.from_state` rebuilds a live runtime on the
-receiving shard — the store via
-:func:`~repro.monitoring.shared.materialize_store`, the warm Markov
-models by resyncing from the rebuilt store. The model bank is chunk
-invariant — any mix of its time and series axes, synced at any moments,
-leaves the same state — so the resynced models are bit-identical to
-the ones that never moved, also when the source tenant had deferred
-its last syncs under a queue backlog.
+Relocation ships the warm state rather than rebuilding it:
+:meth:`TenantRuntime.export_state` hands over the store itself and
+copies of the slave's model bank, row map and error streams, next to
+the small auxiliary state (detector, dedup state, pending triggers,
+counters, learned topology). :meth:`TenantRuntime.from_state` installs
+all of it on the receiving shard and replays nothing, so the moved
+tenant's models are the ones that never moved — also after the store's
+ring has wrapped past history the models learned from, and when the
+source had deferred its last syncs under a queue backlog (the next sync
+catches up exactly what they owed). The thread backend passes the
+snapshot as an object; the process backend pickles it over its queues.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ from repro.core.config import FChainConfig
 from repro.core.fchain import FChain
 from repro.core.topology import OnlineTopology
 from repro.monitoring.quality import DataQualityPolicy
-from repro.monitoring.shared import (
-    SharedStoreExport,
-    SharedStoreHandle,
-    materialize_store,
-)
 from repro.monitoring.slo import SLODetector
 from repro.monitoring.store import DEFAULT_RETENTION, MetricStore
 from repro.service.incident import Incident
@@ -61,7 +56,7 @@ class TenantSpec:
         config: FChain configuration for this tenant's diagnosis engine.
         seed: Deterministic seed label for the diagnosis engine.
         jobs: Slave fan-out width (``>= 2`` spreads component analyses
-            over the configured executor).
+            over a thread pool).
         slave_timeout: Optional per-slave analysis timeout in seconds.
         retention: Ring retention of the tenant's store.
         start: First tick of the tenant's timeline.
@@ -91,22 +86,20 @@ class TenantSpec:
 class TenantSnapshot:
     """A relocating tenant's full state, in transit between shards.
 
-    ``handle`` references the source shard's live shared-memory export —
-    the source keeps the export open until the supervisor confirms the
-    target has imported (the ``release`` step of the rebalance
-    protocol), so the segment stays mapped while this snapshot is in
-    flight even across processes.
+    ``store`` is the tenant's store itself — the source gives it up at
+    export — and ``warm`` copies of its slave's learned state (see
+    :meth:`~repro.core.fchain.FChainSlave.warm_state`).
     """
 
     spec: TenantSpec
-    handle: SharedStoreHandle
+    store: MetricStore
+    warm: tuple
     detector: SLODetector
     violating: bool
     last_trigger: Optional[int]
     pending: List[Trigger]
     counters: Dict[str, int]
-    #: The learned online topology, carried wholesale (its state is a
-    #: few small dicts — cheap to pickle next to the store handle).
+    #: The learned online topology, carried wholesale.
     topology: Optional[OnlineTopology] = None
 
 
@@ -148,9 +141,6 @@ class TenantRuntime:
             detector if detector is not None else spec.detector,
             origin=spec.origin,
         )
-        # The source-side shared-memory export of an in-flight
-        # relocation; closed when the supervisor sends "release".
-        self._export: Optional[SharedStoreExport] = None
 
     @property
     def topology(self) -> Optional[OnlineTopology]:
@@ -175,15 +165,14 @@ class TenantRuntime:
     def export_state(self) -> TenantSnapshot:
         """Snapshot this tenant for relocation to another shard.
 
-        The shared-memory export stays open (owned by this runtime)
-        until :meth:`release` — the target shard materializes from the
-        segment by name, possibly from another process.
+        The snapshot takes the store itself, so this runtime must not
+        ingest again: the caller closes it.
         """
-        self._export = SharedStoreExport(self.store)
         core = self.core
         return TenantSnapshot(
             spec=self.spec,
-            handle=self._export.handle,
+            store=self.store,
+            warm=core.warm_state(),
             detector=core.detector,
             violating=core.violating,
             last_trigger=core.last_trigger,
@@ -193,25 +182,18 @@ class TenantRuntime:
                 "triggered": core.triggered,
                 "warm_sync_skipped": core.warm_sync_skipped,
                 "incident_count": core.incident_count,
+                "owed": core.owed,
             },
             topology=core.topology,
         )
 
-    def release(self) -> None:
-        """Drop the relocation export and this runtime's engine state."""
-        if self._export is not None:
-            self._export.close()
-            self._export = None
-        self.close()
-
     @classmethod
     def from_state(cls, snapshot: TenantSnapshot) -> "TenantRuntime":
-        """Rebuild a live runtime from a relocation snapshot."""
-        spec = snapshot.spec
-        store = materialize_store(
-            snapshot.handle, retention=spec.retention
+        """Install a relocation snapshot as a live runtime."""
+        runtime = cls(
+            snapshot.spec, store=snapshot.store, detector=snapshot.detector
         )
-        runtime = cls(spec, store=store, detector=snapshot.detector)
+        runtime.fchain.master.slave.adopt(snapshot.store, snapshot.warm)
         core = runtime.core
         core.violating = snapshot.violating
         core.last_trigger = snapshot.last_trigger
@@ -220,17 +202,13 @@ class TenantRuntime:
         core.triggered = snapshot.counters["triggered"]
         core.warm_sync_skipped = snapshot.counters["warm_sync_skipped"]
         core.incident_count = snapshot.counters["incident_count"]
+        core.owed = snapshot.counters["owed"]
         if snapshot.topology is not None:
             # The learned graph relocates wholesale: edge confidences
             # are part of diagnosis state, and re-learning from scratch
             # on the target shard would widen every scoped diagnosis
             # until the graph re-converged.
             runtime.fchain.master.topology = snapshot.topology
-        # Warm the models from the rebuilt store: the bank's chunk
-        # invariance makes this bit-identical to models that streamed
-        # the same history tick by tick, or block by block, and never
-        # moved.
-        core.warm_sync()
         return runtime
 
     def close(self) -> None:

@@ -21,12 +21,9 @@ one tenant's diagnosis storm from starving its neighbours:
   tenants that have work, taking one trigger per visit, so a tenant
   with a deep backlog cannot monopolize the diagnosis thread.
 
-A storming tenant that wants real diagnosis concurrency escapes the GIL
-by configuring ``executor="process"`` + ``jobs >= 2``: its component
-analyses then run on :class:`~repro.core.engine.SlavePool`'s cached
-``ProcessPoolExecutor`` (warm worker processes survive across triggers),
-and the shard's serve loop keeps ingesting for the other tenants while
-the dispatch thread merely waits on futures.
+A shard's ingest and diagnoses share one interpreter lock. The process
+backend (one process per shard, see :mod:`repro.fleet.supervisor`)
+keeps shards from contending with each other and with the caller.
 """
 
 from __future__ import annotations
@@ -57,8 +54,6 @@ class ShardWorker:
         self.events = events
         self.tenant_budget = tenant_budget
         self.runtimes: Dict[str, TenantRuntime] = {}
-        #: Tenants exported for relocation, still owning their segment.
-        self._parked: Dict[str, TenantRuntime] = {}
         self._queues: "OrderedDict[str, Deque[Trigger]]" = OrderedDict()
         self._cv = threading.Condition()
         self._dispatcher: Optional[threading.Thread] = None
@@ -85,8 +80,6 @@ class ShardWorker:
                 self._handle_remove(command[1])
             elif kind == "export":
                 self._handle_export(command[1])
-            elif kind == "release":
-                self._handle_release(command[1])
             elif kind == "drain":
                 self._handle_drain()
                 return
@@ -149,15 +142,10 @@ class ShardWorker:
             self.runtimes[tenant] = runtime  # keep serving in place
             self.events.put(("error", self.shard, tenant, repr(error)))
             return
-        self._parked[tenant] = runtime
+        runtime.close()
         with self._cv:
             self._queues.pop(tenant, None)
         self.events.put(("exported", self.shard, tenant, snapshot))
-
-    def _handle_release(self, tenant: str) -> None:
-        runtime = self._parked.pop(tenant, None)
-        if runtime is not None:
-            runtime.release()
 
     def _handle_drain(self) -> None:
         for tenant, runtime in self.runtimes.items():
@@ -174,10 +162,7 @@ class ShardWorker:
         stats = self._stats()
         for runtime in self.runtimes.values():
             runtime.close()
-        for runtime in self._parked.values():
-            runtime.release()
         self.runtimes.clear()
-        self._parked.clear()
         self.events.put(("drained", self.shard, stats))
 
     # ------------------------------------------------------------------

@@ -114,11 +114,10 @@ class SeriesQuality:
         return self.invalid + self.duplicates + self.late_dropped
 
     def snapshot(self) -> "SeriesQuality":
-        """Detached copy (picklable, read-only use; shared-memory export).
+        """Detached copy (picklable, read-only use).
 
         The slot map is copied too: the analysis side consults it to
-        tell genuinely observed samples from policy-synthesized ones, so
-        a process-pool worker must see the same map as the warm slave.
+        tell genuinely observed samples from policy-synthesized ones.
         """
         return SeriesQuality(
             seen=self.seen,

@@ -214,9 +214,6 @@ class _Ring:
 
     __slots__ = ("_rows", "row")
 
-    #: Only snapshot handles (:class:`_FlatRing`) carry a base.
-    flat_base = None
-
     def __init__(self, rows: _Rows, row: int) -> None:
         self._rows = rows
         self.row = row
@@ -337,26 +334,6 @@ class _Ring:
         return out
 
 
-class _FlatRing:
-    """One series of an attached shared-memory snapshot: read-only and
-    not mirrored. ``values`` holds exactly the snapshotted slots, the
-    first of which is ``flat_base``."""
-
-    __slots__ = ("values", "flat_base", "head")
-
-    def __init__(self, values: np.ndarray, base: int) -> None:
-        self.values = values
-        self.flat_base = base
-        self.head = base + len(values)
-
-    @property
-    def first(self) -> int:
-        return self.flat_base
-
-    def view(self, lo: int, hi: int) -> np.ndarray:
-        return self.values[lo - self.flat_base : hi - self.flat_base]
-
-
 class SeriesIndex:
     """Immutable snapshot of which series a store holds, in creation order.
 
@@ -372,17 +349,13 @@ class SeriesIndex:
     The per-tick accessors read the store's live arrays: the heads are
     one slice, a slot across rows is one gather (:meth:`column`), and a
     run of slots across rows one 2-D gather (:meth:`block`), each from
-    the flattened matrix. An index of an attached snapshot is not
-    ``mirrored``: its flat handles have no matrix, and only
-    :meth:`heads` applies.
+    the flattened matrix.
     """
 
-    __slots__ = ("keys", "rings", "components", "metrics", "mirrored", "_rows")
+    __slots__ = ("keys", "rings", "components", "metrics", "_rows")
 
     def __init__(
-        self,
-        entries: Sequence[Tuple[_Key, _Ring]],
-        rows: Optional[_Rows] = None,
+        self, entries: Sequence[Tuple[_Key, _Ring]], rows: _Rows
     ) -> None:
         self.keys: Tuple[_Key, ...] = tuple(key for key, _ in entries)
         self.rings: Tuple[_Ring, ...] = tuple(ring for _, ring in entries)
@@ -397,20 +370,17 @@ class SeriesIndex:
             for component, metrics in present.items()
         }
         self._rows = rows
-        self.mirrored = rows is not None
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def heads(self) -> np.ndarray:
         """One past the newest written slot of every series."""
-        if self._rows is None:
-            return np.array([ring.head for ring in self.rings], dtype=np.int64)
         return self._rows.state[: len(self.keys), _HEAD].copy()
 
     @property
     def cap(self) -> int:
-        """The store's capacity, shared by every row (``mirrored`` only)."""
+        """The store's capacity, shared by every row."""
         return self._rows.cap
 
     def column(
@@ -418,7 +388,7 @@ class SeriesIndex:
     ) -> np.ndarray:
         """The value every series (or those at ``positions``) holds at
         one slot. The slot must be written and still retained in each
-        addressed row, and the index ``mirrored``."""
+        addressed row."""
         values = self._rows.values
         width = values.shape[1]
         p = slot % (width // 2)
@@ -428,8 +398,8 @@ class SeriesIndex:
 
     def block(self, positions: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """``[len(positions), hi - lo]``: slots ``[lo, hi)`` of the series
-        at ``positions`` (ascending), which must all retain them
-        (``mirrored`` only). Copies just the block, never whole rows:
+        at ``positions`` (ascending), which must all retain them. Copies
+        just the block, never whole rows:
         one slice when the positions are consecutive, else one gather
         from the flattened matrix."""
         values = self._rows.values
@@ -525,7 +495,7 @@ class MetricStore:
         self.retention = int(retention)
         self._rows = _Rows(min(_MIN_RING_CAPACITY, self.retention), self.retention)
         self._series: Dict[_Key, _Ring] = {}
-        self._index = SeriesIndex(())
+        self._index = SeriesIndex((), self._rows)
         # (components, metrics, (fields, rows, offsets), cap) of the last
         # tick layout.
         self._layout: Optional[tuple] = None
@@ -535,9 +505,13 @@ class MetricStore:
         self._quality: Dict[_Key, SeriesQuality] = {}
         self._revision = 0
         self._ingest_metrics: Optional[IngestMetrics] = None
-        # Set on shared-memory attach: quality snapshots already carry
-        # their materialized gap_slots and the series are flat handles.
-        self._attached = False
+
+    def __getstate__(self) -> dict:
+        # The registry counters hold locks; a copy makes its own on
+        # first use.
+        state = self.__dict__.copy()
+        state["_ingest_metrics"] = None
+        return state
 
     # ------------------------------------------------------------------
     # The unified write surface
@@ -552,10 +526,6 @@ class MetricStore:
         * ``ingest(component, metric, time, value)`` — the legacy
           per-sample form; tolerant stores only.
         """
-        if self._attached:
-            raise RuntimeError(
-                "attached shared-memory store snapshots are read-only"
-            )
         if isinstance(batch, IngestBatch):
             if metric is not None or time is not None or value is not None:
                 raise TypeError("ingest(IngestBatch) takes no extra arguments")
@@ -998,7 +968,7 @@ class MetricStore:
         observed counts included."""
         snap = qual.snapshot()
         ring = self._series.get(key)
-        if ring is not None and ring.flat_base is None:
+        if ring is not None:
             state = self._rows.state[ring.row]
             snap.seen += int(state[_SEEN])
             snap.observed += int(state[_OBSERVED])
@@ -1017,8 +987,6 @@ class MetricStore:
         qual = self._quality.get(key)
         if qual is None:
             return SeriesQuality()
-        if self._attached:
-            return qual
         snap = self._counters(key, qual)
         ring = self._series.get(key)
         if ring is not None:
@@ -1049,7 +1017,7 @@ class MetricStore:
             # list() snapshots the items: a concurrent first-ever ingest
             # of a new series must not blow up a reader mid-iteration.
             index = self._index = SeriesIndex(
-                list(self._series.items()), None if self._attached else self._rows
+                list(self._series.items()), self._rows
             )
         return index
 

@@ -1,21 +1,21 @@
 """Nested-span tracing for the diagnosis pipeline.
 
 A :class:`Span` is a plain, picklable record of one timed pipeline stage:
-name, wall-clock duration, optional tags (component, metric, executor),
+name, wall-clock duration, optional tags (component, metric, jobs),
 optional counters (change points found / filtered / survived) and child
 spans. Spans are context managers::
 
-    with tracer.span(STAGE_DIAGNOSIS, executor="thread") as root:
+    with tracer.span(STAGE_DIAGNOSIS, jobs=2) as root:
         with root.child(STAGE_STORE_SYNC) as sync:
             sync.count("samples", n)
 
-Thread and process safety come from *structure*, not locks: every
-concurrently executing unit of work (one component analysis) builds its
-own private span tree, and the single-threaded collector adopts the
-finished trees into the diagnosis root afterwards. Worker processes
-pickle their span trees back inside the
-:class:`~repro.core.propagation.ComponentReport`, so both ``SlavePool``
-executors merge into one diagnosis trace the same way.
+Thread safety comes from *structure*, not locks: every concurrently
+executing unit of work (one component analysis) builds its own private
+span tree, carried back in its
+:class:`~repro.core.propagation.ComponentReport`, and the
+single-threaded collector adopts the finished trees into the diagnosis
+root afterwards — serial and threaded ``SlavePool`` fan-outs merge into
+one diagnosis trace the same way.
 
 When telemetry is off the instrumentation collapses onto
 :data:`NULL_SPAN`, a shared no-op singleton: no spans, no timing reads,

@@ -70,7 +70,7 @@ class OnlinePipeline:
             for integrated pinpointing.
         seed: Deterministic seed label for the diagnosis engine.
         jobs: Slave fan-out width (``>= 2`` analyses components in
-            parallel on the configured executor).
+            parallel on a thread pool).
         slave_timeout: Optional per-slave analysis timeout in seconds.
         store: The store to ingest into; defaults to a fresh tolerant
             store. A caller-supplied store must carry a

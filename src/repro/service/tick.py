@@ -246,6 +246,14 @@ class TickCore:
         finally:
             self._slave_lock.release()
 
+    def warm_state(self):
+        """Copies of the slave's learned state (see
+        :meth:`~repro.core.fchain.FChainSlave.warm_state`), taken under
+        the slave lock: a diagnosis running on another thread may still
+        be syncing that state."""
+        with self._slave_lock:
+            return self.fchain.master.slave.warm_state()
+
     def _on_violation(self, t: int) -> None:
         """A rising violation edge: dedup against the cooldown window."""
         if (

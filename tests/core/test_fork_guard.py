@@ -1,55 +1,16 @@
-"""Fork-availability guards for the process executor and fleet backend.
+"""Fork-availability guard for the process fleet backend.
 
 On platforms without the ``fork`` start method (Windows, some macOS
-configurations) forked workers cannot inherit attached shared-memory
-segments, so the process paths must refuse or degrade loudly rather
-than crash mid-diagnosis: :class:`SlavePool` warns and falls back to
-threads, :class:`FleetConfig` rejects the backend outright at
-validation time.
+configurations) the fleet cannot fork its shard workers, so
+:class:`FleetConfig` rejects the process backend outright at validation
+time rather than crash when the first shard starts.
 """
-
-import warnings
 
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.core import engine
-from repro.core.config import FChainConfig
-from repro.core.engine import SlavePool
-from repro.core.fchain import FChainSlave
 from repro.fleet import supervisor as fleet_supervisor
 from repro.fleet.supervisor import FleetConfig
-
-
-def _slave(executor):
-    return FChainSlave(
-        FChainConfig(cusum_bootstraps=40, executor=executor), seed=1
-    )
-
-
-class TestSlavePoolFallback:
-    def test_warns_and_falls_back_to_thread(self, monkeypatch):
-        monkeypatch.setattr(engine, "fork_available", lambda: False)
-        with pytest.warns(RuntimeWarning, match="fork"):
-            pool = SlavePool(_slave("process"), jobs=2)
-        assert pool.executor == "thread"
-        pool.close()
-
-    def test_no_warning_when_fork_exists(self, monkeypatch):
-        monkeypatch.setattr(engine, "fork_available", lambda: True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            pool = SlavePool(_slave("process"), jobs=2)
-        assert pool.executor == "process"
-        pool.close()
-
-    def test_thread_executor_is_untouched(self, monkeypatch):
-        monkeypatch.setattr(engine, "fork_available", lambda: False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            pool = SlavePool(_slave("thread"), jobs=2)
-        assert pool.executor == "thread"
-        pool.close()
 
 
 class TestFleetBackendGuard:

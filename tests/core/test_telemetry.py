@@ -1,8 +1,8 @@
 """End-to-end telemetry tests for the diagnosis pipeline.
 
 The acceptance bar from the observability work: with full telemetry a
-single diagnosis trace covers every pipeline stage, the thread and
-process executors produce the *same* stage vocabulary, ``"off"``
+single diagnosis trace covers every pipeline stage, serial and threaded
+slave fan-outs produce the *same* stage vocabulary, ``"off"``
 produces no trace at all (and identical diagnoses), and finished traces
 aggregate into the default registry whose Prometheus export parses.
 """
@@ -54,14 +54,14 @@ class TestStageCoverage:
         assert trace.name == STAGE_DIAGNOSIS
         assert set(PIPELINE_STAGES) <= trace.stage_names()
 
-    def test_thread_and_process_executors_same_stage_set(self, store):
+    def test_serial_and_thread_same_stage_set(self, store):
         threaded = _diagnose(store, CONFIG)
-        processed = _diagnose(store, replace(CONFIG, executor="process"))
-        assert threaded.trace.stage_names() == processed.trace.stage_names()
+        serial = _diagnose(store, CONFIG, jobs=None)
+        assert threaded.trace.stage_names() == serial.trace.stage_names()
         assert set(PIPELINE_STAGES) <= threaded.trace.stage_names()
         # Telemetry must not perturb the diagnosis itself.
-        assert processed.result.faulty == threaded.result.faulty
-        assert processed.result.chain.links == threaded.result.chain.links
+        assert serial.result.faulty == threaded.result.faulty
+        assert serial.result.chain.links == threaded.result.chain.links
 
     def test_trace_structure_mirrors_the_store(self, store):
         diagnosis = _diagnose(store, CONFIG)
@@ -72,7 +72,7 @@ class TestStageCoverage:
         )
         metric_spans = trace.find_all(STAGE_METRIC)
         assert len(metric_spans) == len(store.components) * 2
-        assert trace.tags["executor"] == "thread"
+        assert trace.tags["jobs"] == 2
         assert trace.counter_total("metrics_analyzed") == len(metric_spans)
 
     def test_trace_durations_are_populated(self, store):

@@ -82,7 +82,7 @@ class TestFleetOfOne:
         assert left.chain.links == right.chain.links
 
     def test_process_backend_matches_too(self, faulty_store):
-        from repro.core.engine import fork_available
+        from repro.fleet.supervisor import fork_available
 
         if not fork_available():
             pytest.skip("fork start method unavailable")

@@ -1,40 +1,34 @@
-"""Tenant relocation: bit-identical verdicts, no shared-memory leaks.
+"""Tenant relocation: bit-identical models, streams and verdicts.
 
-A tenant moved between shards travels as a shared-memory store export
-plus a small pickled auxiliary state; the receiving shard materializes
-a writable store and warm-syncs its Markov models from it. Because
-``update_many`` is chunk-invariant, the rebuilt models must be
-bit-identical to models that never moved — and therefore so must every
-subsequent diagnosis. The /dev/shm leak checks pin the second half of
-the contract: every segment a fleet (or a crashing worker) creates is
-unlinked by drain, close or garbage collection.
+A tenant moved between shards travels as its store, copies of its
+slave's model bank, row map and error streams, and a small auxiliary
+state; the receiving shard installs them as they are and replays
+nothing. The moved tenant must therefore be bit-identical to one that
+never moved — models, error streams, ingest quality and every later
+diagnosis — also once the store's ring has wrapped past history the
+models learned from, where no replay of the ring could rebuild them.
 """
 
-import gc
 import math
-import os
-import pathlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.config import FChainConfig
+from repro.core.prediction import ModelBank
 from repro.eval.bench import synthetic_store
 from repro.fleet import FleetSupervisor, TenantSpec, manifest_from_dict
 from repro.fleet.manifest import FleetFeed
+from repro.fleet.supervisor import fork_available
 from repro.fleet.tenant import TenantRuntime
-from repro.monitoring.shared import SharedStoreExport
 from repro.monitoring.slo import LatencySLO
-from repro.monitoring.store import MetricStore
 from repro.service import StoreReplayFeed
 
 SAMPLES = 1_500
 FAULT_LEAD = 40
 SEED = 7
 MOVE_AT = 1_000
-
-SHM_DIR = pathlib.Path("/dev/shm")
 
 
 @pytest.fixture(scope="module")
@@ -53,12 +47,15 @@ def _performance(store):
     }
 
 
-def _spec():
+def _spec(**overrides):
+    """A fresh spec: its detector is stateful, so every runtime needs
+    its own."""
     return TenantSpec(
         tenant="mover",
         detector=LatencySLO(0.1, sustain=5),
         config=FChainConfig(),
         seed=SEED,
+        **overrides,
     )
 
 
@@ -91,14 +88,25 @@ def _with_nan_readings(batches, holes):
     ]
 
 
-def _error_streams(runtime):
+def _learned(runtime):
+    """Per series: the error stream, every bank array's row and the
+    store's ingest quality, after a final catch-up sync."""
+    runtime.core.warm_sync()
     slave = runtime.core.fchain.master.slave
     store = runtime.store
-    return {
-        (component, metric): np.array(slave.errors_for(component, metric))
-        for component in store.components
-        for metric in store.metrics_for(component)
-    }
+    learned = {}
+    for component in store.components:
+        for metric in store.metrics_for(component):
+            model = slave.model_for(component, metric)
+            learned[(component, metric)] = (
+                np.array(slave.errors_for(component, metric)),
+                {
+                    name: np.array(getattr(model.bank, name)[model.row])
+                    for name in ModelBank.ARRAYS
+                },
+                store.series_quality(component, metric),
+            )
+    return learned
 
 
 class TestRelocatedRuntimeBitIdentity:
@@ -110,36 +118,49 @@ class TestRelocatedRuntimeBitIdentity:
             faulty_store, frozenset({(600, "c1"), (601, "c1"), (1_200, "c0")})
         )
 
+    def test_relocation_past_a_ring_wrap_changes_nothing(self, faulty_store):
+        # 512 slots retained at the move tick of 1 000: the ring has
+        # wrapped past history the models learned from.
+        self._check_relocation_changes_nothing(
+            faulty_store, frozenset(), retention=512
+        )
+
     @staticmethod
-    def _check_relocation_changes_nothing(faulty_store, holes):
+    def _check_relocation_changes_nothing(faulty_store, holes, **spec):
         performance = _performance(faulty_store)
         batches = _with_nan_readings(
             list(StoreReplayFeed(faulty_store, performance=performance)),
             holes,
         )
 
-        # The runtime that stays warms its models tick by tick; the one
-        # that moves replays 1 000 ticks of history in one chunk per
-        # series on arrival, then carries on tick by tick.
-        stayed = TenantRuntime(_spec())
+        # Both runtimes warm their models tick by tick; the one that
+        # moves does so on two runtimes, the second installed from the
+        # first's snapshot.
+        stayed = TenantRuntime(_spec(**spec))
         stayed_incidents = _drive(stayed, batches)
-        stayed_errors = _error_streams(stayed)
+        stayed_learned = _learned(stayed)
         stayed.close()
 
-        moved = TenantRuntime(_spec())
+        moved = TenantRuntime(_spec(**spec))
         _drive(moved, batches[:MOVE_AT])
         snapshot = moved.export_state()
+        moved.close()
         rebuilt = TenantRuntime.from_state(snapshot)
-        moved.release()  # source drops the segment post-import
         moved_incidents = _drive(rebuilt, batches[MOVE_AT:])
-        moved_errors = _error_streams(rebuilt)
+        moved_learned = _learned(rebuilt)
         rebuilt.close()
 
-        assert stayed_errors.keys() == moved_errors.keys()
-        for key, errors in stayed_errors.items():
+        assert stayed_learned.keys() == moved_learned.keys()
+        for key, (errors, bank, quality) in stayed_learned.items():
+            moved_errors, moved_bank, moved_quality = moved_learned[key]
             np.testing.assert_array_equal(
-                errors, moved_errors[key], err_msg=str(key)
+                errors, moved_errors, err_msg=str(key)
             )
+            for name, row in bank.items():
+                np.testing.assert_array_equal(
+                    row, moved_bank[name], err_msg=f"{key} {name}"
+                )
+            assert quality == moved_quality, key
         assert len(stayed_incidents) == len(moved_incidents) == 1
         left = stayed_incidents[0]
         right = moved_incidents[0]
@@ -162,8 +183,8 @@ class TestRelocatedRuntimeBitIdentity:
         runtime = TenantRuntime(_spec())
         _drive(runtime, batches[:MOVE_AT])
         snapshot = runtime.export_state()
+        runtime.close()
         rebuilt = TenantRuntime.from_state(snapshot)
-        runtime.release()
         try:
             for component in rebuilt.store.components:
                 for metric in rebuilt.store.metrics_for(component):
@@ -181,9 +202,21 @@ class TestRelocatedRuntimeBitIdentity:
 
 class TestSupervisorMove:
     def test_move_mid_stream_still_exactly_one_incident(self):
+        self._check_move_mid_stream("thread")
+
+    def test_move_across_processes_still_exactly_one_incident(self):
+        # The snapshot crosses two process boundaries by pickle: source
+        # shard to supervisor, supervisor to target shard.
+        if not fork_available():
+            pytest.skip("fork start method unavailable")
+        self._check_move_mid_stream("process")
+
+    @staticmethod
+    def _check_move_mid_stream(backend):
         manifest = manifest_from_dict(
             {
                 "shards": 2,
+                "backend": backend,
                 "generate": {"count": 6, "prefix": "t"},
                 "defaults": {
                     "components": 4,
@@ -237,81 +270,3 @@ class TestSupervisorMove:
         finally:
             supervisor.close()
 
-
-@pytest.mark.skipif(
-    not SHM_DIR.is_dir(), reason="/dev/shm not available on this platform"
-)
-class TestSharedMemoryHygiene:
-    @staticmethod
-    def _segments():
-        return set(os.listdir(SHM_DIR))
-
-    def test_fleet_run_with_moves_leaks_no_segments(self):
-        before = self._segments()
-        manifest = manifest_from_dict(
-            {
-                "shards": 2,
-                "generate": {"count": 6, "prefix": "t"},
-                "defaults": {"components": 3},
-            }
-        )
-        supervisor = FleetSupervisor(manifest.fleet_config())
-        for spec in manifest.tenant_specs():
-            supervisor.add_tenant(spec)
-        feed = FleetFeed(manifest, 20)
-        for t in range(20):
-            if t == 10:
-                tenant = manifest.tenants[0]
-                supervisor.move_tenant(
-                    tenant, 1 - supervisor.shard_of(tenant)
-                )
-            for tenant in manifest.tenants:
-                supervisor.ingest(tenant, feed.batch(tenant, t))
-        supervisor.close()
-        leaked = self._segments() - before
-        assert not leaked, f"fleet run leaked shm segments: {leaked}"
-
-    def test_abandoned_export_is_unlinked_by_gc(self):
-        from repro.monitoring.store import IngestBatch, IngestRun
-        from repro.common.types import Metric
-        import numpy as np
-
-        store = MetricStore()
-        store.ingest(
-            IngestBatch(
-                runs=[
-                    IngestRun(
-                        "c", Metric.CPU_USAGE, 0, np.arange(8.0)
-                    )
-                ],
-                watermark=8,
-            )
-        )
-        export = SharedStoreExport(store)
-        name = export.handle.shm_name
-        assert (SHM_DIR / name).exists()
-        # Simulate a worker dying mid-attach: the export object is
-        # dropped without close(); the finalizer must unlink anyway.
-        del export
-        gc.collect()
-        assert not (SHM_DIR / name).exists(), (
-            f"segment {name} survived garbage collection of its export"
-        )
-
-    def test_close_then_gc_does_not_double_unlink(self):
-        from repro.monitoring.store import IngestBatch, IngestRun
-        from repro.common.types import Metric
-        import numpy as np
-
-        store = MetricStore()
-        store.ingest(
-            IngestBatch(
-                runs=[IngestRun("c", Metric.CPU_USAGE, 0, np.arange(4.0))],
-                watermark=4,
-            )
-        )
-        export = SharedStoreExport(store)
-        export.close()
-        export.close()  # idempotent
-        del export
-        gc.collect()  # finalizer already spent — must not raise

@@ -130,7 +130,7 @@ class TestEndToEnd:
         assert not result.supervisor.failures
 
     def test_process_backend_agrees_with_thread(self):
-        from repro.core.engine import fork_available
+        from repro.fleet.supervisor import fork_available
 
         if not fork_available():
             pytest.skip("fork start method unavailable")

@@ -123,7 +123,7 @@ class TestFleetTopologyParity:
             for src, dst in stayed.graph(min_confidence=0.0).edges:
                 assert moved.confidence(src, dst) == stayed.confidence(src, dst)
         finally:
-            scoped_rt.release()
+            scoped_rt.close()
 
 
 def _learn(topology, batch):

@@ -2,8 +2,7 @@
 
 Covers the behavior the dict-backed store never had to define: bounded
 retention with overwrite, reads across the physical wrap seam, backfill
-into evicted history, misaligned ticks, the strict ingest mode, and
-shared-memory export of a wrapped store.
+into evicted history, misaligned ticks and the strict ingest mode.
 """
 
 import math
@@ -17,7 +16,6 @@ from repro.common.errors import DataQualityError
 from repro.common.types import Metric, MetricSample
 from repro.eval.bench import synthetic_store
 from repro.monitoring.quality import DataQualityPolicy
-from repro.monitoring.shared import SharedStoreExport, attach_store
 from repro.monitoring.store import (
     DEFAULT_RETENTION,
     IngestBatch,
@@ -332,25 +330,3 @@ class TestDeprecationCycleFinished:
                 "one deprecation release — write through ingest()"
             )
 
-
-class TestSharedWrappedStore:
-    def test_export_attach_round_trip_after_wrap(self):
-        store = MetricStore(retention=8)
-        store.ingest(_run_batch("c", 0, np.arange(12.0), watermark=12))
-        with SharedStoreExport(store) as export:
-            attached = attach_store(export.handle)
-            series = attached.series("c", CPU)
-            assert series.start == 4
-            np.testing.assert_array_equal(
-                np.asarray(series.values), np.arange(4.0, 12.0)
-            )
-
-    def test_attached_snapshot_is_read_only(self):
-        store = MetricStore(retention=8)
-        store.ingest(_run_batch("c", 0, np.arange(12.0), watermark=12))
-        with SharedStoreExport(store) as export:
-            attached = attach_store(export.handle)
-            with pytest.raises(RuntimeError, match="read-only"):
-                attached.ingest(
-                    _run_batch("c", 12, [1.0], watermark=13)
-                )

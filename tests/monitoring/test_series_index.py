@@ -38,7 +38,7 @@ def _wrapped_store():
 def test_heads_column_and_block_read_the_row_views():
     store = _wrapped_store()
     index = store.series_index()
-    assert index.mirrored and index.cap == 64
+    assert index.cap == 64
     np.testing.assert_array_equal(index.heads(), [154] * len(KEYS))
     lo, hi = 114, 149  # crosses the seam: 114 % 64 + 35 > 64
     for positions in (np.array([0, 2, 5]), np.array([1, 2, 3]), np.arange(6)):

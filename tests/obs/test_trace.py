@@ -4,7 +4,7 @@ Covers the contracts the pipeline instrumentation relies on: spans nest
 and time themselves, ``"timings"`` mode drops counters/tags while
 keeping durations, the off mode collapses onto the shared
 :data:`NULL_SPAN` singleton with no retained allocation, and span trees
-survive pickling (the process-executor merge-back path).
+survive pickling (incidents cross the process fleet backend's queues).
 """
 
 import gc

@@ -4,7 +4,7 @@ One module-scoped synthetic store (step fault on ``c0`` near the end)
 drives every test: the online loop must raise exactly one incident
 naming the culprit, the verdict must match what the offline
 ``FChain.localize`` entry point produces on the same clean data, and
-the thread and process executors must agree.
+the serial and threaded slave fan-outs must agree.
 """
 
 import pytest
@@ -72,18 +72,14 @@ class TestOnlineLocalization:
         assert online.skipped == offline.skipped
         assert online.chain.links == offline.chain.links
 
-    def test_thread_and_process_executors_agree(self, faulty_store):
+    def test_serial_and_thread_fan_out_agree(self, faulty_store):
         verdicts = {}
-        for executor in ("thread", "process"):
-            _, incidents = _run_pipeline(
-                faulty_store,
-                config=FChainConfig(executor=executor),
-                jobs=2,
-            )
+        for jobs in (None, 2):
+            _, incidents = _run_pipeline(faulty_store, jobs=jobs)
             assert len(incidents) == 1
-            verdicts[executor] = (
+            verdicts[jobs] = (
                 incidents[0].faulty,
                 incidents[0].violation_tick,
                 incidents[0].diagnosis.external_factor,
             )
-        assert verdicts["thread"] == verdicts["process"]
+        assert verdicts[None] == verdicts[2]
