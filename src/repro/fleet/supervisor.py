@@ -12,7 +12,8 @@
   path) rather than stalling the caller;
 * **incident bus** — every shard emits finished incidents onto one
   shared event queue; a collector thread fans them out to per-tenant
-  sinks, fleet-wide sinks and tenant-labeled Prometheus counters;
+  sinks, fleet-wide sinks and tenant-labeled Prometheus counters, and
+  refreshes the per-shard queue-depth gauges each time it wakes;
 * **rebalance** — ``add_shard()`` / ``remove_shard()`` / ``move_tenant()``
   relocate live tenants: the source shard gives up the tenant's store
   and copies of its warm models, and the target installs them as they
@@ -28,7 +29,7 @@ pickling batches and relocation snapshots over the queues).
 
 Supervisor methods (``add_tenant``/``ingest``/``move_tenant``/``close``)
 are driver-facing and expected to be called from one thread; the
-collector thread only touches the incident/event state.
+collector thread only touches the incident/event state and the gauges.
 """
 
 from __future__ import annotations
@@ -298,7 +299,6 @@ class FleetSupervisor:
         if shard is None:
             raise ConfigurationError(f"tenant {tenant!r} is not registered")
         handle = self._shards[shard]
-        self.metrics.queue_depth.set(handle.depth(), shard=str(shard))
         try:
             if self.config.route_timeout > 0:
                 handle.commands.put(
@@ -395,8 +395,12 @@ class FleetSupervisor:
             try:
                 event = self._events.get(timeout=_EVENT_POLL_SECONDS)
             except queue.Empty:
-                continue
-            self._handle_event(event)
+                pass
+            else:
+                self._handle_event(event)
+            # Here, not on the route path, where it cost as much as a put.
+            for index, handle in list(self._shards.items()):
+                self.metrics.queue_depth.set(handle.depth(), shard=str(index))
 
     def _handle_event(self, event) -> None:
         kind = event[0]

@@ -6,41 +6,45 @@ consumes command tuples from a queue-like object and emits event tuples
 to another, so the same class runs on a thread (queue.Queue) or in a
 forked worker process (multiprocessing.Queue) — the supervisor picks.
 
-**Isolation model.** Ingest and diagnosis never share a thread. The
-serve loop only ever does per-tick work (tolerant ingest, warm sync, SLO
-eval — microseconds per tenant); every ready trigger is handed to a
-dedicated dispatch thread. While more commands are queued behind an
-ingest, the tenant defers its warm sync until its models owe a block
-(see :meth:`~repro.service.tick.TickCore.process`). Two mechanisms keep
-one tenant's diagnosis storm from starving its neighbours:
+**One thread per shard.** :meth:`serve` is the shard's only thread: it
+handles the commands and runs the diagnoses too. When no command is
+waiting it diagnoses the next ready trigger; otherwise it handles one
+command, then diagnoses at most one trigger. A trigger an ingest
+releases is therefore localized before the shard's next command, not
+after ingest ends. While more commands are queued behind an ingest, the
+tenant defers its warm sync until its models owe a block (see
+:meth:`~repro.service.tick.TickCore.process`). Two mechanisms keep one
+tenant's diagnosis storm from starving its neighbours:
 
 * **bounded per-tenant budget** — each tenant may have at most
   ``tenant_budget`` triggers waiting; excess triggers are shed with a
   counted drop (the storm folds into the incidents that do run);
-* **fair round-robin dispatch** — the dispatch thread cycles over
-  tenants that have work, taking one trigger per visit, so a tenant
-  with a deep backlog cannot monopolize the diagnosis thread.
+* **fair round-robin dispatch** — the loop cycles over tenants that
+  have work, taking one trigger per visit, so a tenant with a deep
+  backlog cannot monopolize the shard's diagnoses.
 
-A shard's ingest and diagnoses share one interpreter lock. The process
-backend (one process per shard, see :mod:`repro.fleet.supervisor`)
-keeps shards from contending with each other and with the caller.
+The trade-off: a diagnosis (~50–80 ms of ``localize``) holds its
+shard's ingest meanwhile. The bounded command queue and the
+supervisor's ``route_timeout`` are the back-pressure, as for any slow
+tick. A separate diagnosis thread bought no parallelism here — ingest
+and diagnosis share one interpreter lock, so it only interleaved the
+two — and it let diagnoses back up behind ingest until ingest ended.
+The process backend (one process per shard, see
+:mod:`repro.fleet.supervisor`) keeps shards from contending with each
+other and with the caller.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict, deque
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.fleet.tenant import TenantRuntime, TenantSnapshot, TenantSpec
 from repro.service.tick import Trigger
 
-#: Sent by the dispatch loop's condition wait to bound drain latency.
-_DISPATCH_POLL_SECONDS = 0.1
-
 
 class ShardWorker:
-    """Serve loop + fair dispatcher for one shard's tenants.
+    """Serve loop + fair diagnosis for one shard's tenants.
 
     Args:
         shard: This shard's index (stamped on every event).
@@ -54,10 +58,9 @@ class ShardWorker:
         self.events = events
         self.tenant_budget = tenant_budget
         self.runtimes: Dict[str, TenantRuntime] = {}
+        # Only tenants with queued triggers, in round-robin order: an
+        # empty queue is dropped, so "is any trigger ready" is one test.
         self._queues: "OrderedDict[str, Deque[Trigger]]" = OrderedDict()
-        self._cv = threading.Condition()
-        self._dispatcher: Optional[threading.Thread] = None
-        self._draining = False
         self.shed: Dict[str, int] = {}
         self.diagnosed = 0
         self.ingest_ignored = 0
@@ -66,8 +69,12 @@ class ShardWorker:
     # Command loop
     # ------------------------------------------------------------------
     def serve(self, commands) -> None:
-        """Consume commands until ``drain``; then flush and return."""
+        """Consume commands until ``drain``, diagnosing ready triggers
+        between them; then flush and return."""
         while True:
+            if self._queues and not _backlogged(commands):
+                self._diagnose_next()
+                continue
             command = commands.get()
             kind = command[0]
             if kind == "ingest":
@@ -87,6 +94,8 @@ class ShardWorker:
                 self.events.put(
                     ("error", self.shard, None, f"unknown command {kind!r}")
                 )
+            if self._queues:
+                self._diagnose_next()
 
     def _handle_ingest(
         self, tenant: str, batch, *, queued: bool = False
@@ -126,25 +135,27 @@ class ShardWorker:
         runtime = self.runtimes.pop(tenant, None)
         if runtime is not None:
             runtime.close()
-        with self._cv:
-            self._queues.pop(tenant, None)
+        self._queues.pop(tenant, None)
 
     def _handle_export(self, tenant: str) -> None:
-        runtime = self.runtimes.pop(tenant, None)
+        runtime = self.runtimes.get(tenant)
         if runtime is None:
             self.events.put(
                 ("error", self.shard, tenant, "export of unknown tenant")
             )
             return
+        # Triggers already released here are diagnosed here, so the
+        # snapshot's incident count includes them; the snapshot itself
+        # carries only the triggers still waiting for grace data.
+        for trigger in self._queues.pop(tenant, ()):
+            self._diagnose(tenant, runtime, trigger)
         try:
             snapshot = runtime.export_state()
-        except Exception as error:
-            self.runtimes[tenant] = runtime  # keep serving in place
+        except Exception as error:  # keep serving in place
             self.events.put(("error", self.shard, tenant, repr(error)))
             return
+        del self.runtimes[tenant]
         runtime.close()
-        with self._cv:
-            self._queues.pop(tenant, None)
         self.events.put(("exported", self.shard, tenant, snapshot))
 
     def _handle_drain(self) -> None:
@@ -153,12 +164,8 @@ class ShardWorker:
                 # Drain-time triggers bypass the budget, mirroring the
                 # pipeline's blocking put on close().
                 self._enqueue(tenant, trigger, budgeted=False)
-        with self._cv:
-            self._draining = True
-            self._cv.notify_all()
-        if self._dispatcher is not None:
-            self._dispatcher.join()
-            self._dispatcher = None
+        while self._queues:
+            self._diagnose_next()
         stats = self._stats()
         for runtime in self.runtimes.values():
             runtime.close()
@@ -166,61 +173,45 @@ class ShardWorker:
         self.events.put(("drained", self.shard, stats))
 
     # ------------------------------------------------------------------
-    # Fair dispatch
+    # Fair diagnosis
     # ------------------------------------------------------------------
     def _enqueue(
         self, tenant: str, trigger: Trigger, *, budgeted: bool = True
     ) -> None:
-        with self._cv:
-            pending = self._queues.get(tenant)
-            if pending is None:
-                pending = self._queues[tenant] = deque()
-            if budgeted and len(pending) >= self.tenant_budget:
-                self.shed[tenant] = self.shed.get(tenant, 0) + 1
-                return
-            pending.append(trigger)
-            self._ensure_dispatcher()
-            self._cv.notify_all()
-
-    def _ensure_dispatcher(self) -> None:
-        if self._dispatcher is None:
-            self._dispatcher = threading.Thread(
-                target=self._dispatch_loop,
-                name=f"fchain-fleet-dispatch-{self.shard}",
-                daemon=True,
-            )
-            self._dispatcher.start()
+        pending = self._queues.get(tenant)
+        if pending is None:
+            pending = self._queues[tenant] = deque()
+        elif budgeted and len(pending) >= self.tenant_budget:
+            self.shed[tenant] = self.shed.get(tenant, 0) + 1
+            return
+        pending.append(trigger)
 
     def _next_trigger(self) -> Optional[Tuple[str, Trigger]]:
-        """Round-robin: first tenant with work, rotated to the back."""
-        for tenant in list(self._queues):
-            pending = self._queues[tenant]
-            if pending:
-                trigger = pending.popleft()
-                self._queues.move_to_end(tenant)
-                return tenant, trigger
-        return None
+        """Round-robin: the first tenant with work, rotated to the back."""
+        if not self._queues:
+            return None
+        tenant, pending = next(iter(self._queues.items()))
+        trigger = pending.popleft()
+        if pending:
+            self._queues.move_to_end(tenant)
+        else:
+            del self._queues[tenant]
+        return tenant, trigger
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._cv:
-                item = self._next_trigger()
-                if item is None:
-                    if self._draining:
-                        return
-                    self._cv.wait(_DISPATCH_POLL_SECONDS)
-                    continue
-            tenant, trigger = item
-            runtime = self.runtimes.get(tenant)
-            if runtime is None:
-                continue  # removed while queued
-            try:
-                incident = runtime.diagnose(trigger)
-            except Exception as error:
-                self.events.put(("error", self.shard, tenant, repr(error)))
-                continue
-            self.diagnosed += 1
-            self.events.put(("incident", self.shard, tenant, incident))
+    def _diagnose_next(self) -> None:
+        tenant, trigger = self._next_trigger()
+        self._diagnose(tenant, self.runtimes[tenant], trigger)
+
+    def _diagnose(
+        self, tenant: str, runtime: TenantRuntime, trigger: Trigger
+    ) -> None:
+        try:
+            incident = runtime.diagnose(trigger)
+        except Exception as error:
+            self.events.put(("error", self.shard, tenant, repr(error)))
+            return
+        self.diagnosed += 1
+        self.events.put(("incident", self.shard, tenant, incident))
 
     # ------------------------------------------------------------------
     # Stats

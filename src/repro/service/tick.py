@@ -14,10 +14,11 @@ loop's rule set with no thread, queue or sink of its own:
    co-movement.
 3. **Warm-up** — the persistent slave's Markov models are synced with
    the store (``sync_with_store``) under a *try*-lock: a tick that finds
-   a diagnosis holding the slave skips the sync with a counted skip
-   instead of waiting, so ingest never blocks on diagnosis. A tick loop
-   whose next input is already queued defers the sync until the models
-   owe a block (see :meth:`TickCore.process`).
+   a diagnosis on another thread holding the slave (the pipeline's
+   worker) skips the sync with a counted skip instead of waiting, so
+   ingest never blocks on diagnosis. A tick loop whose next input is
+   already queued defers the sync until the models owe a block (see
+   :meth:`TickCore.process`).
 4. **Detect** — the batch's performance signal feeds the SLO detector; a
    *rising edge* outside the ``service_cooldown`` window creates one
    :class:`Trigger`.
@@ -28,8 +29,9 @@ loop's rule set with no thread, queue or sink of its own:
 What happens to a ready trigger is the driver's business:
 :class:`~repro.service.pipeline.OnlinePipeline` feeds a bounded queue
 drained by one worker thread, a fleet shard
-(:mod:`repro.fleet.worker`) dispatches fairly across its
-:class:`~repro.fleet.tenant.TenantRuntime` tenants. Both hand the
+(:mod:`repro.fleet.worker`) diagnoses on its own serve thread, fairly
+across its :class:`~repro.fleet.tenant.TenantRuntime` tenants, between
+commands. Both hand the
 trigger back to :meth:`TickCore.diagnose`, which is the only place an
 :class:`~repro.service.incident.Incident` is built.
 """
@@ -110,8 +112,9 @@ class TickCore:
         self.origin = origin
         self.config = fchain.config
         # Serializes slave-state mutation between the ingest side's
-        # warm-up sync and a diagnosis on another thread. The ingest
-        # side only ever try-acquires it — see warm_sync.
+        # warm-up sync and a diagnosis on another thread (the
+        # pipeline's worker; a fleet shard runs both on one). The
+        # ingest side only ever try-acquires it — see warm_sync.
         self._slave_lock = threading.Lock()
         self.pending: List[Trigger] = []
         self.last_trigger: Optional[int] = None
@@ -249,8 +252,8 @@ class TickCore:
     def warm_state(self):
         """Copies of the slave's learned state (see
         :meth:`~repro.core.fchain.FChainSlave.warm_state`), taken under
-        the slave lock: a diagnosis running on another thread may still
-        be syncing that state."""
+        the slave lock. A fleet shard exports on its one thread, so
+        there no diagnosis can be syncing that state meanwhile."""
         with self._slave_lock:
             return self.fchain.master.slave.warm_state()
 
@@ -293,7 +296,7 @@ class TickCore:
         return pending
 
     # ------------------------------------------------------------------
-    # Diagnosis side (on the driver's diagnosis thread)
+    # Diagnosis side (on the thread that runs the diagnoses)
     # ------------------------------------------------------------------
     def diagnose(self, trigger: Trigger) -> Incident:
         """Run one localization; raises on engine failure."""

@@ -6,6 +6,8 @@ the budget/fairness mechanics are unit-tested directly on
 :class:`ShardWorker` so the assertions are deterministic.
 """
 
+import queue
+import threading
 import time
 
 import pytest
@@ -20,6 +22,7 @@ from repro.fleet import (
     manifest_from_dict,
     run_manifest,
 )
+from repro.fleet.manifest import FleetFeed
 from repro.monitoring.slo import LatencySLO
 from repro.obs.registry import MetricsRegistry
 from repro.service.sources import TickBatch
@@ -230,10 +233,8 @@ class _Events:
 
 class TestShardWorkerFairness:
     def _worker(self, budget=4):
-        worker = ShardWorker(0, _Events(), tenant_budget=budget)
-        # Unit-test the queueing mechanics without a live dispatcher.
-        worker._ensure_dispatcher = lambda: None
-        return worker
+        # Queueing alone diagnoses nothing: only the serve loop does.
+        return ShardWorker(0, _Events(), tenant_budget=budget)
 
     def test_budget_sheds_excess_triggers(self):
         worker = self._worker(budget=2)
@@ -261,7 +262,7 @@ class TestShardWorkerFairness:
                 break
             order.append(item[0])
         # One trigger per visit: a's backlog cannot monopolize the
-        # dispatcher while b and c wait.
+        # shard's diagnoses while b and c wait.
         assert order == ["a", "b", "c", "a", "a"]
 
 
@@ -280,6 +281,62 @@ class _Commands:
         if not self.sized:
             raise NotImplementedError
         return len(self.commands)
+
+
+class TestShardServeLoop:
+    """The serve loop is the shard's only thread and diagnoses itself."""
+
+    TENANT = "t-0000"
+
+    def _tenant(self):
+        manifest = _manifest(count=1, shards=1, fault_tenant=self.TENANT)
+        feed = FleetFeed(manifest, 60)
+        (spec,) = manifest.tenant_specs()
+        return spec, [feed.batch(self.TENANT, t) for t in range(60)]
+
+    def test_a_released_trigger_is_diagnosed_before_the_next_command(self):
+        spec, batches = self._tenant()
+        events = _Events()
+        worker = ShardWorker(0, events)
+        # Every ingest is followed by an export of an unknown tenant,
+        # whose error event marks when the next command was handled.
+        commands = [("add", spec)]
+        for batch in batches:
+            commands += [("ingest", self.TENANT, batch), ("export", "-")]
+        worker.serve(_Commands(commands + [("drain",)]))
+        kinds = [event[0] for event in events.items]
+        assert kinds.count("incident") == 1
+        position = kinds.index("incident")
+        incident = events.items[position][3]
+        assert incident.violation_tick == 42
+        # The ingest of the dispatch tick released the trigger; its
+        # incident precedes that ingest's marker.
+        assert position == incident.dispatched_tick
+        assert kinds[:position] == ["error"] * position
+
+    def test_an_idle_shard_diagnoses_without_another_command(self):
+        spec, batches = self._tenant()
+        events = queue.Queue()
+        worker = ShardWorker(0, events)
+        worker._handle_add(spec)
+        for batch in batches:
+            worker._handle_ingest(self.TENANT, batch)
+            if worker._queues:
+                break
+        assert worker.diagnosed == 0
+        commands = queue.Queue()
+        runner = threading.Thread(target=worker.serve, args=(commands,))
+        runner.start()
+        try:
+            # No command follows and nothing closes the shard.
+            event = events.get(timeout=30.0)
+            assert event[0] == "incident"
+            assert event[3].violation_tick == 42
+        finally:
+            commands.put(("drain",))
+            runner.join(timeout=30.0)
+        assert not runner.is_alive()
+        assert worker.diagnosed == 1
 
 
 class TestShardWarmSyncDeferral:
