@@ -51,7 +51,10 @@ from repro.core.prediction import MarkovPredictor, ModelBank
 from repro.core.propagation import ComponentReport
 from repro.core.selection import (
     detect_window_change_points,
+    history_error_references,
     select_abnormal_changes,
+    selection_screened,
+    smooth_window,
 )
 from repro.core.topology import (
     OnlineTopology,
@@ -542,6 +545,7 @@ class FChainSlave:
                     else:
                         metrics_inconclusive += 1
             changes = []
+            screened = 0
             for metric, full in windows:
                 with comp_span.child(
                     STAGE_METRIC, metric=metric.value
@@ -553,13 +557,14 @@ class FChainSlave:
                     raw = full.window(window_start, window_end)
                     history = full.window(full.start, raw.start)
                     split = raw.start - full.start
-                    changes.extend(
-                        self._select_cached(
-                            component, metric, full, raw, history, errors,
-                            split, revision, span=metric_span,
-                        )
+                    found, skipped = self._select_cached(
+                        component, metric, full, raw, history, errors,
+                        split, revision, span=metric_span,
                     )
+                    changes.extend(found)
+                    screened += skipped
             comp_span.count("metrics_analyzed", len(windows))
+            comp_span.count("cusum_screened", screened)
             comp_span.count("abnormal_changes", len(changes))
         quality = DataQualityReport.build(
             component=component,
@@ -652,7 +657,7 @@ class FChainSlave:
         split: int,
         revision: int = 0,
         span=None,
-    ) -> List:
+    ) -> Tuple[List, bool]:
         """Window-keyed memoization around the selection pipeline.
 
         Keys are ``(component, metric, window bounds, store revision)``;
@@ -661,9 +666,17 @@ class FChainSlave:
         output — except when a late arrival backfilled a past slot in
         place, which bumps the store's ``revision`` and thereby invalidates
         every window cached before the repair. Two levels are kept: the
-        CUSUM/bootstrap intermediates (the dominant cost) and the final
-        selected changes, so the validation loop and repeated diagnoses
-        of one violation skip the work entirely.
+        CUSUM/bootstrap intermediates and the final selected changes, so
+        the validation loop and repeated diagnoses of one violation skip
+        the work entirely. Before any CUSUM runs, the smoothed window is
+        screened (:func:`~repro.core.selection.selection_screened`): a
+        series whose swing or prediction errors cannot pass selection —
+        most of them in a diagnosis — caches ``[]`` and never pays for a
+        bootstrap, which is otherwise the dominant cost of selection.
+
+        Returns:
+            ``(changes, screened)``: the selected abnormal changes and
+            whether the screen skipped this window's CUSUM just now.
         """
         from repro.obs.trace import NULL_SPAN
 
@@ -674,15 +687,25 @@ class FChainSlave:
         if cached is not None:
             self._selection_cache.move_to_end(cache_key)
             span.count("selection_cache_hits", 1)
-            return list(cached)
+            return list(cached), False
 
-        detected = None
+        detected = references = None
         if len(raw) >= 2 * self.config.min_segment:
+            references = history_error_references(
+                errors[:split], self.config.history_error_percentile
+            )
             detected = self._cusum_cache.get(cache_key)
             if detected is None:
+                smoothed = smooth_window(raw, self.config, span)
+                if selection_screened(
+                    smoothed, errors[split:], references, self.config
+                ):
+                    span.count("cusum_screened", 1)
+                    self._cache_put(self._selection_cache, cache_key, [])
+                    return [], True
                 detected = detect_window_change_points(
                     raw, metric, self.config, seed=(self.seed, component),
-                    span=span,
+                    span=span, smoothed=smoothed,
                 )
                 self._cache_put(self._cusum_cache, cache_key, detected)
             else:
@@ -699,10 +722,11 @@ class FChainSlave:
             history_errors=errors[:split],
             detected=detected,
             full_series=full,
+            history_references=references,
             span=span,
         )
         self._cache_put(self._selection_cache, cache_key, changes)
-        return list(changes)
+        return list(changes), False
 
     @staticmethod
     def _cache_put(cache: "OrderedDict", key, value) -> None:

@@ -18,6 +18,13 @@ from repro.common.timeseries import TimeSeries
 from repro.core.cusum import ChangePoint
 
 
+def magnitude_floor(series: TimeSeries, min_relative_shift: float = 0.15) -> float:
+    """The smallest change magnitude the PAL step keeps on ``series``:
+    ``min_relative_shift`` of the series' mean absolute level."""
+    level = float(np.mean(np.abs(series.values))) if len(series) else 0.0
+    return min_relative_shift * max(level, 1e-9)
+
+
 def outlier_change_points(
     points: Sequence[ChangePoint],
     reference_magnitudes: Sequence[float],
@@ -49,8 +56,7 @@ def outlier_change_points(
     )
     mean = float(reference.mean())
     std = float(reference.std())
-    level = float(np.mean(np.abs(series.values))) if len(series) else 0.0
-    floor = min_relative_shift * max(level, 1e-9)
+    floor = magnitude_floor(series, min_relative_shift)
 
     selected: List[ChangePoint] = []
     for point in points:

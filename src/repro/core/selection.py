@@ -1,30 +1,44 @@
 """Abnormal change point selection and onset-time identification.
 
-This module implements the heart of the FChain slave (paper Sec. II-B):
+This module implements the heart of the FChain slave (paper Sec. II-B).
+The filters run in this order on each metric's look-back window:
 
-1. smooth the look-back window and detect change points (CUSUM+bootstrap);
-2. keep magnitude outliers (the PAL step);
-3. keep only outliers whose *actual* prediction error (from the online
+1. smooth the window;
+2. screen it (:func:`selection_screened`): when the smoothed window's
+   range is below the PAL magnitude floor, or the online model's
+   prediction errors stay at or under ``margin x`` their routine level
+   everywhere a change point could sit, no change point can pass steps
+   4 and 5, so CUSUM and its bootstrap are skipped and the window yields
+   nothing. Most series of a diagnosis stop here;
+3. detect change points (CUSUM + bootstrap);
+4. keep magnitude outliers (the PAL step);
+5. keep only outliers whose *actual* prediction error (from the online
    Markov model) exceeds the *expected* prediction error derived from the
-   local burstiness (FFT burst extraction);
-4. roll the selected abnormal change point back along preceding change
+   local burstiness (FFT burst extraction) and the model's routine error
+   level, and whose shift persists and departs from the routine level;
+6. roll each selected abnormal change point back along preceding change
    points with similar tangents to find the precise onset of the fault
    manifestation.
+
+The screen is exact: each series draws its bootstrap from its own stream
+(``spawn_rng("cusum", ...)``), so skipping one series' CUSUM leaves every
+other series' change points, and therefore every verdict, bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.common.timeseries import TimeSeries
 from repro.common.types import Metric
 from repro.core.burst import expected_prediction_errors
 from repro.core.config import FChainConfig
 from repro.core.cusum import ChangePoint, detect_change_points
-from repro.core.outliers import outlier_change_points
+from repro.core.outliers import magnitude_floor, outlier_change_points
 from repro.core.prediction import prediction_errors
 from repro.core.smoothing import smooth_series
 from repro.obs.trace import (
@@ -35,6 +49,15 @@ from repro.obs.trace import (
     STAGE_ROLLBACK,
     STAGE_SMOOTHING,
 )
+
+#: Ticks after a change point over which its actual prediction error is
+#: taken (:func:`actual_prediction_error`).
+ERROR_FORWARD = 4
+
+#: Relative rounding slack of the screen's PAL bound: a change magnitude
+#: is a difference of two segment means, which float summation can push
+#: past the window's range by a few ulps of its level.
+RANGE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,7 +105,7 @@ def actual_prediction_error(
     time: int,
     *,
     direction: int = 0,
-    forward: int = 4,
+    forward: int = ERROR_FORWARD,
 ) -> float:
     """Online-model prediction error attributed to a change point.
 
@@ -133,6 +156,81 @@ def history_error_reference(
     if len(finite) < 20:
         return 0.0
     return float(np.percentile(np.abs(finite), percentile))
+
+
+def history_error_references(
+    history_errors: Optional[np.ndarray], percentile: float
+) -> Dict[int, float]:
+    """:func:`history_error_reference` of both change directions, keyed
+    by direction; 0 for both when there is no error history."""
+    if history_errors is None:
+        return {1: 0.0, -1: 0.0}
+    return {
+        direction: history_error_reference(history_errors, direction, percentile)
+        for direction in (1, -1)
+    }
+
+
+def selection_screened(
+    smoothed: TimeSeries,
+    errors: np.ndarray,
+    references: Mapping[int, float],
+    config: FChainConfig,
+) -> bool:
+    """Whether no change point of ``smoothed`` can pass selection.
+
+    True only when every change point CUSUM could report — wherever it
+    put it — would be rejected by the PAL floor or the prediction-error
+    test of :func:`select_abnormal_changes`, so the window's CUSUM and
+    bootstrap can be skipped without changing its (empty) result. Two
+    bounds, either one suffices:
+
+    (a) A change magnitude is a difference of two segment means of
+        ``smoothed``, so it is at most the window's ``max - min``
+        (plus :data:`RANGE_SLACK` of its level for rounding). Below the
+        :func:`~repro.core.outliers.magnitude_floor`, nothing survives
+        PAL.
+    (b) CUSUM places a point at an index in ``[min_segment, n -
+        min_segment]``. For direction ``d`` and such an index ``t``,
+        ``G_d(t)`` is exactly the actual error
+        :func:`actual_prediction_error` would report there. The expected
+        error is at least ``references[d]``, so when ``G_d(t) <= margin
+        x references[d]`` at every ``t`` for both directions, every
+        point fails ``actual > margin x expected``.
+
+    NaN anywhere in ``smoothed`` disables (a); NaN errors count as
+    absent, as in :func:`actual_prediction_error`.
+    """
+    values = smoothed.values
+    first = config.min_segment
+    if len(values) < 2 * first:
+        return True  # too short for CUSUM to split
+    top, bottom = float(values.max()), float(values.min())
+    slack = RANGE_SLACK * max(abs(top), abs(bottom))
+    if (top - bottom) + slack < magnitude_floor(smoothed):
+        return True
+    margin = config.prediction_error_margin
+    if margin < 0:
+        return False
+    count = len(values) - 2 * first + 1
+    # Row i holds errors[first + i : first + i + ERROR_FORWARD + 1];
+    # slots past the end of ``errors`` are NaN, i.e. absent.
+    padded = np.full(count + ERROR_FORWARD, np.nan)
+    tail = np.asarray(errors, dtype=float)[first : first + len(padded)]
+    padded[: len(tail)] = tail
+    windows = sliding_window_view(padded, ERROR_FORWARD + 1)
+    finite = np.isfinite(windows)
+    magnitudes = np.where(finite, np.abs(windows), -1.0)
+    # Without an error of the point's sign, the largest of any sign
+    # counts (0 when none is finite).
+    fallback = np.maximum(magnitudes.max(axis=1), 0.0)
+    signs = np.sign(windows)
+    for direction in (1, -1):
+        matching = np.where(signs == direction, magnitudes, -1.0).max(axis=1)
+        largest = np.where(matching >= 0.0, matching, fallback)
+        if (largest > margin * references[direction]).any():
+            return False
+    return True
 
 
 def shift_persists(
@@ -340,6 +438,15 @@ def rollback_onset(
     return current.time
 
 
+def smooth_window(
+    raw: TimeSeries, config: FChainConfig, span=NULL_SPAN
+) -> TimeSeries:
+    """Smooth one look-back window (the first filter, timed as its own
+    stage)."""
+    with span.child(STAGE_SMOOTHING):
+        return smooth_series(raw, config.smoothing_window)
+
+
 def detect_window_change_points(
     raw: TimeSeries,
     metric: Metric,
@@ -347,23 +454,29 @@ def detect_window_change_points(
     *,
     seed: object = 0,
     span=NULL_SPAN,
+    smoothed: Optional[TimeSeries] = None,
 ) -> Tuple[TimeSeries, List[ChangePoint]]:
     """Smooth one look-back window and run CUSUM + bootstrap on it.
 
     This is the expensive, purely window-determined prefix of
     :func:`select_abnormal_changes` (the 100+ bootstrap permutations per
-    candidate split dominate selection cost). It is split out so the
-    incremental engine can cache its output keyed by
+    candidate split dominate the cost of a window that passes the
+    screen). It is split out so the slave can cache its output keyed by
     ``(component, metric, window)``: the metric store is append-only, so
     the same window bounds always hold the same samples and the cached
     result stays exact.
+
+    Args:
+        smoothed: The window already smoothed by :func:`smooth_window`
+            (a caller that screened it first passes it on); smoothed here
+            when omitted.
 
     Returns:
         ``(smoothed, points)`` — the smoothed window and its change
         points, exactly as the inline path computes them.
     """
-    with span.child(STAGE_SMOOTHING):
-        smoothed = smooth_series(raw, config.smoothing_window)
+    if smoothed is None:
+        smoothed = smooth_window(raw, config, span)
     with span.child(STAGE_CUSUM) as cusum_span:
         points = detect_change_points(
             smoothed,
@@ -387,6 +500,7 @@ def select_abnormal_changes(
     history_errors: Optional[np.ndarray] = None,
     detected: Optional[Tuple[TimeSeries, List[ChangePoint]]] = None,
     full_series: Optional[TimeSeries] = None,
+    history_references: Optional[Mapping[int, float]] = None,
     span=NULL_SPAN,
 ) -> List[AbnormalChange]:
     """Run the full slave-side selection pipeline on one metric window.
@@ -409,12 +523,17 @@ def select_abnormal_changes(
             model's routine same-direction error level under normal
             operation.
         detected: Optional precomputed ``(smoothed, points)`` pair from
-            :func:`detect_window_change_points` (the incremental engine
-            caches these per window); if omitted it is computed here.
+            :func:`detect_window_change_points` (the slave caches these
+            per window). If omitted, the window is smoothed and screened
+            (:func:`selection_screened`) here, and CUSUM runs only when
+            the screen lets it through.
         full_series: Optional series spanning ``history`` + ``raw``
             contiguously. Callers that already hold such a series (the
             slave's windowed store views) pass it to avoid an O(history)
             concatenation per metric.
+        history_references: Optional :func:`history_error_references`
+            of ``history_errors`` (a caller that screened the window
+            passes them on); computed here when omitted.
         span: Optional parent telemetry span; stage child spans (PAL
             outlier filter, burst thresholds, onset rollback) attach to
             it. Defaults to the shared no-op span.
@@ -424,9 +543,30 @@ def select_abnormal_changes(
     """
     if len(raw) < 2 * config.min_segment:
         return []
+    if errors is None:
+        combined = TimeSeries(
+            np.concatenate([history.values, raw.values]), start=history.start
+        )
+        all_errors = prediction_errors(
+            combined,
+            bins=config.markov_bins,
+            halflife=config.markov_halflife,
+            signed=True,
+        )
+        errors = all_errors[len(history):]
+        if history_errors is None:
+            history_errors = all_errors[: len(history)]
+    if history_references is None:
+        history_references = history_error_references(
+            history_errors, config.history_error_percentile
+        )
     if detected is None:
+        smoothed = smooth_window(raw, config, span)
+        if selection_screened(smoothed, errors, history_references, config):
+            span.count("cusum_screened", 1)
+            return []
         detected = detect_window_change_points(
-            raw, metric, config, seed=seed, span=span
+            raw, metric, config, seed=seed, span=span, smoothed=smoothed
         )
     smoothed, points = detected
     if not points:
@@ -441,19 +581,6 @@ def select_abnormal_changes(
     if not outliers:
         return []
 
-    if errors is None:
-        combined = TimeSeries(
-            np.concatenate([history.values, raw.values]), start=history.start
-        )
-        all_errors = prediction_errors(
-            combined,
-            bins=config.markov_bins,
-            halflife=config.markov_halflife,
-            signed=True,
-        )
-        errors = all_errors[len(history):]
-        if history_errors is None:
-            history_errors = all_errors[: len(history)]
     if full_series is not None:
         full = full_series
     else:
@@ -476,18 +603,8 @@ def select_abnormal_changes(
 
     abnormal: List[AbnormalChange] = []
     with span.child(STAGE_ROLLBACK) as rollback_span:
-        # The routine error level depends only on the direction, so each
-        # direction's percentile over the whole error history is taken once.
-        history_references = {}
-        if history_errors is not None:
-            history_references = {
-                direction: history_error_reference(
-                    history_errors, direction, config.history_error_percentile
-                )
-                for direction in {point.direction for point in outliers}
-            }
         for point, burst_threshold in zip(outliers, burst_thresholds):
-            history_reference = history_references.get(point.direction, 0.0)
+            history_reference = history_references[point.direction]
             actual = actual_prediction_error(
                 errors, raw, point.time, direction=point.direction
             )
