@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.baselines import (
     DependencyLocalizer,
@@ -44,11 +44,7 @@ SCHEMES: Dict[str, callable] = {
 }
 
 
-#: Schemes whose constructor accepts the slave fan-out width.
-_JOB_AWARE = {"FChain", "FChain+VAL"}
-
-
-def _build_schemes(names: str, jobs: Optional[int] = None) -> List[Localizer]:
+def _build_schemes(names: str) -> List[Localizer]:
     schemes = []
     for name in names.split(","):
         name = name.strip()
@@ -56,11 +52,7 @@ def _build_schemes(names: str, jobs: Optional[int] = None) -> List[Localizer]:
             raise SystemExit(
                 f"unknown scheme {name!r}; choose from {sorted(SCHEMES)}"
             )
-        factory = SCHEMES[name]
-        if jobs and name in _JOB_AWARE:
-            schemes.append(factory(jobs=jobs))
-        else:
-            schemes.append(factory())
+        schemes.append(SCHEMES[name]())
     return schemes
 
 
@@ -74,7 +66,7 @@ def cmd_list(_: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = scenario_by_name(args.scenario)
-    schemes = _build_schemes(args.schemes, jobs=args.jobs)
+    schemes = _build_schemes(args.schemes)
     print(
         f"Running {args.runs} fault-injection runs of {scenario.name} "
         f"with schemes: {[s.name for s in schemes]}"
@@ -103,7 +95,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = FChainConfig()
     if args.window:
         config = config.with_window(args.window)
-    fchain = FChain(config, dependency_graph=graph, jobs=args.jobs)
+    fchain = FChain(config, dependency_graph=graph)
     diagnosis = fchain.localize(store, violation_time=args.violation)
     print(diagnosis.summary())
     print(f"(diagnosis latency: {diagnosis.latency_seconds * 1e3:.0f} ms)")
@@ -127,7 +119,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     violation = store.end - config.analysis_grace - 1
-    with FChain(config, seed=args.seed, jobs=args.jobs) as fchain:
+    with FChain(config, seed=args.seed) as fchain:
         diagnosis = fchain.localize(store, violation_time=violation)
     if args.format == "json":
         print(json.dumps(diagnosis.trace.to_dict(), indent=2))
@@ -137,7 +129,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(
             f"synthetic scenario: {args.samples} samples x "
             f"{args.components} components x {args.metrics} metrics, "
-            f"violation at t={violation}s, jobs={args.jobs or 1}"
+            f"violation at t={violation}s"
         )
         print()
         print(diagnosis.trace.format_tree(min_ms=args.min_ms))
@@ -241,7 +233,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         detector,
         config=_service_config(args),
         seed=args.seed,
-        jobs=args.jobs,
         sinks=sinks,
         topology=topology,
         origin=origin,
@@ -280,7 +271,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
         detector,
         config=_service_config(args),
         seed=args.seed,
-        jobs=args.jobs,
         sinks=sinks,
     )
     print(
@@ -482,7 +472,6 @@ def cmd_edge(args: argparse.Namespace) -> int:
             detector,
             fchain_config=_service_config(args),
             seed=args.seed,
-            jobs=args.jobs,
             sinks=sinks,
         )
 
@@ -544,11 +533,6 @@ def main(argv: List[str] = None) -> int:
         default="FChain,Histogram,NetMedic,Topology,Dependency,PAL",
         help="comma-separated scheme names",
     )
-    run.add_argument(
-        "--jobs", type=int, default=None,
-        help="FChain slave fan-out width (component analyses in parallel; "
-        "default serial)",
-    )
     run.set_defaults(func=cmd_run)
 
     analyze = sub.add_parser(
@@ -568,10 +552,6 @@ def main(argv: List[str] = None) -> int:
     analyze.add_argument(
         "--window", type=int, default=None, help="look-back window W override"
     )
-    analyze.add_argument(
-        "--jobs", type=int, default=None,
-        help="slave fan-out width (default serial)",
-    )
     analyze.set_defaults(func=cmd_analyze)
 
     trace = sub.add_parser(
@@ -582,10 +562,6 @@ def main(argv: List[str] = None) -> int:
     trace.add_argument("--components", type=int, default=6)
     trace.add_argument("--metrics", type=int, default=3)
     trace.add_argument("--seed", type=int, default=7)
-    trace.add_argument(
-        "--jobs", type=int, default=None,
-        help="slave fan-out width (default serial)",
-    )
     trace.add_argument(
         "--telemetry", choices=("timings", "full"), default="full",
         help="telemetry level for the traced run",
@@ -611,10 +587,6 @@ def main(argv: List[str] = None) -> int:
             "--queue-depth", type=int, default=4,
             help="service_queue_depth: triggers that may wait behind an "
             "in-flight diagnosis before shedding (default 4)",
-        )
-        parser.add_argument(
-            "--jobs", type=int, default=None,
-            help="slave fan-out width (default serial)",
         )
         parser.add_argument(
             "--telemetry", choices=("off", "timings", "full"), default="off",

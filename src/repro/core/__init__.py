@@ -21,7 +21,6 @@ Pipeline (paper Sec. II):
 
 from repro.core.config import FChainConfig
 from repro.core.diagnosis import Diagnosis
-from repro.core.engine import SlavePool
 from repro.core.fchain import FChain, FChainMaster, FChainSlave
 from repro.core.pinpoint import PinpointResult
 
@@ -32,5 +31,4 @@ __all__ = [
     "FChainMaster",
     "FChainSlave",
     "PinpointResult",
-    "SlavePool",
 ]

@@ -166,7 +166,7 @@ class FChainConfig:
         :meth:`__post_init__` guards individual fields; this adds the
         cross-field constraints the diagnosis engines depend on and is
         called from every engine constructor (``FChainSlave``,
-        ``FChainMaster``, ``FChain``, ``SlavePool``). Returns ``self`` so
+        ``FChainMaster``, ``FChain``). Returns ``self`` so
         constructors can write ``self.config = (config or FChainConfig()).validate()``.
 
         Raises:

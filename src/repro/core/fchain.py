@@ -45,7 +45,6 @@ from repro.common.timeseries import TimeSeries
 from repro.common.types import ComponentId, Metric
 from repro.core.config import FChainConfig
 from repro.core.diagnosis import Diagnosis
-from repro.core.engine import SlavePool
 from repro.core.pinpoint import PinpointResult, pinpoint_faulty_components
 from repro.core.prediction import MarkovPredictor, ModelBank
 from repro.core.propagation import ComponentReport
@@ -739,9 +738,8 @@ class FChainMaster:
     """Master-side integrated fault diagnosis and validation.
 
     The master owns one persistent :class:`FChainSlave` whose warm
-    state is reused across diagnoses of the same store, and fans
-    per-component analyses out through a
-    :class:`~repro.core.engine.SlavePool` when ``jobs >= 2``.
+    state is reused across diagnoses of the same store, and contacts it
+    once per component, in component order, on the calling thread.
     """
 
     def __init__(
@@ -750,18 +748,14 @@ class FChainMaster:
         dependency_graph: Optional[nx.DiGraph] = None,
         seed: object = 0,
         *,
-        jobs: Optional[int] = None,
-        slave_timeout: Optional[float] = None,
         topology: Optional[OnlineTopology] = None,
     ) -> None:
         self.config = (config or FChainConfig()).validate()
         self.dependency_graph = dependency_graph
         self.topology = topology
-        self.jobs = jobs
         self.tracer = make_tracer(self.config.telemetry)
         #: The persistent slave: its models stay warm across diagnoses.
         self.slave = FChainSlave(self.config, seed=seed)
-        self._pool = SlavePool(self.slave, jobs=jobs, timeout=slave_timeout)
 
     def _diagnosis_graph(self) -> Optional[nx.DiGraph]:
         """The dependency graph this diagnosis prunes against.
@@ -788,15 +782,33 @@ class FChainMaster:
             or graph is None
         ):
             return None
-        ranked = rank_candidates(graph, origin, store.components)
-        scope = [
-            c
-            for c in ranked[: config.topology_top_k]
-            if c in set(store.components)
-        ]
-        if not scope or len(scope) >= len(store.components):
+        components = store.components
+        present = set(components)
+        ranked = rank_candidates(graph, origin, components)
+        scope = [c for c in ranked[: config.topology_top_k] if c in present]
+        if not scope or len(scope) >= len(components):
             return None
         return scope
+
+    def _analyze(
+        self,
+        store: MetricStore,
+        violation_time: int,
+        components: Iterable[ComponentId],
+        span,
+    ) -> List[ComponentReport]:
+        """Contact the slave once per component, in the given order.
+
+        Each report's component span tree is adopted into the diagnosis
+        ``span``, so the diagnosis is one trace.
+        """
+        reports = []
+        for component in components:
+            report = self.slave.analyze(store, component, violation_time)
+            if report.trace is not None:
+                span.adopt(report.trace)
+            reports.append(report)
+        return reports
 
     @staticmethod
     def _must_widen(
@@ -851,17 +863,15 @@ class FChainMaster:
         """
         if violation_time <= store.start:
             raise DiagnosisError("violation time precedes recorded history")
-        pool = self._pool
         graph = self._diagnosis_graph()
         scope = self._scope(graph, store, origin)
-        trace = self.tracer.span(
-            STAGE_DIAGNOSIS,
-            jobs=self.jobs or 1,
-            violation_time=violation_time,
-        )
+        trace = self.tracer.span(STAGE_DIAGNOSIS, violation_time=violation_time)
         with trace:
-            reports, _ = pool.analyze_all(
-                store, violation_time, scope, span=trace
+            reports = self._analyze(
+                store,
+                violation_time,
+                store.components if scope is None else sorted(scope),
+                trace,
             )
             with trace.child(STAGE_PINPOINT) as pin_span:
                 result = pinpoint_faulty_components(
@@ -879,8 +889,8 @@ class FChainMaster:
                             for c in store.components
                             if c not in result.analyzed
                         ]
-                        more, _ = pool.analyze_all(
-                            store, violation_time, rest, span=trace
+                        more = self._analyze(
+                            store, violation_time, rest, trace
                         )
                         merged = {r.component: r for r in reports}
                         merged.update({r.component: r for r in more})
@@ -933,10 +943,6 @@ class FChain:
         config: FChain configuration (validated on construction).
         dependency_graph: Offline-discovered dependency graph, or None.
         seed: Deterministic seed label for stochastic steps.
-        jobs: Slave fan-out width (``>= 2`` analyses components in
-            parallel; default serial).
-        slave_timeout: Optional per-slave analysis timeout in seconds
-            (parallel mode only); timed-out components are ``skipped``.
         topology: Online learned :class:`~repro.core.topology.OnlineTopology`
             whose weighted snapshot replaces ``dependency_graph`` when the
             latter is None, and which powers neighborhood-scoped dispatch
@@ -949,18 +955,11 @@ class FChain:
         dependency_graph: Optional[nx.DiGraph] = None,
         seed: object = 0,
         *,
-        jobs: Optional[int] = None,
-        slave_timeout: Optional[float] = None,
         topology: Optional[OnlineTopology] = None,
     ) -> None:
         self.config = (config or FChainConfig()).validate()
         self.master = FChainMaster(
-            self.config,
-            dependency_graph,
-            seed=seed,
-            jobs=jobs,
-            slave_timeout=slave_timeout,
-            topology=topology,
+            self.config, dependency_graph, seed=seed, topology=topology
         )
 
     @property
@@ -972,8 +971,8 @@ class FChain:
         return self.master.topology
 
     def close(self) -> None:
-        """End the engine's lifetime. It holds no pooled resources (a
-        fan-out's threads end with its diagnosis), so this releases
+        """End the engine's lifetime. It holds no pooled resources
+        (every diagnosis runs on the calling thread), so this releases
         nothing; it is what ``with FChain(...)`` calls on exit."""
 
     def __enter__(self) -> "FChain":

@@ -42,12 +42,12 @@ class PinpointResult:
         chain: The abnormal change propagation chain that was analysed.
         reports: Per-component slave reports (all components, including
             normal ones).
-        skipped: Components the slaves could not examine — typically
-            because no metric had enough recorded history, or a slave
-            timed out. They are neither faulty nor known-normal.
-        trace: The diagnosis-wide telemetry span tree (worker spans
-            merged back in), or None when telemetry is off. Excluded
-            from equality.
+        skipped: Components the slaves could not examine — no metric
+            had enough recorded history or met the coverage floor. They
+            are neither faulty nor known-normal.
+        trace: The diagnosis-wide telemetry span tree (each component's
+            span tree adopted into it), or None when telemetry is off.
+            Excluded from equality.
         analyzed: Components the slaves actually examined for this
             result, or None when diagnosis ran unscoped (the default
             full fan-out). Set by the master in topology-guided

@@ -24,15 +24,14 @@ class ComponentReport:
         abnormal_changes: Selected abnormal changes across all metrics
             (empty when the component looks normal).
         skipped: True when the slave could not analyse the component at
-            all — no metric had enough recorded history, no metric met
-            the data-quality coverage floor, or the analysis timed out
-            in a :class:`~repro.core.engine.SlavePool`. Such a component
-            is *unknown*, not normal, and is surfaced through
+            all — no metric had enough recorded history, or no metric
+            met the data-quality coverage floor. Such a component is
+            *unknown*, not normal, and is surfaced through
             ``PinpointResult.skipped`` instead of being silently dropped.
         skip_reason: Human-readable reason when ``skipped`` is True
-            (insufficient history / coverage below the policy floor /
-            timeout after N attempts). Excluded from equality — the
-            verdict is defined by the data, not its narration.
+            (insufficient history / coverage below the policy floor).
+            Excluded from equality — the verdict is defined by the data,
+            not its narration.
         quality: The per-component
             :class:`~repro.monitoring.quality.DataQualityReport` of the
             analysis window (None for hand-built or pre-layer reports).

@@ -235,8 +235,6 @@ class EdgeServer:
         *,
         fchain_config=None,
         seed: object = 0,
-        jobs: Optional[int] = None,
-        slave_timeout: Optional[float] = None,
         sinks=(),
     ) -> None:
         """Single-tenant mode: pushes feed one online pipeline."""
@@ -251,8 +249,6 @@ class EdgeServer:
             detector,
             config=fchain_config,
             seed=seed,
-            jobs=jobs,
-            slave_timeout=slave_timeout,
             sinks=[IncidentStoreSink(self.store), *sinks],
             registry=self._registry,
         )

@@ -145,17 +145,9 @@ def context_for(scenario: Scenario, record: RunRecord) -> LocalizationContext:
 
 
 class FChainLocalizer(Localizer):
-    """FChain wrapped in the common scheme interface.
-
-    Args:
-        jobs: Slave fan-out width forwarded to the FChain engine
-            (``None``/0/1 serial).
-    """
+    """FChain wrapped in the common scheme interface."""
 
     name = "FChain"
-
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        self.jobs = jobs
 
     def _localize(
         self,
@@ -168,7 +160,6 @@ class FChainLocalizer(Localizer):
             context.config,
             dependency_graph=context.dependency_graph,
             seed=context.seed,
-            jobs=self.jobs,
         )
         return fchain.localize(store, violation_time=violation_time).faulty
 
@@ -182,8 +173,7 @@ class FChainValidatedLocalizer(Localizer):
 
     name = "FChain+VAL"
 
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        self.jobs = jobs
+    def __init__(self) -> None:
         self._record: Optional[RunRecord] = None
 
     def bind(self, record: RunRecord) -> None:
@@ -202,7 +192,6 @@ class FChainValidatedLocalizer(Localizer):
             context.config,
             dependency_graph=context.dependency_graph,
             seed=context.seed,
-            jobs=self.jobs,
         )
         diagnosis = fchain.localize(
             store, violation_time=violation_time, validate_with=self._record.app

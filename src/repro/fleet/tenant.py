@@ -55,9 +55,6 @@ class TenantSpec:
             performance signal (plain-list state, picklable).
         config: FChain configuration for this tenant's diagnosis engine.
         seed: Deterministic seed label for the diagnosis engine.
-        jobs: Slave fan-out width (``>= 2`` spreads component analyses
-            over a thread pool).
-        slave_timeout: Optional per-slave analysis timeout in seconds.
         retention: Ring retention of the tenant's store.
         start: First tick of the tenant's timeline.
         topology_halflife: When set, the tenant learns an
@@ -74,8 +71,6 @@ class TenantSpec:
     detector: SLODetector
     config: FChainConfig = field(default_factory=FChainConfig)
     seed: object = 0
-    jobs: Optional[int] = None
-    slave_timeout: Optional[float] = None
     retention: int = DEFAULT_RETENTION
     start: int = 0
     topology_halflife: Optional[float] = None
@@ -127,8 +122,6 @@ class TenantRuntime:
         self.fchain = FChain(
             spec.config,
             seed=spec.seed,
-            jobs=spec.jobs,
-            slave_timeout=spec.slave_timeout,
             topology=(
                 OnlineTopology(halflife=spec.topology_halflife)
                 if spec.topology_halflife is not None

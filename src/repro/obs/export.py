@@ -1,21 +1,14 @@
-"""Prometheus text-format rendering/parsing and JSON dumps.
+"""Prometheus text-format rendering and JSON dumps.
 
 The renderer emits the Prometheus text exposition format (version
 0.0.4): ``# HELP`` / ``# TYPE`` headers, escaped label values,
 cumulative histogram buckets with a trailing ``+Inf``, and ``_sum`` /
-``_count`` series. :func:`parse_prometheus_text` is the matching reader
-used by the round-trip tests and by the CI regression tooling — it
-understands exactly what the renderer produces (the common subset of the
-format), not arbitrary exposition payloads.
+``_count`` series.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
 from typing import Dict, Tuple
-
-LabelItems = Tuple[Tuple[str, str], ...]
 
 
 def _format_value(value: float) -> str:
@@ -27,12 +20,6 @@ def _format_value(value: float) -> str:
 
 def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _unescape_label(value: str) -> str:
-    return (
-        value.replace("\\n", "\n").replace('\\"', '"').replace("\\\\", "\\")
-    )
 
 
 def _render_labels(names, values, extra: Tuple[Tuple[str, str], ...] = ()) -> str:
@@ -105,79 +92,7 @@ def registry_to_json(registry) -> Dict:
     return payload
 
 
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>.*)\})?"
-    r"\s+(?P<value>[^\s]+)\s*$"
-)
-_LABEL_PAIR_RE = re.compile(
-    r'\s*(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:[^"\\]|\\.)*)"\s*(?:,|$)'
-)
-
-
-@dataclass
-class ParsedExposition:
-    """Structured view of a parsed exposition payload.
-
-    Attributes:
-        types: ``# TYPE`` declarations, metric name -> kind.
-        helps: ``# HELP`` declarations, metric name -> help text.
-        samples: Sample series: ``(series name, sorted label items)`` ->
-            value. Series names include histogram suffixes
-            (``*_bucket``, ``*_sum``, ``*_count``).
-    """
-
-    types: Dict[str, str] = field(default_factory=dict)
-    helps: Dict[str, str] = field(default_factory=dict)
-    samples: Dict[Tuple[str, LabelItems], float] = field(default_factory=dict)
-
-    def value(self, name: str, **labels) -> float:
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
-        return self.samples[(name, key)]
-
-
-def _parse_labels(body: str) -> LabelItems:
-    items = []
-    pos = 0
-    while pos < len(body):
-        match = _LABEL_PAIR_RE.match(body, pos)
-        if match is None:
-            raise ValueError(f"unparseable label body: {body[pos:]!r}")
-        items.append((match.group("key"), _unescape_label(match.group("value"))))
-        pos = match.end()
-    return tuple(sorted(items))
-
-
-def parse_prometheus_text(text: str) -> ParsedExposition:
-    """Parse exposition text produced by :func:`render_prometheus`."""
-    parsed = ParsedExposition()
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
-        if not line:
-            continue
-        if line.startswith("# HELP "):
-            name, _, help_text = line[len("# HELP "):].partition(" ")
-            parsed.helps[name] = help_text
-            continue
-        if line.startswith("# TYPE "):
-            name, _, kind = line[len("# TYPE "):].partition(" ")
-            parsed.types[name] = kind
-            continue
-        if line.startswith("#"):
-            continue
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            raise ValueError(f"unparseable sample line: {line!r}")
-        labels = _parse_labels(match.group("labels") or "")
-        value_text = match.group("value")
-        value = float("inf") if value_text == "+Inf" else float(value_text)
-        parsed.samples[(match.group("name"), labels)] = value
-    return parsed
-
-
 __all__ = [
-    "ParsedExposition",
-    "parse_prometheus_text",
     "registry_to_json",
     "render_prometheus",
 ]

@@ -8,9 +8,8 @@ text exposition format (:meth:`MetricsRegistry.render_prometheus`) or a
 JSON dump (:meth:`MetricsRegistry.to_json`).
 
 Everything is plain Python — no client library dependency — and the
-exporter output round-trips through
-:func:`repro.obs.export.parse_prometheus_text` (asserted by
-``tests/obs/test_registry.py``).
+exporter output parses back to the registry's exact samples (asserted
+by ``tests/obs/test_registry.py``).
 """
 
 from __future__ import annotations

@@ -1,21 +1,18 @@
 """Nested-span tracing for the diagnosis pipeline.
 
 A :class:`Span` is a plain, picklable record of one timed pipeline stage:
-name, wall-clock duration, optional tags (component, metric, jobs),
-optional counters (change points found / filtered / survived) and child
-spans. Spans are context managers::
+name, wall-clock duration, optional tags (component, metric,
+violation time), optional counters (change points found / filtered /
+survived) and child spans. Spans are context managers::
 
-    with tracer.span(STAGE_DIAGNOSIS, jobs=2) as root:
+    with tracer.span(STAGE_DIAGNOSIS, violation_time=t) as root:
         with root.child(STAGE_STORE_SYNC) as sync:
             sync.count("samples", n)
 
-Thread safety comes from *structure*, not locks: every concurrently
-executing unit of work (one component analysis) builds its own private
-span tree, carried back in its
-:class:`~repro.core.propagation.ComponentReport`, and the
-single-threaded collector adopts the finished trees into the diagnosis
-root afterwards — serial and threaded ``SlavePool`` fan-outs merge into
-one diagnosis trace the same way.
+Each component analysis builds its own span tree, carried back in its
+:class:`~repro.core.propagation.ComponentReport`, and the master adopts
+the finished trees into the diagnosis root, so a diagnosis is one
+trace. Spans take no locks: a span tree is built by one thread.
 
 When telemetry is off the instrumentation collapses onto
 :data:`NULL_SPAN`, a shared no-op singleton: no spans, no timing reads,

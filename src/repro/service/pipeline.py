@@ -69,9 +69,6 @@ class OnlinePipeline:
         dependency_graph: Optional offline-discovered dependency graph
             for integrated pinpointing.
         seed: Deterministic seed label for the diagnosis engine.
-        jobs: Slave fan-out width (``>= 2`` analyses components in
-            parallel on a thread pool).
-        slave_timeout: Optional per-slave analysis timeout in seconds.
         store: The store to ingest into; defaults to a fresh tolerant
             store. A caller-supplied store must carry a
             :class:`~repro.monitoring.quality.DataQualityPolicy`.
@@ -110,8 +107,6 @@ class OnlinePipeline:
         config: Optional[FChainConfig] = None,
         dependency_graph: Optional[nx.DiGraph] = None,
         seed: object = 0,
-        jobs: Optional[int] = None,
-        slave_timeout: Optional[float] = None,
         store: Optional[MetricStore] = None,
         sinks=(),
         registry=None,
@@ -130,12 +125,7 @@ class OnlinePipeline:
             )
         self.store = store
         self.fchain = FChain(
-            self.config,
-            dependency_graph,
-            seed=seed,
-            jobs=jobs,
-            slave_timeout=slave_timeout,
-            topology=topology,
+            self.config, dependency_graph, seed=seed, topology=topology
         )
         self.core = TickCore(store, self.fchain, detector, origin=origin)
         self.sinks = list(sinks)

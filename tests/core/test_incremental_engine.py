@@ -1,13 +1,11 @@
-"""Incremental engine equivalence and SlavePool behaviour.
+"""Incremental engine equivalence.
 
 The contract under test: the incremental engine (persistent slave state,
-warm error streams, per-window caches, optional parallel fan-out) must
-produce *identical* diagnoses to the original replay engine on the same
-data — same faulty sets, same propagation chains (components and onset
-times), same external-factor verdicts.
+warm error streams, per-window caches) must produce *identical*
+diagnoses to the original replay engine on the same data — same faulty
+sets, same propagation chains (components and onset times), same
+external-factor verdicts.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -16,7 +14,6 @@ from repro.apps.hadoop import MAPS, HadoopApplication
 from repro.common.errors import DiagnosisError
 from repro.common.types import METRIC_NAMES, Metric
 from repro.core.config import FChainConfig
-from repro.core.engine import SlavePool
 from repro.core.fchain import FChain, FChainMaster, FChainSlave
 from repro.core.prediction import prediction_errors
 from repro.core.selection import select_abnormal_changes
@@ -167,51 +164,13 @@ class TestEngineEquivalence:
         assert np.all(~np.isfinite(streamed[~mask]))
 
 
-class TestSlavePool:
-    def test_parallel_matches_serial(self, rubis_cpuhog_run):
-        app, violation = rubis_cpuhog_run
-        serial = FChainMaster(
-            FChainConfig(), seed=101, jobs=1
-        ).diagnose(app.store, violation)
-        parallel = FChainMaster(
-            FChainConfig(), seed=101, jobs=4
-        ).diagnose(app.store, violation)
-        assert _diagnosis_key(parallel) == _diagnosis_key(serial)
-
+class TestMasterDiagnose:
     def test_reports_in_component_order(self, rubis_cpuhog_run):
         app, violation = rubis_cpuhog_run
-        pool = SlavePool(FChainSlave(FChainConfig(), seed=1), jobs=4)
-        reports, timed_out = pool.analyze_all(app.store, violation)
-        assert [r.component for r in reports] == app.store.components
-        assert timed_out == frozenset()
-
-    def test_timeout_marks_component_skipped(self, rubis_cpuhog_run):
-        app, violation = rubis_cpuhog_run
-        slow_component = app.store.components[0]
-
-        class WedgedSlave(FChainSlave):
-            def analyze(self, store, component, violation_time):
-                if component == slow_component:
-                    time.sleep(2.0)
-                return super().analyze(store, component, violation_time)
-
-        slave = WedgedSlave(FChainConfig(), seed=1)
-        slave.sync_with_store(app.store, app.store.end)
-        pool = SlavePool(slave, jobs=2, timeout=0.2)
-        reports, timed_out = pool.analyze_all(app.store, violation)
-        assert slow_component in timed_out
-        by_component = {r.component: r for r in reports}
-        assert by_component[slow_component].skipped
-        assert len(reports) == len(app.store.components)
-
-    def test_rejects_bad_parameters(self):
-        from repro.common.errors import ConfigurationError
-
-        slave = FChainSlave(FChainConfig())
-        with pytest.raises(ConfigurationError):
-            SlavePool(slave, jobs=-1)
-        with pytest.raises(ConfigurationError):
-            SlavePool(slave, timeout=0.0)
+        result = FChainMaster(FChainConfig(), seed=1).diagnose(
+            app.store, violation
+        )
+        assert list(result.reports) == app.store.components
 
 
 class TestIncrementalState:

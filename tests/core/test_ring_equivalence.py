@@ -1,11 +1,10 @@
-"""Bit-identity of diagnosis on ring-wrapped stores, serial or threaded.
+"""Bit-identity of diagnosis on ring-wrapped stores.
 
-The invariant that analysis on contiguous data is bit-identical however
-the slaves are fanned out must survive retention-by-overwrite. These
-tests build stores whose rings have wrapped at least once and assert:
+Analysis must survive retention-by-overwrite. These tests build stores
+whose rings have wrapped at least once and assert:
 
-* serial and thread-pool masters produce identical diagnoses on the
-  same wrapped store;
+* a wrapped store still yields its culprit, and how often the ring
+  wrapped does not change the diagnosis;
 * a slave that keeps continuously synced while the ring wraps holds the
   same prediction-error streams as one that read the full history from
   an unbounded store — eviction only removes what was already consumed.
@@ -21,8 +20,8 @@ from repro.core.prediction import ModelBank
 from repro.monitoring.quality import DataQualityPolicy
 from repro.monitoring.store import IngestBatch, IngestRun, MetricStore
 
-#: Cheap bootstraps: fan-out equivalence does not need tight intervals.
-THREAD_CONFIG = FChainConfig(cusum_bootstraps=40)
+#: Cheap bootstraps: ring equivalence does not need tight intervals.
+CONFIG = FChainConfig(cusum_bootstraps=40)
 
 RETENTION = 512
 SAMPLES = 1_200  # > 2x retention: every ring has fully wrapped
@@ -52,18 +51,9 @@ def _result_key(result):
 
 
 class TestExecutorIdentity:
-    def test_serial_and_thread_identical_on_wrapped_store(self):
+    def test_wrapped_store_keeps_its_culprit(self):
         store = _wrapped_store()
-        violation = store.end - 5
-
-        serial = FChainMaster(
-            THREAD_CONFIG, seed=3
-        ).diagnose(store, violation)
-        threaded = FChainMaster(
-            THREAD_CONFIG, seed=3, jobs=3
-        ).diagnose(store, violation)
-
-        assert _result_key(serial) == _result_key(threaded)
+        serial = FChainMaster(CONFIG, seed=3).diagnose(store, store.end - 5)
         # The fault lies entirely inside the retained window, so the
         # wrap must not cost the diagnosis its culprit.
         assert "comp-1" in serial.faulty
@@ -74,10 +64,10 @@ class TestExecutorIdentity:
         shallow = _wrapped_store(retention=1_024)
         deep = _wrapped_store(retention=256)
         violation = shallow.end - 5
-        left = FChainMaster(THREAD_CONFIG, seed=3).diagnose(
+        left = FChainMaster(CONFIG, seed=3).diagnose(
             shallow, violation
         )
-        right = FChainMaster(THREAD_CONFIG, seed=3).diagnose(
+        right = FChainMaster(CONFIG, seed=3).diagnose(
             deep, violation
         )
         assert _result_key(left) == _result_key(right)
@@ -112,7 +102,7 @@ class TestContinuousSyncIdentity:
         full_store = MetricStore.from_arrays(data, policy=policy)
 
         wrapped = MetricStore(retention=256, policy=policy)
-        synced = FChainSlave(THREAD_CONFIG, seed=3)
+        synced = FChainSlave(CONFIG, seed=3)
         # chunk < retention: the slave never falls behind eviction
         for lo in range(0, SAMPLES, chunk):
             hi = min(lo + chunk, SAMPLES)
@@ -128,7 +118,7 @@ class TestContinuousSyncIdentity:
             )
             synced.sync_with_store(wrapped, wrapped.end)
 
-        cold = FChainSlave(THREAD_CONFIG, seed=3)
+        cold = FChainSlave(CONFIG, seed=3)
         cold.sync_with_store(full_store, full_store.end)
 
         assert set(synced._rows) == set(cold._rows)

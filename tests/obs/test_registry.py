@@ -2,7 +2,7 @@
 
 The contract under test: every registry renders to valid Prometheus
 text exposition format (0.0.4) that round-trips through
-:func:`repro.obs.export.parse_prometheus_text` without losing a single
+:func:`tests.obs.prometheus_text.parse_prometheus_text` without losing a single
 sample, and the JSON dump mirrors the same data.
 """
 
@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.obs.export import parse_prometheus_text, render_prometheus
+from repro.obs.export import render_prometheus
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -21,6 +21,7 @@ from repro.obs.registry import (
     default_registry,
 )
 from repro.obs.trace import STAGE_DIAGNOSIS, Span
+from tests.obs.prometheus_text import parse_prometheus_text
 
 
 class TestCounter:

@@ -2,9 +2,8 @@
 
 One module-scoped synthetic store (step fault on ``c0`` near the end)
 drives every test: the online loop must raise exactly one incident
-naming the culprit, the verdict must match what the offline
-``FChain.localize`` entry point produces on the same clean data, and
-the serial and threaded slave fan-outs must agree.
+naming the culprit, and the verdict must match what the offline
+``FChain.localize`` entry point produces on the same clean data.
 """
 
 import pytest
@@ -36,11 +35,9 @@ def _performance(store):
     }
 
 
-def _run_pipeline(store, **kwargs):
+def _run_pipeline(store):
     feed = StoreReplayFeed(store, performance=_performance(store))
-    pipeline = OnlinePipeline(
-        feed, LatencySLO(0.1, sustain=5), seed=7, **kwargs
-    )
+    pipeline = OnlinePipeline(feed, LatencySLO(0.1, sustain=5), seed=7)
     incidents = pipeline.run()
     return pipeline, incidents
 
@@ -72,14 +69,3 @@ class TestOnlineLocalization:
         assert online.skipped == offline.skipped
         assert online.chain.links == offline.chain.links
 
-    def test_serial_and_thread_fan_out_agree(self, faulty_store):
-        verdicts = {}
-        for jobs in (None, 2):
-            _, incidents = _run_pipeline(faulty_store, jobs=jobs)
-            assert len(incidents) == 1
-            verdicts[jobs] = (
-                incidents[0].faulty,
-                incidents[0].violation_tick,
-                incidents[0].diagnosis.external_factor,
-            )
-        assert verdicts[None] == verdicts[2]

@@ -64,7 +64,7 @@ def test_trace_prints_each_format(fmt, capsys):
         assert root["name"] == "diagnosis"
         assert root["children"][0]["tags"] == {"component": "c0"}
     else:
-        from repro.obs.export import parse_prometheus_text
+        from tests.obs.prometheus_text import parse_prometheus_text
 
         parsed = parse_prometheus_text(out)
         assert parsed.value("fchain_diagnoses_total") >= 1
