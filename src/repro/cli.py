@@ -144,7 +144,6 @@ def _service_config(args) -> "FChainConfig":
 
     return FChainConfig(
         service_cooldown=args.cooldown,
-        service_queue_depth=args.queue_depth,
         telemetry=args.telemetry,
         topology_mode=getattr(args, "topology_mode", "full"),
         topology_top_k=getattr(args, "topology_top_k", 0) or 0,
@@ -156,11 +155,7 @@ def _print_loop_outcome(pipeline, incidents) -> None:
         print(incident.summary())
     if not incidents:
         print("no incidents")
-    print(
-        f"loop: {pipeline.ticks} ticks, {pipeline.triggered} trigger(s), "
-        f"{pipeline.dropped} shed, "
-        f"{pipeline.warm_sync_skipped} warm-sync skip(s)"
-    )
+    print(f"loop: {pipeline.ticks} ticks, {pipeline.triggered} trigger(s)")
     for violation_tick, error in pipeline.failures:
         print(f"FAIL diagnosis at t={violation_tick} raised: {error!r}")
 
@@ -582,11 +577,6 @@ def main(argv: List[str] = None) -> int:
             "--cooldown", type=int, default=60,
             help="service_cooldown: minimum ticks between diagnosis "
             "triggers (dedups flapping violations; default 60)",
-        )
-        parser.add_argument(
-            "--queue-depth", type=int, default=4,
-            help="service_queue_depth: triggers that may wait behind an "
-            "in-flight diagnosis before shedding (default 4)",
         )
         parser.add_argument(
             "--telemetry", choices=("off", "timings", "full"), default="off",

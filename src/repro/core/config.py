@@ -72,11 +72,6 @@ class FChainConfig:
             sustained (or re-flapping) violation is deduplicated into the
             incident already dispatched, so one incident produces one
             diagnosis rather than one per tick.
-        service_queue_depth: Online service loop: how many triggered
-            incidents may wait behind an in-flight diagnosis. Ingest
-            never blocks on diagnosis — when the queue is full, further
-            triggers are shed with a counted drop
-            (``fchain_dispatch_dropped_total``).
         external_trend_fraction: Fraction of components that must share a
             common monotone trend (with every component abnormal, and the
             majority-trend onsets tightly clustered) for the anomaly to be
@@ -117,7 +112,6 @@ class FChainConfig:
     markov_halflife: int = 2000
     telemetry: str = "off"
     service_cooldown: int = 60
-    service_queue_depth: int = 4
     external_trend_fraction: float = 0.75
     validation_horizon: int = 30
     validation_improvement: float = 0.3
@@ -217,12 +211,6 @@ class FChainConfig:
             raise ConfigurationError(
                 f"service_cooldown={self.service_cooldown} must be >= 0 "
                 "ticks: it is the dedup window between diagnosis triggers"
-            )
-        if self.service_queue_depth < 1:
-            raise ConfigurationError(
-                f"service_queue_depth={self.service_queue_depth} must be "
-                ">= 1: the dispatch queue needs room for at least one "
-                "waiting incident (excess triggers are shed, not queued)"
             )
         if self.validation_horizon <= 0:
             raise ConfigurationError(

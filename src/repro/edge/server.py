@@ -8,21 +8,21 @@ traffic" north star needs: external collectors push batched telemetry at
 a :class:`~repro.fleet.supervisor.FleetSupervisor` in multi-tenant mode
 — runs unchanged behind it.
 
-Threading model (three lanes, two bounded hand-offs)::
+Threading model (two lanes, one bounded hand-off)::
 
     HTTP clients ──> asyncio event loop ──> bounded queue ──> pipeline
                      (parse + validate,     (put_nowait,      thread
-                      never blocks)          429 on full)     (ingest,
-                                                              SLO, dispatch)
-                                                 │
-                     diagnosis worker ──> sinks: IncidentStore, webhooks
+                      never blocks)          429 on full)     (ingest, SLO,
+                                                              diagnosis)
+                                                                  │
+                                      sinks: IncidentStore, webhooks
 
-The backpressure invariant extends the service loop's "ingest never
-blocks on diagnosis" outward: *the event loop never blocks on the
-pipeline*. Ingest hand-off is ``put_nowait`` only — a full queue sheds
-the push with a counted ``429`` + ``Retry-After`` instead of stalling
-the reactor, so ``/healthz``, ``/v1/metrics`` and incident queries stay
-responsive under any flood.
+The pipeline diagnoses on its ingest thread, so this queue is where
+back-pressure lands: *the event loop never blocks on the pipeline*.
+Ingest hand-off is ``put_nowait`` only — a full queue (say, behind a
+running diagnosis) sheds the push with a counted ``429`` +
+``Retry-After`` instead of stalling the reactor, so ``/healthz``,
+``/v1/metrics`` and incident queries stay responsive under any flood.
 
 Every endpoint is observable: ``fchain_edge_requests_total``,
 ``fchain_edge_request_seconds``, ingest/shed counters, and (when
@@ -690,14 +690,11 @@ class EdgeServer:
             stats["pipeline"] = {
                 "ticks": pipeline.ticks,
                 "triggered": pipeline.triggered,
-                "dropped": pipeline.dropped,
                 "inflight_triggers": (
                     pipeline.triggered
-                    - pipeline.dropped
                     - len(pipeline.incidents)
                     - len(pipeline.failures)
                 ),
-                "warm_sync_skipped": pipeline.warm_sync_skipped,
                 "error": self.pipeline_error,
             }
         if self.supervisor is not None:

@@ -370,9 +370,9 @@ class SqliteIncidentStore(IncidentStore):
     WAL journaling with ``synchronous=FULL`` makes each committed append
     durable; indexes on ``(tenant)`` and ``(violation_tick)`` keep the
     REST queries from scanning history. The connection is shared across
-    the appending (diagnosis worker) and querying (event loop) threads
-    under one lock — sqlite serializes at the file level anyway, and the
-    lock keeps ``lastrowid`` reads race-free.
+    the appending (pipeline or fleet collector) and querying (event
+    loop) threads under one lock — sqlite serializes at the file level
+    anyway, and the lock keeps ``lastrowid`` reads race-free.
     """
 
     backend = "sqlite"

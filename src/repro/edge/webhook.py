@@ -2,10 +2,10 @@
 
 A :class:`WebhookSink` POSTs every finished incident as JSON to one or
 more HTTP endpoints. Delivery is fully asynchronous: the sink's
-``__call__`` (invoked from the pipeline's diagnosis worker or the fleet
-collector) only enqueues — the actual network I/O runs on a dedicated
-thread driving its own asyncio event loop, so a slow or dead endpoint
-can never back up into diagnosis.
+``__call__`` (invoked from the pipeline thread or the fleet collector)
+only enqueues — the actual network I/O runs on a dedicated thread
+driving its own asyncio event loop, so a slow or dead endpoint can
+never back up into diagnosis.
 
 Per-delivery state machine::
 

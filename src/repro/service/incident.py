@@ -122,10 +122,10 @@ class JsonlSink:
 
 
 class ServiceMetrics:
-    """Lazily created incident/drop counters on a metrics registry.
+    """Lazily created incident counter on a metrics registry.
 
-    Created by the pipeline on the first incident or shed trigger, so a
-    loop that never violates its SLO registers nothing.
+    Created by the pipeline on the first incident, so a loop that never
+    violates its SLO registers nothing.
     """
 
     def __init__(self, registry=None) -> None:
@@ -137,10 +137,6 @@ class ServiceMetrics:
             "fchain_incidents_total",
             "Incidents diagnosed by the online service loop",
             ("quality",),
-        )
-        self.dropped = registry.counter(
-            "fchain_dispatch_dropped_total",
-            "Diagnosis triggers shed because the dispatch queue was full",
         )
 
 

@@ -13,12 +13,10 @@ loop's rule set with no thread, queue or sink of its own:
    is fed the batch's traffic counts, then its ``network_out``
    co-movement.
 3. **Warm-up** — the persistent slave's Markov models are synced with
-   the store (``sync_with_store``) under a *try*-lock: a tick that finds
-   a diagnosis on another thread holding the slave (the pipeline's
-   worker) skips the sync with a counted skip instead of waiting, so
-   ingest never blocks on diagnosis. A tick loop whose next input is
+   the store (``sync_with_store``). A tick loop whose next input is
    already queued defers the sync until the models owe a block (see
-   :meth:`TickCore.process`).
+   :meth:`TickCore.process`); a diagnosis first catches up whatever
+   is still owed.
 4. **Detect** — the batch's performance signal feeds the SLO detector; a
    *rising edge* outside the ``service_cooldown`` window creates one
    :class:`Trigger`.
@@ -26,19 +24,18 @@ loop's rule set with no thread, queue or sink of its own:
    ``analysis_grace`` data has been recorded; :meth:`TickCore.process`
    returns the ready triggers, stamped with their dispatch tick.
 
-What happens to a ready trigger is the driver's business:
-:class:`~repro.service.pipeline.OnlinePipeline` feeds a bounded queue
-drained by one worker thread, a fleet shard
-(:mod:`repro.fleet.worker`) diagnoses on its own serve thread, fairly
-across its :class:`~repro.fleet.tenant.TenantRuntime` tenants, between
-commands. Both hand the
+Every driver runs ingest and diagnosis on one thread; when a ready
+trigger is diagnosed is its business:
+:class:`~repro.service.pipeline.OnlinePipeline` diagnoses it right
+after the tick that released it, a fleet shard
+(:mod:`repro.fleet.worker`) between commands, fairly across its
+:class:`~repro.fleet.tenant.TenantRuntime` tenants. Both hand the
 trigger back to :meth:`TickCore.diagnose`, which is the only place an
 :class:`~repro.service.incident.Incident` is built.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import List, Optional
@@ -92,8 +89,6 @@ class TickCore:
         violating: The detector's verdict on the previous tick.
         ticks: Batches processed.
         triggered: Triggers created (after edge/cooldown dedup).
-        warm_sync_skipped: Ticks whose warm-up sync was skipped because
-            a diagnosis held the slave.
         incident_count: Diagnoses completed (the next incident index).
         owed: Samples ingested since the last warm-up sync that ran.
     """
@@ -111,17 +106,11 @@ class TickCore:
         self.detector = detector
         self.origin = origin
         self.config = fchain.config
-        # Serializes slave-state mutation between the ingest side's
-        # warm-up sync and a diagnosis on another thread (the
-        # pipeline's worker; a fleet shard runs both on one). The
-        # ingest side only ever try-acquires it — see warm_sync.
-        self._slave_lock = threading.Lock()
         self.pending: List[Trigger] = []
         self.last_trigger: Optional[int] = None
         self.violating = False
         self.ticks = 0
         self.triggered = 0
-        self.warm_sync_skipped = 0
         self.incident_count = 0
         self.owed = 0
         # (components, metrics, names, positions) of network_out in the
@@ -143,8 +132,8 @@ class TickCore:
         """One tick: ingest → learn → warm sync → SLO edge → grace flush.
 
         Returns the triggers whose post-violation grace data arrived
-        this tick, ``dispatched_tick`` already stamped — the caller owns
-        queueing them (with its own bounds and fairness rules).
+        this tick, ``dispatched_tick`` already stamped — the caller
+        decides when to diagnose them.
 
         ``queued`` tells the core that the caller already holds its next
         input. The warm sync then waits until the models owe
@@ -153,8 +142,7 @@ class TickCore:
         compute does not depend on when they sync, with one exception:
         a gap slot that a late sample backfills after its tick but
         before the deferred sync is learned repaired, where a per-tick
-        sync learned the gap — as a sync skipped under a running
-        diagnosis already does. The diagnosis reads the repaired store
+        sync learned the gap. The diagnosis reads the repaired store
         either way.
         """
         t = int(batch.time)
@@ -229,33 +217,10 @@ class TickCore:
             topology.observe_comovement(t, signals)
 
     def warm_sync(self, span=NULL_SPAN) -> None:
-        """Keep the slave's models caught up — without ever waiting.
-
-        A diagnosis holds ``_slave_lock`` for its whole duration;
-        blocking here would stall ingest behind it, which is exactly the
-        backpressure inversion the loop must not have. A skipped sync
-        costs nothing: ``analyze`` syncs the look-back window itself,
-        and the next free tick catches the rest up.
-        """
-        if not self._slave_lock.acquire(blocking=False):
-            self.warm_sync_skipped += 1
-            return
-        try:
-            with span.child(STAGE_STORE_SYNC):
-                self.fchain.master.slave.sync_with_store(
-                    self.store, self.store.end
-                )
-            self.owed = 0
-        finally:
-            self._slave_lock.release()
-
-    def warm_state(self):
-        """Copies of the slave's learned state (see
-        :meth:`~repro.core.fchain.FChainSlave.warm_state`), taken under
-        the slave lock. A fleet shard exports on its one thread, so
-        there no diagnosis can be syncing that state meanwhile."""
-        with self._slave_lock:
-            return self.fchain.master.slave.warm_state()
+        """Catch the slave's models up with everything the store holds."""
+        with span.child(STAGE_STORE_SYNC):
+            self.fchain.master.slave.sync_with_store(self.store, self.store.end)
+        self.owed = 0
 
     def _on_violation(self, t: int) -> None:
         """A rising violation edge: dedup against the cooldown window."""
@@ -296,16 +261,25 @@ class TickCore:
         return pending
 
     # ------------------------------------------------------------------
-    # Diagnosis side (on the thread that runs the diagnoses)
+    # Diagnosis side
     # ------------------------------------------------------------------
     def diagnose(self, trigger: Trigger) -> Incident:
-        """Run one localization; raises on engine failure."""
-        with self._slave_lock:
-            diagnosis = self.fchain.localize(
-                self.store,
-                violation_time=trigger.violation_tick,
-                origin=self.origin,
-            )
+        """Run one localization; raises on engine failure.
+
+        Models still owed samples under a deferred sync are caught up
+        first, in one block of the bank's time axis: ``analyze`` would
+        otherwise catch them up one series at a time. Bank results do
+        not depend on where the time axis is cut, so the verdict is the
+        same either way (but for the late backfill :meth:`process`
+        names).
+        """
+        if self.owed:
+            self.warm_sync()
+        diagnosis = self.fchain.localize(
+            self.store,
+            violation_time=trigger.violation_tick,
+            origin=self.origin,
+        )
         incident = Incident(
             index=self.incident_count,
             violation_tick=trigger.violation_tick,

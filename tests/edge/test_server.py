@@ -50,8 +50,6 @@ class StalledPipeline:
         self.release = threading.Event()
         self.ticks = 0
         self.triggered = 0
-        self.dropped = 0
-        self.warm_sync_skipped = 0
         self.incidents = []
         self.failures = []
 

@@ -2,12 +2,11 @@
 
 These tests stub the diagnosis engine (``pipeline.fchain.localize``) so
 they exercise only the loop's own machinery — edge-triggered dispatch,
-cooldown dedup, bounded-queue shedding, graceful drain and the
-ingest-never-blocks invariant — deterministically and in milliseconds.
+cooldown dedup, inline diagnosis and graceful drain — deterministically
+and in milliseconds.
 """
 
 import threading
-import time
 
 import pytest
 
@@ -32,25 +31,8 @@ class FakeDiagnosis:
     confidence = "full"
 
 
-class BlockingLocalize:
-    """A localize stub the test can hold open and release."""
-
-    def __init__(self):
-        self.started = threading.Semaphore(0)
-        self.release = threading.Event()
-        self.calls = []
-
-    def __call__(self, store, violation_time=None, origin=None):
-        self.calls.append(violation_time)
-        self.started.release()
-        assert self.release.wait(10), "test never released the stub"
-        return FakeDiagnosis()
-
-
 def make_pipeline(**overrides):
-    settings = dict(
-        analysis_grace=GRACE, service_cooldown=5, service_queue_depth=2
-    )
+    settings = dict(analysis_grace=GRACE, service_cooldown=5)
     settings.update(overrides.pop("settings", {}))
     detector = overrides.pop("detector", None) or LatencySLO(0.1, sustain=1)
     return OnlinePipeline(
@@ -119,41 +101,22 @@ class TestEdgeTriggeredDispatch:
         assert len(pipeline.incidents) == 2
 
 
-class TestBackpressure:
-    def test_queue_full_sheds_with_counted_drop(self):
-        blocker = BlockingLocalize()
+class TestInlineDiagnosis:
+    def test_released_trigger_is_diagnosed_before_process_returns(self):
+        threads = []
         pipeline = make_pipeline(
-            settings={"service_cooldown": 0, "service_queue_depth": 1}
+            sinks=[lambda incident: threads.append(threading.get_ident())]
         )
-        pipeline.fchain.localize = blocker
-        # First incident: dispatched, worker picks it up and blocks.
-        t = drive(pipeline, [1.0, 0.01, 0.01, 0.01])
-        assert blocker.started.acquire(timeout=10)
-        # Second incident queues (filling the depth-1 queue), third is shed.
-        t = drive(pipeline, [1.0, 0.01, 0.01, 0.01], start=t)
-        t = drive(pipeline, [1.0, 0.01, 0.01, 0.01], start=t)
-        drive(pipeline, [0.01] * 2, start=t)
-        assert pipeline.triggered == 3
-        assert pipeline.dropped == 1
-        blocker.release.set()
-        pipeline.close()
-        assert len(pipeline.incidents) == 2  # the shed trigger is gone
-
-    def test_ingest_never_blocks_on_diagnosis(self):
-        blocker = BlockingLocalize()
-        pipeline = make_pipeline(settings={"service_cooldown": 0})
-        pipeline.fchain.localize = blocker
-        t = drive(pipeline, [1.0, 0.01, 0.01, 0.01])
-        assert blocker.started.acquire(timeout=10)
-        # The worker holds the slave for the whole "diagnosis"; the loop
-        # must keep ticking at full speed regardless.
-        before = time.monotonic()
-        t = drive(pipeline, [0.01] * 200, start=t)
-        elapsed = time.monotonic() - before
-        assert pipeline.ticks == 204
-        assert elapsed < 5.0  # 200 empty ticks, never awaiting the worker
-        assert pipeline.warm_sync_skipped > 0
-        blocker.release.set()
+        pipeline.fchain.localize = lambda store, violation_time=None, origin=None: (
+            FakeDiagnosis()
+        )
+        running = threading.active_count()
+        # Violation at t=1; its grace data is complete at t=1 + GRACE.
+        drive(pipeline, [0.01, 1.0] + [1.0] * GRACE)
+        assert [i.violation_tick for i in pipeline.incidents] == [1]
+        assert pipeline.incidents[0].dispatched_tick == 1 + GRACE
+        assert threads == [threading.get_ident()]
+        assert threading.active_count() == running
         pipeline.close()
         assert len(pipeline.incidents) == 1
 
@@ -171,21 +134,6 @@ class TestDrain:
         pipeline.close()
         assert len(pipeline.incidents) == 1
         assert pipeline.incidents[0].violation_tick == 2
-
-    def test_close_waits_for_inflight_diagnosis(self):
-        blocker = BlockingLocalize()
-        pipeline = make_pipeline()
-        pipeline.fchain.localize = blocker
-        drive(pipeline, [1.0] + [0.01] * 4)
-        assert blocker.started.acquire(timeout=10)
-        closer = threading.Thread(target=pipeline.close)
-        closer.start()
-        closer.join(timeout=0.2)
-        assert closer.is_alive()  # drain waits on the diagnosis
-        blocker.release.set()
-        closer.join(timeout=10)
-        assert not closer.is_alive()
-        assert len(pipeline.incidents) == 1
 
     def test_run_drains_when_the_feed_raises(self):
         class Sink:
@@ -218,12 +166,10 @@ class TestDrain:
         with pytest.raises(OSError, match="feed went away"):
             pipeline.run()
         # The exception propagated, but the loop still drained: the
-        # already-dispatched incident was delivered, the sink closed and
-        # the worker joined.
+        # already-dispatched incident was delivered and the sink closed.
         assert pipeline._closed
         assert [i.violation_tick for i in sink.seen] == [0]
         assert sink.closed
-        assert pipeline._worker is None
 
     def test_close_is_idempotent_and_process_after_close_raises(self):
         pipeline = make_pipeline()

@@ -1,12 +1,11 @@
 """The tick rules, each asserted once — on the core both drivers share.
 
 ``TickCore`` is driven directly with a stubbed ``fchain.localize``:
-no queue, no worker thread, no shard. What the drivers add on top
-(bounded-queue shedding, drain, fair dispatch, relocation) is covered in
-``test_pipeline.py`` and ``tests/fleet``.
+no pipeline, no shard. What the drivers add on top (inline diagnosis,
+drain, fair dispatch, relocation) is covered in ``test_pipeline.py``
+and ``tests/fleet``.
 """
 
-import threading
 import time
 
 import numpy as np
@@ -113,42 +112,6 @@ class TestGrace:
         assert trigger.violation_tick == 2
         assert trigger.dispatched_tick == core.store.end - 1 == 2
         assert core.flush_pending() == []
-
-
-class TestWarmSync:
-    def test_sync_is_skipped_with_a_count_while_a_diagnosis_runs(self):
-        core = make_core()
-        started = threading.Event()
-        release = threading.Event()
-
-        def held_open(store, violation_time=None, origin=None):
-            started.set()
-            assert release.wait(10), "test never released the stub"
-            return FakeDiagnosis()
-
-        core.fchain.localize = held_open
-        diagnosis = threading.Thread(
-            target=core.diagnose, args=(Trigger(0, time.monotonic(), 0),)
-        )
-        diagnosis.start()
-        assert started.wait(10)
-        slave = core.fchain.master.slave
-        try:
-            core.process(
-                TickBatch(time=0, samples=[MetricSample("c", CPU, 0, 1.0)])
-            )
-            # The tick went through without waiting; only the sync gave way.
-            assert core.ticks == 1
-            assert core.warm_sync_skipped == 1
-            assert slave.model_for("c", CPU) is None
-        finally:
-            release.set()
-            diagnosis.join(10)
-        core.process(
-            TickBatch(time=1, samples=[MetricSample("c", CPU, 1, 1.0)])
-        )
-        assert core.warm_sync_skipped == 1
-        assert slave.model_for("c", CPU) is not None
 
 
 def count_syncs(core):
@@ -369,9 +332,25 @@ class TestDiagnose:
         with pytest.raises(RuntimeError):
             core.diagnose(Trigger(3, time.monotonic(), 5))
         assert core.incident_count == 0
-        # The slave lock was released on the way out.
-        core.warm_sync()
-        assert core.warm_sync_skipped == 0
+
+    def test_owed_models_are_synced_in_one_block_first(self):
+        core = make_core()
+        for t in range(5):
+            core.process(tick_of(t), queued=True)
+        assert core.owed == 60
+        synced = count_syncs(core)
+        localized = []
+        core.fchain.localize = (
+            lambda store, violation_time=None, origin=None: localized.append(
+                list(synced)
+            )
+            or FakeDiagnosis()
+        )
+        core.diagnose(Trigger(4, time.monotonic(), 4))
+        assert localized == [[5]]
+        assert core.owed == 0
+        slave = core.fchain.master.slave
+        assert len(slave.errors_for("c0", CPU)) == 5
 
 
 class TestServiceTickSpans:
@@ -409,7 +388,7 @@ class TestServiceTickSpans:
         assert len(ticks) == 4
         quiet = ["store_sync", "slo_eval"]
         assert [[c.name for c in tick.children] for tick in ticks] == [
-            quiet, quiet, quiet, quiet + ["dispatch"],
+            quiet, quiet, quiet, quiet,
         ]
         assert all(span.duration > 0.0 for tick in ticks for span in tick.walk())
         if telemetry == "timings":
@@ -428,4 +407,3 @@ class TestServiceTickSpans:
             {"violated": True},
             {"violated": True},
         ]
-        assert ticks[3].children[2].tags == {"violation_tick": 1, "queued": True}
