@@ -7,12 +7,24 @@ waits for the pipeline to drain, then asserts on the incidents the REST
 API reports — the over-the-wire equivalent of ``repro replay
 --expect-incidents 1 --expect-culprit db``.
 
+With ``--manifest`` it drives an edge in fleet mode instead: it pushes
+that manifest's synthetic ``FleetFeed`` batches, each push one tenant's
+chunk of ticks, and checks the tenant-labeled incidents — the
+over-the-wire equivalent of ``repro fleet``. The manifest must use
+thread shards: process shards report no progress before the fleet
+closes, so there is no drain to wait for (``EdgeClient.wait_drained``
+refuses them).
+
 Usage::
 
     python benchmarks/http_load.py --address 127.0.0.1:8080 \\
         benchmarks/traces/rubis_cpuhog_metrics.csv \\
         benchmarks/traces/rubis_cpuhog_performance.csv \\
         --expect-incidents 1 --expect-culprit db --shutdown
+
+    python benchmarks/http_load.py --address 127.0.0.1:8080 \\
+        --manifest benchmarks/manifests/fleet_soak.json \\
+        --expect-incidents 1 --expect-tenant t-0007 --shutdown
 """
 
 from __future__ import annotations
@@ -22,11 +34,16 @@ import csv
 import io
 import sys
 import time
-from typing import Dict, List
+from functools import partial
+from typing import Callable, Dict, List, Tuple
 
 from repro.cli import add_expect_options, expectations_met
 from repro.edge.client import EdgeClient, split_address
 from repro.edge.ingest import PERFORMANCE_COMPONENT
+
+#: Ticks per tenant pushed in ``--manifest`` mode: ``repro fleet``'s
+#: default soak length.
+MANIFEST_TICKS = 60
 
 
 def load_rows(metrics_path: str, performance_path: str) -> Dict[int, List]:
@@ -61,10 +78,44 @@ def render_chunk(by_tick: Dict[int, List], ticks: List[int]) -> str:
     return out.getvalue()
 
 
+def trace_pushes(args) -> Tuple[List[Callable], int]:
+    """The recorded trace as CSV pushes of ``--chunk-ticks`` ticks."""
+    by_tick = load_rows(args.metrics, args.performance)
+    ticks = sorted(by_tick)
+    pushes = []
+    for start in range(0, len(ticks), args.chunk_ticks):
+        body = render_chunk(by_tick, ticks[start : start + args.chunk_ticks])
+        pushes.append(partial(EdgeClient.push_csv, text=body))
+    return pushes, len(ticks)
+
+
+def manifest_pushes(args) -> Tuple[List[Callable], int]:
+    """A fleet manifest's first :data:`MANIFEST_TICKS` synthetic ticks
+    as JSON pushes, one per tenant and chunk of ``--chunk-ticks`` ticks."""
+    from repro.fleet import FleetFeed, load_manifest
+
+    manifest = load_manifest(args.manifest)
+    feed = FleetFeed(manifest, MANIFEST_TICKS)
+    pushes = []
+    for start in range(0, MANIFEST_TICKS, args.chunk_ticks):
+        chunk = range(start, min(start + args.chunk_ticks, MANIFEST_TICKS))
+        for tenant in manifest.tenants:
+            batches = [feed.batch(tenant, t) for t in chunk]
+            pushes.append(
+                partial(EdgeClient.push_batches, batches=batches, tenant=tenant)
+            )
+    return pushes, MANIFEST_TICKS * len(manifest.tenants)
+
+
 def main(argv: List[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("metrics", help="long-format metrics CSV")
-    parser.add_argument("performance", help="performance-signal CSV")
+    parser.add_argument("metrics", nargs="?", help="long-format metrics CSV")
+    parser.add_argument("performance", nargs="?", help="performance-signal CSV")
+    parser.add_argument(
+        "--manifest",
+        default=None,
+        help="fleet manifest JSON: push its synthetic tenants instead of a trace",
+    )
     parser.add_argument(
         "--address", default="127.0.0.1:8080", help="edge server host:port"
     )
@@ -76,25 +127,27 @@ def main(argv: List[str] = None) -> int:
         "--timeout", type=float, default=300.0,
         help="seconds to wait for the pipeline to drain",
     )
-    add_expect_options(parser)
+    add_expect_options(parser, tenant=True)
     parser.add_argument(
         "--shutdown", action="store_true",
         help="POST /v1/shutdown once the checks are done",
     )
     args = parser.parse_args(argv)
+    if args.manifest is None and args.performance is None:
+        parser.error("give a metrics and a performance CSV, or --manifest")
 
     host, port = split_address(args.address)
-    by_tick = load_rows(args.metrics, args.performance)
-    ticks = sorted(by_tick)
-    print(f"pushing {len(ticks)} ticks to http://{host}:{port} ...")
+    if args.manifest is None:
+        pushes, batches = trace_pushes(args)
+    else:
+        pushes, batches = manifest_pushes(args)
+    print(f"pushing {batches} tick batches to http://{host}:{port} ...")
 
     client = EdgeClient(host, port, timeout=max(args.timeout, 30.0))
     sheds = 0
-    for start in range(0, len(ticks), args.chunk_ticks):
-        chunk = ticks[start : start + args.chunk_ticks]
-        body = render_chunk(by_tick, chunk)
+    for push in pushes:
         while True:
-            response = client.push_csv(body)
+            response = push(client)
             if response.status == 202:
                 break
             if response.status == 429:
@@ -106,10 +159,10 @@ def main(argv: List[str] = None) -> int:
             print(f"FAIL push -> {response.status}: {response.body[:200]}")
             return 1
 
-    stats = client.wait_drained(len(ticks), timeout=args.timeout)
+    stats = client.wait_drained(batches, timeout=args.timeout)
+    engine = stats.get("pipeline") or stats["fleet"]
     print(
-        f"drained: {stats['pipeline']['ticks']} ticks, "
-        f"{stats['pipeline']['triggered']} trigger(s), "
+        f"drained: {engine['ticks']} ticks, "
         f"{stats['shed_batches']} shed batch(es), {sheds} shed push(es)"
     )
 
@@ -117,11 +170,14 @@ def main(argv: List[str] = None) -> int:
     for incident in incidents:
         diagnosis = client.diagnosis(incident["id"])["diagnosis"]
         print(
-            f"incident #{incident['id']}: violation "
-            f"t={incident['violation_tick']} faulty={incident['faulty']} "
+            f"incident #{incident['id']}: tenant={incident['tenant'] or '-'} "
+            f"violation t={incident['violation_tick']} "
+            f"faulty={incident['faulty']} "
             f"confidence={diagnosis.get('confidence')}"
         )
-    ok = expectations_met(args, ((None, i["id"], i["faulty"]) for i in incidents))
+    ok = expectations_met(
+        args, ((i["tenant"] or None, i["id"], i["faulty"]) for i in incidents)
+    )
 
     if args.shutdown:
         client.shutdown()

@@ -683,7 +683,8 @@ def main(argv: List[str] = None) -> int:
     )
     fleet.add_argument(
         "--backend", choices=("thread", "process"), default=None,
-        help="override the manifest's worker backend",
+        help="override the manifest's shard backend: thread runs every "
+        "shard on the calling thread, process forks one worker per shard",
     )
     fleet.add_argument(
         "--incidents", default=None,

@@ -118,6 +118,26 @@ class EdgeClient:
             headers={"Content-Type": "application/json"},
         )
 
+    def push_batches(self, batches, *, tenant: str = "") -> EdgeResponse:
+        """POST in-process :class:`~repro.service.sources.TickBatch`\\ es
+        as one JSON push (floats survive the round trip exactly)."""
+        samples = [
+            {
+                "component": sample.component,
+                "metric": sample.metric.value,
+                "time": sample.time,
+                "value": sample.value,
+            }
+            for batch in batches
+            for sample in batch.samples
+        ]
+        performance = [
+            {"time": batch.time, "value": batch.performance}
+            for batch in batches
+            if batch.performance is not None
+        ]
+        return self.push_json(samples, performance=performance, tenant=tenant)
+
     def push_csv(self, text: str, *, tenant: str = "") -> EdgeResponse:
         path = "/v1/ingest"
         if tenant:
@@ -199,17 +219,27 @@ class EdgeClient:
 
     # -- synchronisation ----------------------------------------------
     def wait_drained(self, pushed_ticks: int, *, timeout: float = 120.0) -> Dict:
-        """Block until the pipeline consumed ``pushed_ticks`` ticks and no
-        diagnosis is in flight; returns the final stats payload.
+        """Block until the engine consumed ``pushed_ticks`` ticks and no
+        diagnosis is in flight; returns the final stats payload. In fleet
+        mode the ticks are all tenants' batches handed to the fleet.
 
         The over-the-wire analogue of ``OnlinePipeline.close()``'s drain:
         push, wait, then read ``/v1/incidents`` knowing the answer is
-        complete.
+        complete. That holds in pipeline mode and on thread shards, which
+        tick and diagnose a batch inside the engine's ``ingest`` call.
+        Process shards report no progress before the fleet closes, so a
+        process fleet raises :class:`ReproError` here rather than return
+        before its incidents exist.
         """
         deadline = time.monotonic() + timeout
         while True:
             stats = self.stats()
-            pipeline = stats.get("pipeline") or {}
+            if stats.get("fleet", {}).get("backend") == "process":
+                raise ReproError(
+                    "process shards report no progress before the fleet "
+                    "closes; wait_drained cannot tell when they are done"
+                )
+            pipeline = stats.get("pipeline") or stats.get("fleet") or {}
             if (
                 pipeline.get("ticks", 0) >= pushed_ticks
                 and stats.get("queue_depth", 0) == 0

@@ -10,15 +10,19 @@ a :class:`~repro.fleet.supervisor.FleetSupervisor` in multi-tenant mode
 
 Threading model (two lanes, one bounded hand-off)::
 
-    HTTP clients ──> asyncio event loop ──> bounded queue ──> pipeline
+    HTTP clients ──> asyncio event loop ──> bounded queue ──> engine
                      (parse + validate,     (put_nowait,      thread
                       never blocks)          429 on full)     (ingest, SLO,
                                                               diagnosis)
                                                                   │
                                       sinks: IncidentStore, webhooks
 
-The pipeline diagnoses on its ingest thread, so this queue is where
-back-pressure lands: *the event loop never blocks on the pipeline*.
+The engine thread is the pipeline's ``run()`` in pipeline mode; in
+fleet mode it feeds ``(tenant, batch)`` pairs to
+``FleetSupervisor.ingest``, which with thread shards ticks and
+diagnoses right there, on the engine thread. Either engine diagnoses on
+its ingest thread, so this queue is where back-pressure lands: *the
+event loop never blocks on the engine*.
 Ingest hand-off is ``put_nowait`` only — a full queue (say, behind a
 running diagnosis) sheds the push with a counted ``429`` +
 ``Retry-After`` instead of stalling the reactor, so ``/healthz``,
@@ -36,7 +40,7 @@ import contextlib
 import queue
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigurationError, ReproError
@@ -73,7 +77,7 @@ class EdgeConfig:
         host: Bind address.
         port: Bind port (0 = ephemeral; see ``EdgeServer.port``).
         queue_depth: Bounded in-flight batches between the event loop
-            and the pipeline thread; the backpressure knob.
+            and the engine thread; the backpressure knob.
         max_body_bytes: Reject larger request bodies with 413.
         retry_after_seconds: Advisory ``Retry-After`` on 429 sheds.
         allow_shutdown: Expose ``POST /v1/shutdown`` (CI and operators;
@@ -100,7 +104,7 @@ class EdgeConfig:
 class QueueFeed:
     """A bounded, thread-safe feed the HTTP side pushes into.
 
-    The pipeline thread blocks on :meth:`__next__`; the event loop only
+    The engine thread blocks on :meth:`__next__`; the event loop only
     ever calls :meth:`put_nowait`, which raises ``queue.Full`` instead
     of waiting — the caller turns that into a 429.
     """
@@ -211,7 +215,9 @@ class EdgeServer:
         self.supervisor = None
         self._webhooks: List = []
         self._pipeline_thread: Optional[threading.Thread] = None
+        self._fleet_thread: Optional[threading.Thread] = None
         self.pipeline_error: Optional[str] = None
+        self.routed_batches = 0
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[threading.Thread] = None
@@ -256,12 +262,15 @@ class EdgeServer:
     def attach_fleet(self, supervisor, *, sinks=()) -> None:
         """Multi-tenant mode: pushes route by tenant into a fleet.
 
-        The supervisor must have been built with its sinks including
-        ``IncidentStoreSink(self.store)`` — the server checks and adds
-        one when missing so incidents always reach the REST surface.
+        Pushes reach the supervisor through the same bounded feed as in
+        pipeline mode, now of ``(tenant, batch)`` pairs, consumed by one
+        engine thread that calls ``supervisor.ingest``. The server adds
+        an ``IncidentStoreSink(self.store)`` to the supervisor's sinks
+        when it has none, so incidents always reach the REST surface.
         """
         if self.pipeline is not None or self.supervisor is not None:
             raise ConfigurationError("an engine is already attached")
+        self._feed = QueueFeed(self.config.queue_depth)
         self.supervisor = supervisor
         self._webhooks = [s for s in sinks if hasattr(s, "breaker_state")]
         wired = any(
@@ -278,7 +287,7 @@ class EdgeServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Bind, start serving, start the pipeline thread; returns bound."""
+        """Bind, start serving, start the engine thread; returns bound."""
         if self.pipeline is None and self.supervisor is None:
             raise ConfigurationError(
                 "attach_pipeline(...) or attach_fleet(...) before start()"
@@ -292,6 +301,11 @@ class EdgeServer:
                 daemon=True,
             )
             self._pipeline_thread.start()
+        else:
+            self._fleet_thread = threading.Thread(
+                target=self._fleet_loop, name="fchain-edge-fleet", daemon=True
+            )
+            self._fleet_thread.start()
         self._loop_thread = threading.Thread(
             target=self._serve_loop, name="fchain-edge-http", daemon=True
         )
@@ -328,13 +342,21 @@ class EdgeServer:
             self._loop.call_soon_threadsafe(self._begin_loop_shutdown)
         if self._loop_thread is not None:
             self._loop_thread.join(timeout=10.0)
-        # 2. End the feed; the pipeline drains the queued tail, then its
-        #    run() closes the pipeline (pending triggers, sinks).
+        # 2. End the feed; the engine drains the queued tail. The
+        #    pipeline's run() then closes the pipeline (pending
+        #    triggers, sinks); the fleet is closed here once its feed
+        #    thread is done.
         if self._feed is not None:
             self._feed.close()
         if self._pipeline_thread is not None:
             self._pipeline_thread.join(timeout=60.0)
-        if self.supervisor is not None and not getattr(
+        if self._fleet_thread is not None:
+            self._fleet_thread.join(timeout=60.0)
+        if self._fleet_thread is not None and self._fleet_thread.is_alive():
+            # Still inside ``ingest``: a thread shard has no queue to
+            # serialize a drain behind it, so leave the fleet open.
+            self.pipeline_error = "the fleet engine did not stop within 60s"
+        elif self.supervisor is not None and not getattr(
             self.supervisor, "_closed", False
         ):
             self.supervisor.close()
@@ -368,7 +390,12 @@ class EdgeServer:
                 and self.pipeline_error is None
             )
         if self.supervisor is not None:
-            return not getattr(self.supervisor, "_closed", False)
+            return (
+                self._fleet_thread is not None
+                and self._fleet_thread.is_alive()
+                and self.pipeline_error is None
+                and not getattr(self.supervisor, "_closed", False)
+            )
         return False
 
     # ------------------------------------------------------------------
@@ -377,6 +404,14 @@ class EdgeServer:
     def _pipeline_loop(self) -> None:
         try:
             self.pipeline.run()
+        except Exception as error:  # noqa: BLE001 - surfaced via /readyz
+            self.pipeline_error = repr(error)
+
+    def _fleet_loop(self) -> None:
+        try:
+            for tenant, batch in self._feed:
+                self.supervisor.ingest(tenant, batch)
+                self.routed_batches += 1
         except Exception as error:  # noqa: BLE001 - surfaced via /readyz
             self.pipeline_error = repr(error)
 
@@ -566,27 +601,21 @@ class EdgeServer:
     def _route_batches(self, push: Push) -> int:
         """Enqueue batches in tick order; returns how many were accepted.
 
-        Pipeline mode is **all-or-nothing**: a push either fits in the
+        Both modes are **all-or-nothing**: a push either fits in the
         queue's free space or is shed whole, so a client that retries a
         429'd push verbatim never double-ingests the accepted prefix.
         The check-then-put is race-free because the event loop is the
         queue's only producer and the consumer only frees space.
 
-        Fleet mode routes per batch into per-shard queues (no global
-        free-space check exists); it stops at the first shed so the
-        rejected tail stays contiguous, and reports the accepted count
-        for the client to trim its retry.
+        Fleet mode checks the tenant first (404 when unknown) and queues
+        ``(tenant, batch)`` pairs.
         """
         if self.supervisor is not None:
-            accepted = 0
-            for batch in push.batches:
-                try:
-                    if not self.supervisor.ingest(push.tenant, batch):
-                        break
-                except ConfigurationError as error:
-                    raise ProtocolError(404, str(error)) from error
-                accepted += 1
-            return accepted
+            if push.tenant not in self.supervisor:
+                raise ProtocolError(404, f"tenant {push.tenant!r} is not registered")
+            push = replace(
+                push, batches=[(push.tenant, batch) for batch in push.batches]
+            )
         if len(push.batches) > self.config.queue_depth:
             raise ProtocolError(
                 413,
@@ -700,10 +729,15 @@ class EdgeServer:
         if self.supervisor is not None:
             supervisor = self.supervisor
             stats["fleet"] = {
+                "backend": supervisor.config.backend,
                 "tenants": len(getattr(supervisor, "_specs", {})),
-                "incidents": sum(
-                    len(v) for v in supervisor.incidents.values()
-                ),
+                # Handed to ``supervisor.ingest``: with thread shards,
+                # ticked and diagnosed; process shards only queued them
+                # and report nothing back before ``close()``.
+                "ticks": self.routed_batches,
+                "error": self.pipeline_error,
+                # A copy: the engine thread may add a tenant's list.
+                "incidents": sum(map(len, list(supervisor.incidents.values()))),
                 "ingest_dropped": sum(
                     supervisor.ingest_dropped.values()
                 ),

@@ -5,15 +5,10 @@
 * **placement** — tenants are consistently hashed onto shards
   (:class:`~repro.fleet.ring.HashRing`), so adding or removing a shard
   relocates only ~1/N of the fleet;
-* **routing** — ``ingest()`` forwards one tenant's tick batch to its
-  shard over a bounded per-shard command queue. Backpressure is
-  shed-with-counted-drop: a full shard queue drops the batch (one tick
-  of one tenant's telemetry, repaired later by the tolerant ingest
-  path) rather than stalling the caller;
-* **incident bus** — every shard emits finished incidents onto one
-  shared event queue; a collector thread fans them out to per-tenant
-  sinks, fleet-wide sinks and tenant-labeled Prometheus counters, and
-  refreshes the per-shard queue-depth gauges each time it wakes;
+* **routing** — ``ingest()`` hands one tenant's tick batch to its shard;
+* **incidents** — every shard reports finished incidents to the
+  supervisor, which fans them out to per-tenant sinks, fleet-wide sinks
+  and tenant-labeled Prometheus counters;
 * **rebalance** — ``add_shard()`` / ``remove_shard()`` / ``move_tenant()``
   relocate live tenants: the source shard gives up the tenant's store
   and copies of its warm models, and the target installs them as they
@@ -21,15 +16,28 @@
   (see ``tests/fleet/test_rebalance.py``).
 
 Two interchangeable backends run the same
-:class:`~repro.fleet.worker.ShardWorker` code: ``"thread"`` (default —
-shards are daemon threads, zero-copy in-process queues) and
-``"process"`` (shards are forked worker processes, so one shard's ticks
-and diagnoses do not contend with another's for the GIL, at the cost of
-pickling batches and relocation snapshots over the queues).
+:class:`~repro.fleet.worker.ShardWorker` code:
+
+* ``"thread"`` (default) — a shard is a worker driven on the caller's
+  thread. ``ingest()`` returns once the tick, and any diagnosis it
+  released, have run and their incidents have reached the sinks; moves
+  and drains complete within the call. No thread and no queue: under
+  one interpreter lock a shard thread added no parallelism, only
+  hand-offs and up to a queue's worth of lag behind the caller.
+* ``"process"`` — shards are forked worker processes, so one shard's
+  ticks and diagnoses do not contend with another's, or the caller's,
+  for the GIL. Batches and relocation snapshots are pickled over bounded
+  per-shard command queues; a full queue sheds the batch with a counted
+  drop after ``route_timeout`` (one tick of one tenant's telemetry,
+  repaired later by the tolerant ingest path) rather than stalling the
+  caller. Shards report on one shared event queue, which a collector
+  thread drains into the sinks while it refreshes the per-shard
+  queue-depth gauges.
 
 Supervisor methods (``add_tenant``/``ingest``/``move_tenant``/``close``)
 are driver-facing and expected to be called from one thread; the
-collector thread only touches the incident/event state and the gauges.
+process backend's collector thread only touches the incident/event
+state and the gauges.
 """
 
 from __future__ import annotations
@@ -47,9 +55,10 @@ from repro.fleet.worker import ShardWorker, shard_worker_main
 from repro.service.incident import Incident
 from repro.service.sources import TickBatch
 
-#: How long the supervisor waits on a full shard queue before shedding.
+#: How long the collector waits for an event before it refreshes gauges.
 _EVENT_POLL_SECONDS = 0.2
-#: Ceiling on one relocation step (export or import acknowledgement).
+#: Ceiling on one process shard's relocation step (export or import
+#: acknowledgement).
 _MOVE_TIMEOUT_SECONDS = 60.0
 
 
@@ -70,10 +79,12 @@ class FleetConfig:
     Attributes:
         shards: Number of shard workers.
         backend: ``"thread"`` or ``"process"`` (see module docstring).
-        queue_depth: Bound of each shard's command queue.
-        route_timeout: Seconds ``ingest()`` waits on a full shard queue
-            before shedding the batch with a counted drop. ``0`` sheds
-            immediately.
+        queue_depth: Bound of each process shard's command queue. Thread
+            shards have no queue and ignore it.
+        route_timeout: Seconds ``ingest()`` waits on a full process
+            shard queue before shedding the batch with a counted drop.
+            ``0`` sheds immediately. Thread shards never shed a batch
+            and ignore it.
         tenant_budget: Max diagnosis triggers one tenant may have
             queued on its shard before new ones are shed.
     """
@@ -120,12 +131,12 @@ class FleetMetrics:
         )
         self.queue_depth = registry.gauge(
             "fchain_fleet_shard_queue_depth",
-            "Commands waiting on each shard's queue",
+            "Commands waiting on each process shard's queue",
             ("shard",),
         )
         self.ingest_dropped = registry.counter(
             "fchain_fleet_ingest_dropped_total",
-            "Tick batches shed because a shard queue stayed full",
+            "Tick batches shed because a process shard queue stayed full",
             ("shard",),
         )
         self.incidents = registry.counter(
@@ -140,36 +151,50 @@ class FleetMetrics:
         )
 
 
-class _Shard:
-    """One shard's transport: queues plus the worker thread/process."""
+class _InlineShard:
+    """A thread-backend shard: its worker runs on the caller's thread."""
 
     def __init__(self, index: int, config: FleetConfig, events) -> None:
-        self.index = index
-        self.drained = False
-        self.stats: Optional[Dict] = None
-        if config.backend == "thread":
-            self.commands: "queue.Queue" = queue.Queue(
-                maxsize=config.queue_depth
-            )
-            worker = ShardWorker(
-                index, events, tenant_budget=config.tenant_budget
-            )
-            self.runner = threading.Thread(
-                target=worker.serve,
-                args=(self.commands,),
-                name=f"fchain-fleet-shard-{index}",
-                daemon=True,
-            )
-        else:
-            context = multiprocessing.get_context("fork")
-            self.commands = context.Queue(maxsize=config.queue_depth)
-            self.runner = context.Process(
-                target=shard_worker_main,
-                args=(index, self.commands, events, config.tenant_budget),
-                name=f"fchain-fleet-shard-{index}",
-                daemon=True,
-            )
+        self.worker = ShardWorker(
+            index, events, tenant_budget=config.tenant_budget
+        )
+
+    def send(self, command, timeout: Optional[float] = None) -> bool:
+        self.worker.call(command)
+        return True
+
+    def join(self) -> None:
+        pass
+
+
+class _ProcessShard:
+    """A process-backend shard: a bounded command queue into a forked
+    worker."""
+
+    def __init__(self, index: int, config: FleetConfig, events) -> None:
+        context = multiprocessing.get_context("fork")
+        self.commands = context.Queue(maxsize=config.queue_depth)
+        self.runner = context.Process(
+            target=shard_worker_main,
+            args=(index, self.commands, events, config.tenant_budget),
+            name=f"fchain-fleet-shard-{index}",
+            daemon=True,
+        )
         self.runner.start()
+
+    def send(self, command, timeout: Optional[float] = None) -> bool:
+        """Queue one command; False when the queue stayed full for
+        ``timeout`` seconds (``None`` waits for room, ``0`` does not)."""
+        try:
+            if timeout is None:
+                self.commands.put(command)
+            elif timeout > 0:
+                self.commands.put(command, timeout=timeout)
+            else:
+                self.commands.put_nowait(command)
+        except queue.Full:
+            return False
+        return True
 
     def depth(self) -> int:
         try:
@@ -203,15 +228,19 @@ class FleetSupervisor:
         registry=None,
     ) -> None:
         self.config = (config or FleetConfig()).validate()
-        backend = self.config.backend
-        if backend == "process":
-            context = multiprocessing.get_context("fork")
-            self._events = context.Queue()
+        self._collector: Optional[threading.Thread] = None
+        if self.config.backend == "process":
+            self._shard_type = _ProcessShard
+            self._events = multiprocessing.get_context("fork").Queue()
+            self._ack_seconds = _MOVE_TIMEOUT_SECONDS
         else:
-            self._events = queue.Queue()
+            # A thread shard acknowledges before its call returns.
+            self._shard_type = _InlineShard
+            self._events = self._handle_event
+            self._ack_seconds = 0.0
         self.ring = HashRing(range(self.config.shards))
-        self._shards: Dict[int, _Shard] = {
-            index: _Shard(index, self.config, self._events)
+        self._shards = {
+            index: self._shard_type(index, self.config, self._events)
             for index in range(self.config.shards)
         }
         self._next_shard_index = self.config.shards
@@ -234,13 +263,14 @@ class FleetSupervisor:
         self._import_events: Dict[str, threading.Event] = {}
         self._closed = False
 
-        self._collector = threading.Thread(
-            target=self._collect_events,
-            name="fchain-fleet-collector",
-            daemon=True,
-        )
-        self._collector_stop = threading.Event()
-        self._collector.start()
+        if self.config.backend == "process":
+            self._collector_stop = threading.Event()
+            self._collector = threading.Thread(
+                target=self._collect_events,
+                name="fchain-fleet-collector",
+                daemon=True,
+            )
+            self._collector.start()
 
     # ------------------------------------------------------------------
     # Tenant lifecycle
@@ -258,18 +288,12 @@ class FleetSupervisor:
         self._routing[spec.tenant] = shard
         if sinks:
             self._tenant_sinks[spec.tenant] = list(sinks)
-        self._shards[shard].commands.put(("add", spec))
+        self._shards[shard].send(("add", spec))
         self.metrics.tenants.set(len(self._specs))
         return shard
 
-    def remove_tenant(self, tenant: str) -> None:
-        """Unregister one tenant and tear its runtime down."""
-        shard = self._routing.pop(tenant, None)
-        self._specs.pop(tenant, None)
-        self._tenant_sinks.pop(tenant, None)
-        if shard is not None:
-            self._shards[shard].commands.put(("remove", tenant))
-        self.metrics.tenants.set(len(self._specs))
+    def __contains__(self, tenant: str) -> bool:
+        return tenant in self._specs
 
     def shard_of(self, tenant: str) -> int:
         return self._routing[tenant]
@@ -289,7 +313,11 @@ class FleetSupervisor:
     # Ingest routing
     # ------------------------------------------------------------------
     def ingest(self, tenant: str, batch: TickBatch) -> bool:
-        """Route one tick batch; returns False when it was shed."""
+        """Route one tick batch; returns False when it was shed.
+
+        On the thread backend the tick runs before this returns, and so
+        does every diagnosis it released; only a process shard's full
+        queue sheds."""
         if self._closed:
             raise ReproError("the fleet is closed")
         if tenant in self._moving:
@@ -298,22 +326,13 @@ class FleetSupervisor:
         shard = self._routing.get(tenant)
         if shard is None:
             raise ConfigurationError(f"tenant {tenant!r} is not registered")
-        handle = self._shards[shard]
-        try:
-            if self.config.route_timeout > 0:
-                handle.commands.put(
-                    ("ingest", tenant, batch),
-                    timeout=self.config.route_timeout,
-                )
-            else:
-                handle.commands.put_nowait(("ingest", tenant, batch))
-        except queue.Full:
-            self.ingest_dropped[shard] = (
-                self.ingest_dropped.get(shard, 0) + 1
-            )
-            self.metrics.ingest_dropped.inc(1, shard=str(shard))
-            return False
-        return True
+        if self._shards[shard].send(
+            ("ingest", tenant, batch), self.config.route_timeout
+        ):
+            return True
+        self.ingest_dropped[shard] = self.ingest_dropped.get(shard, 0) + 1
+        self.metrics.ingest_dropped.inc(1, shard=str(shard))
+        return False
 
     # ------------------------------------------------------------------
     # Rebalance
@@ -321,7 +340,8 @@ class FleetSupervisor:
     def move_tenant(self, tenant: str, target: int) -> None:
         """Relocate one live tenant, ring-buffer state and all.
 
-        Protocol (each step acknowledged over the event bus):
+        Protocol (each step acknowledged by a shard event, which a
+        thread shard reports before its call returns):
 
         1. buffer the tenant's inbound batches in the supervisor;
         2. ``export`` on the source shard — hand over the store, copies
@@ -339,8 +359,8 @@ class FleetSupervisor:
             return
         self._moving[tenant] = []
         exported = self._move_events[tenant] = threading.Event()
-        self._shards[source].commands.put(("export", tenant))
-        if not exported.wait(_MOVE_TIMEOUT_SECONDS):
+        self._shards[source].send(("export", tenant))
+        if not exported.wait(self._ack_seconds):
             del self._moving[tenant]
             raise ReproError(
                 f"shard {source} did not export tenant {tenant!r} in time"
@@ -348,8 +368,8 @@ class FleetSupervisor:
         snapshot = self._move_payloads.pop(tenant)
         del self._move_events[tenant]
         imported = self._import_events[tenant] = threading.Event()
-        self._shards[target].commands.put(("add", snapshot))
-        if not imported.wait(_MOVE_TIMEOUT_SECONDS):
+        self._shards[target].send(("add", snapshot))
+        if not imported.wait(self._ack_seconds):
             raise ReproError(
                 f"shard {target} did not import tenant {tenant!r} in time"
             )
@@ -365,7 +385,7 @@ class FleetSupervisor:
         index = self._next_shard_index
         self._next_shard_index += 1
         before = dict(self._routing)
-        self._shards[index] = _Shard(index, self.config, self._events)
+        self._shards[index] = self._shard_type(index, self.config, self._events)
         self.ring.add_shard(index)
         after = self.ring.assignments(list(before))
         for tenant, shard in after.items():
@@ -384,13 +404,14 @@ class FleetSupervisor:
             if shard == index:
                 self.move_tenant(tenant, self.ring.shard_for(tenant))
         handle = self._shards.pop(index)
-        handle.commands.put(("drain",))
+        handle.send(("drain",))
         handle.join()
 
     # ------------------------------------------------------------------
-    # Event bus
+    # Events
     # ------------------------------------------------------------------
     def _collect_events(self) -> None:
+        """Process backend: drain the shared event queue, refresh gauges."""
         while not self._collector_stop.is_set():
             try:
                 event = self._events.get(timeout=_EVENT_POLL_SECONDS)
@@ -431,10 +452,6 @@ class FleetSupervisor:
                 signal.set()
         elif kind == "drained":
             _, shard, stats = event
-            handle = self._shards.get(shard)
-            if handle is not None:
-                handle.drained = True
-                handle.stats = stats
             self._absorb_stats(shard, stats)
         elif kind == "error":
             _, shard, tenant, message = event
@@ -457,20 +474,19 @@ class FleetSupervisor:
             return
         self._closed = True
         for handle in self._shards.values():
-            handle.commands.put(("drain",))
+            handle.send(("drain",))
         for handle in self._shards.values():
             handle.join()
-        # The workers are gone; drain what is still on the bus.
-        deadline_empty = False
-        while not deadline_empty:
-            try:
-                event = self._events.get_nowait()
-            except queue.Empty:
-                deadline_empty = True
-            else:
+        if self._collector is not None:
+            # The workers are gone; drain what is still on the bus.
+            while True:
+                try:
+                    event = self._events.get_nowait()
+                except queue.Empty:
+                    break
                 self._handle_event(event)
-        self._collector_stop.set()
-        self._collector.join()
+            self._collector_stop.set()
+            self._collector.join()
         for sinks in self._tenant_sinks.values():
             for sink in sinks:
                 close = getattr(sink, "close", None)

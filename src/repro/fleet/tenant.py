@@ -9,8 +9,10 @@ rule set, two drivers. Where the pipeline diagnoses a released trigger
 right after its tick, :class:`TenantRuntime` leaves that to its caller:
 ``process()`` returns the triggers the core released and
 ``diagnose()`` runs one, so the shard worker can dispatch *fairly
-across its tenants* (see :mod:`repro.fleet.worker`). What the runtime
-adds to the core is how a tenant is built from its picklable
+across its tenants* (see :mod:`repro.fleet.worker`). Every tick a
+tenant processes defers its warm sync until the models owe a block or
+the tenant is diagnosed, on either backend. What the runtime adds to
+the core is how a tenant is built from its picklable
 :class:`TenantSpec`, and relocation.
 
 Relocation ships the warm state rather than rebuilding it:
@@ -21,8 +23,8 @@ counters, learned topology). :meth:`TenantRuntime.from_state` installs
 all of it on the receiving shard and replays nothing, so the moved
 tenant's models are the ones that never moved — also after the store's
 ring has wrapped past history the models learned from, and when the
-source had deferred its last syncs under a queue backlog (the next sync
-catches up exactly what they owed). The thread backend passes the
+source had deferred its last syncs (the snapshot carries what they owe,
+and the next sync catches it up exactly). The thread backend passes the
 snapshot as an object; the process backend pickles it over its queues.
 """
 
@@ -140,14 +142,16 @@ class TenantRuntime:
     def topology(self) -> Optional[OnlineTopology]:
         return self.core.topology
 
-    def process(
-        self, batch: TickBatch, *, queued: bool = False
-    ) -> List[Trigger]:
+    def process(self, batch: TickBatch) -> List[Trigger]:
         """One tick of the core; returns the ready triggers — the
         caller owns queueing them (with its own budget and fairness).
-        ``queued`` lets the core defer its warm sync (see
+
+        A shard tenant always defers its warm sync: its models sync
+        when they owe a block, and :meth:`diagnose` and relocation catch
+        up whatever is still owed, so neither the verdict nor a move
+        depends on where the syncs fell (see
         :meth:`~repro.service.tick.TickCore.process`)."""
-        return self.core.process(batch, queued=queued)
+        return self.core.process(batch, queued=True)
 
     def diagnose(self, trigger: Trigger) -> Incident:
         """Run one localization; raises on engine failure."""

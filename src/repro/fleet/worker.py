@@ -1,35 +1,39 @@
-"""One shard: many tenant runtimes behind a single command loop.
+"""One shard: many tenant runtimes behind a single command dispatcher.
 
 A :class:`ShardWorker` owns the :class:`~repro.fleet.tenant.TenantRuntime`
-of every tenant hashed onto it. It is transport-agnostic: :meth:`serve`
-consumes command tuples from a queue-like object and emits event tuples
-to another, so the same class runs on a thread (queue.Queue) or in a
-forked worker process (multiprocessing.Queue) — the supervisor picks.
+of every tenant hashed onto it. :meth:`ShardWorker.handle` applies one
+command tuple (``add``, ``ingest``, ``export``, ``drain``) and the worker
+reports event tuples to a receiver, so the same class serves both fleet
+backends (the supervisor picks):
 
-**One thread per shard.** :meth:`serve` is the shard's only thread: it
-handles the commands and runs the diagnoses too. When no command is
-waiting it diagnoses the next ready trigger; otherwise it handles one
-command, then diagnoses at most one trigger. A trigger an ingest
-releases is therefore localized before the shard's next command, not
-after ingest ends. While more commands are queued behind an ingest, the
-tenant defers its warm sync until its models owe a block (see
-:meth:`~repro.service.tick.TickCore.process`). Two mechanisms keep one
-tenant's diagnosis storm from starving its neighbours:
+* **thread** — :meth:`ShardWorker.call` runs one command on the
+  caller's thread and then diagnoses every trigger it released; the
+  events go straight to the supervisor. A thread shard is a call: there
+  is no shard thread and no queue, so the supervisor's ``ingest``
+  returns once the tick, and any diagnosis it released, have run.
+* **process** — :meth:`ShardWorker.serve` is a forked worker's loop over
+  a bounded command queue. When no command is waiting it diagnoses the
+  next ready trigger; otherwise it handles one command, then diagnoses
+  at most one trigger.
+
+Either way the shard's one thread runs its commands and its diagnoses,
+and a tenant defers its warm sync until its models owe a block or it is
+diagnosed (see :meth:`~repro.service.tick.TickCore.process`). Two
+mechanisms keep one tenant's diagnosis storm from starving its
+neighbours:
 
 * **bounded per-tenant budget** — each tenant may have at most
   ``tenant_budget`` triggers waiting; excess triggers are shed with a
   counted drop (the storm folds into the incidents that do run);
-* **fair round-robin dispatch** — the loop cycles over tenants that
+* **fair round-robin dispatch** — the worker cycles over tenants that
   have work, taking one trigger per visit, so a tenant with a deep
   backlog cannot monopolize the shard's diagnoses.
 
-The trade-off: a diagnosis (~50–80 ms of ``localize``) holds its
-shard's ingest meanwhile. The bounded command queue and the
-supervisor's ``route_timeout`` are the back-pressure, as for any slow
-tick. A separate diagnosis thread bought no parallelism here — ingest
-and diagnosis share one interpreter lock, so it only interleaved the
-two — and it let diagnoses back up behind ingest until ingest ended.
-The process backend (one process per shard, see
+The trade-off: a diagnosis (~10–80 ms of ``localize``) holds its shard's
+ingest meanwhile — on the thread backend, the caller's ``ingest``. A
+second thread per shard bought no parallelism here: ingest and diagnosis
+share one interpreter lock, so it only added hand-offs and a queue of
+lag. The process backend (one process per shard, see
 :mod:`repro.fleet.supervisor`) keeps shards from contending with each
 other and with the caller.
 """
@@ -44,18 +48,19 @@ from repro.service.tick import Trigger
 
 
 class ShardWorker:
-    """Serve loop + fair diagnosis for one shard's tenants.
+    """Command dispatch + fair diagnosis for one shard's tenants.
 
     Args:
         shard: This shard's index (stamped on every event).
-        events: Queue-like object receiving event tuples.
+        events: Receiver of event tuples: an object with a ``put``
+            method (a queue) or a plain callable.
         tenant_budget: Max triggers one tenant may have queued before
             new ones are shed.
     """
 
     def __init__(self, shard: int, events, *, tenant_budget: int = 4) -> None:
         self.shard = shard
-        self.events = events
+        self.emit = getattr(events, "put", events)
         self.tenant_budget = tenant_budget
         self.runtimes: Dict[str, TenantRuntime] = {}
         # Only tenants with queued triggers, in round-robin order: an
@@ -66,40 +71,47 @@ class ShardWorker:
         self.ingest_ignored = 0
 
     # ------------------------------------------------------------------
-    # Command loop
+    # Commands
     # ------------------------------------------------------------------
+    def handle(self, command) -> bool:
+        """Apply one command; returns False once it was ``drain``."""
+        kind = command[0]
+        if kind == "ingest":
+            self._handle_ingest(command[1], command[2])
+        elif kind == "add":
+            self._handle_add(command[1])
+        elif kind == "export":
+            self._handle_export(command[1])
+        elif kind == "drain":
+            self._handle_drain()
+            return False
+        else:  # pragma: no cover - supervisor never sends others
+            self.emit(("error", self.shard, None, f"unknown command {kind!r}"))
+        return True
+
+    def call(self, command) -> None:
+        """Thread backend: one command on the caller's thread, then every
+        trigger it released, round-robin. No further command can be
+        queued while the caller waits in here, so this is
+        :meth:`serve`'s idle rule."""
+        self.handle(command)
+        while self._queues:
+            self._diagnose_next()
+
     def serve(self, commands) -> None:
-        """Consume commands until ``drain``, diagnosing ready triggers
-        between them; then flush and return."""
+        """Process backend: consume commands until ``drain``, diagnosing
+        ready triggers between them (one per command while more are
+        queued, all of them when idle); then flush and return."""
         while True:
             if self._queues and not _backlogged(commands):
                 self._diagnose_next()
                 continue
-            command = commands.get()
-            kind = command[0]
-            if kind == "ingest":
-                self._handle_ingest(
-                    command[1], command[2], queued=_backlogged(commands)
-                )
-            elif kind == "add":
-                self._handle_add(command[1])
-            elif kind == "remove":
-                self._handle_remove(command[1])
-            elif kind == "export":
-                self._handle_export(command[1])
-            elif kind == "drain":
-                self._handle_drain()
+            if not self.handle(commands.get()):
                 return
-            else:  # pragma: no cover - supervisor never sends others
-                self.events.put(
-                    ("error", self.shard, None, f"unknown command {kind!r}")
-                )
             if self._queues:
                 self._diagnose_next()
 
-    def _handle_ingest(
-        self, tenant: str, batch, *, queued: bool = False
-    ) -> None:
+    def _handle_ingest(self, tenant: str, batch) -> None:
         runtime = self.runtimes.get(tenant)
         if runtime is None:
             # Routed here after an export or before an add — the
@@ -107,9 +119,9 @@ class ShardWorker:
             self.ingest_ignored += 1
             return
         try:
-            ready = runtime.process(batch, queued=queued)
+            ready = runtime.process(batch)
         except Exception as error:  # keep the shard alive
-            self.events.put(("error", self.shard, tenant, repr(error)))
+            self.emit(("error", self.shard, tenant, repr(error)))
             return
         for trigger in ready:
             self._enqueue(tenant, trigger)
@@ -120,7 +132,7 @@ class ShardWorker:
                 tenant = payload.spec.tenant
                 runtime = TenantRuntime.from_state(payload)
                 self.runtimes[tenant] = runtime
-                self.events.put(("imported", self.shard, tenant))
+                self.emit(("imported", self.shard, tenant))
             else:
                 spec: TenantSpec = payload
                 self.runtimes[spec.tenant] = TenantRuntime(spec)
@@ -129,18 +141,12 @@ class ShardWorker:
                 payload, "tenant", getattr(payload, "spec", None)
             )
             name = getattr(tenant, "tenant", tenant)
-            self.events.put(("error", self.shard, name, repr(error)))
-
-    def _handle_remove(self, tenant: str) -> None:
-        runtime = self.runtimes.pop(tenant, None)
-        if runtime is not None:
-            runtime.close()
-        self._queues.pop(tenant, None)
+            self.emit(("error", self.shard, name, repr(error)))
 
     def _handle_export(self, tenant: str) -> None:
         runtime = self.runtimes.get(tenant)
         if runtime is None:
-            self.events.put(
+            self.emit(
                 ("error", self.shard, tenant, "export of unknown tenant")
             )
             return
@@ -152,11 +158,11 @@ class ShardWorker:
         try:
             snapshot = runtime.export_state()
         except Exception as error:  # keep serving in place
-            self.events.put(("error", self.shard, tenant, repr(error)))
+            self.emit(("error", self.shard, tenant, repr(error)))
             return
         del self.runtimes[tenant]
         runtime.close()
-        self.events.put(("exported", self.shard, tenant, snapshot))
+        self.emit(("exported", self.shard, tenant, snapshot))
 
     def _handle_drain(self) -> None:
         for tenant, runtime in self.runtimes.items():
@@ -170,7 +176,7 @@ class ShardWorker:
         for runtime in self.runtimes.values():
             runtime.close()
         self.runtimes.clear()
-        self.events.put(("drained", self.shard, stats))
+        self.emit(("drained", self.shard, stats))
 
     # ------------------------------------------------------------------
     # Fair diagnosis
@@ -208,10 +214,10 @@ class ShardWorker:
         try:
             incident = runtime.diagnose(trigger)
         except Exception as error:
-            self.events.put(("error", self.shard, tenant, repr(error)))
+            self.emit(("error", self.shard, tenant, repr(error)))
             return
         self.diagnosed += 1
-        self.events.put(("incident", self.shard, tenant, incident))
+        self.emit(("incident", self.shard, tenant, incident))
 
     # ------------------------------------------------------------------
     # Stats

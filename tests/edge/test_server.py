@@ -275,3 +275,121 @@ class TestRoutingAndLifecycle:
         for _ in range(3):
             assert client.healthz()
         assert client.stats()["mode"] == "pipeline"
+
+
+class TestFleetMode:
+    """``attach_fleet``: tenant-routed pushes through the bounded feed."""
+
+    TICKS = 60
+
+    def _edge(self, queue_depth=256, backend="thread"):
+        from repro.fleet import FleetSupervisor, manifest_from_dict
+
+        manifest = manifest_from_dict(
+            {
+                "shards": 2,
+                "backend": backend,
+                "generate": {"count": 2, "prefix": "t"},
+                "defaults": {
+                    "components": 4,
+                    "look_back_window": 30,
+                    "analysis_grace": 4,
+                    "slo_sustain": 3,
+                },
+                "faults": [{"tenant": "t-0001", "at": 40, "component": 1}],
+            }
+        )
+        server = EdgeServer(
+            EdgeConfig(port=0, queue_depth=queue_depth),
+            registry=MetricsRegistry(),
+        )
+        supervisor = FleetSupervisor(
+            manifest.fleet_config(), registry=MetricsRegistry()
+        )
+        for spec in manifest.tenant_specs():
+            supervisor.add_tenant(spec)
+        server.attach_fleet(supervisor)
+        server.start()
+        client = EdgeClient("127.0.0.1", server.port, timeout=30.0)
+        return server, client, manifest
+
+    def test_one_faulted_tenant_one_incident_over_http(self):
+        from repro.fleet.manifest import FleetFeed
+
+        server, client, manifest = self._edge()
+        try:
+            feed = FleetFeed(manifest, self.TICKS)
+            for start in range(0, self.TICKS, 20):
+                for tenant in manifest.tenants:
+                    batches = [feed.batch(tenant, t) for t in range(start, start + 20)]
+                    response = client.push_batches(batches, tenant=tenant)
+                    assert response.status == 202, response.body
+            ghost = client.push_batches([feed.batch("t-0000", 0)], tenant="ghost")
+            assert ghost.status == 404
+            stats = client.wait_drained(self.TICKS * 2, timeout=60.0)
+            assert stats["mode"] == "fleet" and stats["fleet"]["failures"] == 0
+            assert stats["fleet"]["backend"] == "thread"
+            (incident,) = client.incidents(tenant="t-0001")
+            assert incident["violation_tick"] == 42
+            assert client.incidents(tenant="t-0000") == []
+            assert client.stats()["incidents"] == 1
+        finally:
+            client.close()
+            server.close()
+
+    def test_a_push_into_a_full_feed_is_shed_whole(self):
+        from repro.fleet.manifest import FleetFeed
+
+        server, client, manifest = self._edge(queue_depth=2)
+        supervisor = server.supervisor
+        gate = threading.Event()
+        ingest = supervisor.ingest
+
+        def gated(tenant, batch):
+            gate.wait()
+            return ingest(tenant, batch)
+
+        supervisor.ingest = gated
+        try:
+            feed = FleetFeed(manifest, 4)
+            batches = [feed.batch("t-0000", t) for t in range(4)]
+            assert client.push_batches(batches[:1], tenant="t-0000").status == 202
+            # The engine thread takes that batch and waits at the gate.
+            wait_until(lambda: client.stats()["queue_depth"] == 0)
+            assert client.push_batches(batches[1:3], tenant="t-0000").status == 202
+            shed = client.push_batches(batches[3:], tenant="t-0000")
+            assert shed.status == 429
+            assert "retry-after" in shed.headers
+            assert shed.json()["accepted_batches"] == 0
+            gate.set()
+            stats = client.wait_drained(3, timeout=30.0)
+            assert stats["fleet"]["ticks"] == 3
+            assert stats["shed_batches"] == 1
+        finally:
+            gate.set()
+            client.close()
+            server.close()
+        assert supervisor.tenant_stats["t-0000"]["ticks"] == 3
+
+    def test_wait_drained_refuses_a_process_fleet(self):
+        # Process shards tick a handed-over batch later and report no
+        # progress before close, so the handed-over count cannot say
+        # that the incidents are complete.
+        from repro.common.errors import ReproError
+        from repro.fleet.manifest import FleetFeed
+        from repro.fleet.supervisor import fork_available
+
+        if not fork_available():
+            pytest.skip("the process backend needs fork")
+        server, client, manifest = self._edge(backend="process")
+        try:
+            feed = FleetFeed(manifest, 1)
+            pushed = client.push_batches([feed.batch("t-0000", 0)], tenant="t-0000")
+            assert pushed.status == 202
+            assert client.stats()["fleet"]["backend"] == "process"
+            with pytest.raises(ReproError, match="process shards"):
+                client.wait_drained(1, timeout=5.0)
+        finally:
+            client.close()
+            server.close()
+        assert server.supervisor.tenant_stats["t-0000"]["ticks"] == 1

@@ -214,7 +214,7 @@ class TestShardExport:
         worker = ShardWorker(0, events)
         worker._handle_add(_spec())
         for batch in batches:
-            worker._handle_ingest("mover", batch, queued=True)
+            worker._handle_ingest("mover", batch)
             if worker._queues:
                 break
         assert events.items == [] and worker.diagnosed == 0

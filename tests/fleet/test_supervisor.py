@@ -23,10 +23,11 @@ from repro.fleet import (
     run_manifest,
 )
 from repro.fleet.manifest import FleetFeed
+from repro.fleet.supervisor import fork_available
 from repro.monitoring.slo import LatencySLO
 from repro.obs.registry import MetricsRegistry
 from repro.service.sources import TickBatch
-from repro.service.tick import Trigger
+from repro.service.tick import DEFER_SAMPLES, Trigger
 from tests.service.test_tick import count_syncs
 
 
@@ -163,6 +164,45 @@ class TestEndToEnd:
         assert seen == ["t-0001"]
 
 
+class TestThreadShardsAreCalls:
+    """The thread backend runs each shard on the caller's thread."""
+
+    def test_a_thread_fleet_starts_no_thread(self):
+        before = threading.active_count()
+        manifest = _manifest(count=6, shards=3, fault_tenant="t-0002")
+        supervisor = FleetSupervisor(manifest.fleet_config())
+        try:
+            run_manifest(manifest, 60, supervisor=supervisor)
+            source = supervisor.shard_of("t-0002")
+            supervisor.move_tenant("t-0002", (source + 1) % 3)
+            supervisor.add_shard()
+            assert threading.active_count() == before
+        finally:
+            supervisor.close()
+        assert threading.active_count() == before
+        assert len(supervisor.incidents["t-0002"]) == 1
+
+    def test_the_dispatch_ingest_returns_with_the_incident_delivered(self):
+        seen = []
+        spec, batches = _faulted_tenant("t-0000")
+        supervisor = FleetSupervisor(
+            FleetConfig(shards=2),
+            sinks=[lambda tenant, incident: seen.append((tenant, incident))],
+        )
+        try:
+            supervisor.add_tenant(spec)
+            for batch in batches[:46]:
+                assert supervisor.ingest(spec.tenant, batch)
+            assert supervisor.incidents == {} and seen == []
+            # Tick 46 ends the violation's grace: its ingest diagnoses.
+            assert supervisor.ingest(spec.tenant, batches[46])
+            (incident,) = supervisor.incidents[spec.tenant]
+            assert incident.dispatched_tick == 46
+            assert seen == [(spec.tenant, incident)]
+        finally:
+            supervisor.close()
+
+
 class _SlowSamples(list):
     """A sample list whose iteration wedges the consuming serve loop."""
 
@@ -171,25 +211,34 @@ class _SlowSamples(list):
         return super().__iter__()
 
 
+def _wait_empty(shard, what):
+    deadline = time.monotonic() + 5.0
+    while shard.depth() > 0:
+        assert time.monotonic() < deadline, f"{what} never consumed"
+        time.sleep(0.01)
+
+
 class TestBackpressure:
     def test_full_shard_queue_sheds_with_counted_drop(self):
-        config = FleetConfig(shards=1, queue_depth=1, route_timeout=0.0)
+        # Only a process shard has a queue to fill.
+        if not fork_available():
+            pytest.skip("fork start method unavailable")
+        config = FleetConfig(
+            shards=1, backend="process", queue_depth=1, route_timeout=0.0
+        )
         registry = MetricsRegistry()
         supervisor = FleetSupervisor(config, registry=registry)
         try:
             spec = TenantSpec(tenant="a", detector=LatencySLO(0.1))
             supervisor.add_tenant(spec)
-            deadline = time.monotonic() + 5.0
-            while supervisor._shards[0].depth() > 0:
-                assert time.monotonic() < deadline, "add never consumed"
-                time.sleep(0.01)
+            _wait_empty(supervisor._shards[0], "add")
             # Wedge the single shard: the first batch's sample list
             # sleeps inside the worker's ingest, the second parks on
             # the depth-1 queue, so the third must be shed.
             assert supervisor.ingest(
                 "a", TickBatch(time=0, samples=_SlowSamples())
             )
-            time.sleep(0.05)  # let the worker take the slow batch
+            _wait_empty(supervisor._shards[0], "the slow batch")
             assert supervisor.ingest("a", TickBatch(time=1))
             shed = supervisor.ingest("a", TickBatch(time=2))
             assert shed is False
@@ -266,20 +315,25 @@ class TestShardWorkerFairness:
         assert order == ["a", "b", "c", "a", "a"]
 
 
-class _Commands:
-    """A command queue whose ``qsize`` reports the commands left, or
-    raises like a multiprocessing queue on macOS."""
+def _faulted_tenant(tenant):
+    """The spec of a one-tenant fleet faulted at t = 40, and its 60
+    ticks: the violation is at 42, the trigger released at 46."""
+    manifest = _manifest(count=1, shards=1, fault_tenant=tenant)
+    feed = FleetFeed(manifest, 60)
+    (spec,) = manifest.tenant_specs()
+    return spec, [feed.batch(tenant, t) for t in range(60)]
 
-    def __init__(self, commands, *, sized=True):
+
+class _Commands:
+    """A command queue whose ``qsize`` reports the commands left."""
+
+    def __init__(self, commands):
         self.commands = list(commands)
-        self.sized = sized
 
     def get(self):
         return self.commands.pop(0)
 
     def qsize(self):
-        if not self.sized:
-            raise NotImplementedError
         return len(self.commands)
 
 
@@ -289,10 +343,7 @@ class TestShardServeLoop:
     TENANT = "t-0000"
 
     def _tenant(self):
-        manifest = _manifest(count=1, shards=1, fault_tenant=self.TENANT)
-        feed = FleetFeed(manifest, 60)
-        (spec,) = manifest.tenant_specs()
-        return spec, [feed.batch(self.TENANT, t) for t in range(60)]
+        return _faulted_tenant(self.TENANT)
 
     def test_a_released_trigger_is_diagnosed_before_the_next_command(self):
         spec, batches = self._tenant()
@@ -342,7 +393,7 @@ class TestShardServeLoop:
 class TestShardWarmSyncDeferral:
     TICKS = 30
 
-    def _synced(self, *, sized):
+    def _synced(self):
         worker = ShardWorker(0, _Events())
         worker._handle_add(
             TenantSpec(tenant="t", detector=LatencySLO(0.1, sustain=3))
@@ -360,14 +411,50 @@ class TestShardWarmSyncDeferral:
             for t in range(self.TICKS)
         ]
         commands = [("ingest", "t", batch) for batch in batches]
-        worker.serve(_Commands(commands + [("drain",)], sized=sized))
+        worker.serve(_Commands(commands + [("drain",)]))
         return synced
 
     def test_a_backlogged_shard_defers(self):
         # 30 ticks of 12 samples owe far less than a block, and every
         # ingest had another command queued behind it.
-        assert self._synced(sized=True) == []
+        assert self._synced() == []
 
-    def test_a_queue_without_qsize_syncs_every_tick(self):
-        synced = self._synced(sized=False)
-        assert synced == list(range(1, self.TICKS + 1))
+    def test_a_shard_tenant_first_syncs_at_a_block_or_its_diagnosis(self):
+        # Thread-backend calls: nothing is ever queued behind a tick,
+        # and still a tenant syncs only when its models owe a block or
+        # it is diagnosed, whichever comes first.
+        events = _Events()
+        worker = ShardWorker(0, events)
+        quiet = TenantSpec(tenant="quiet", detector=LatencySLO(0.1))
+        faulted, batches = _faulted_tenant("t-0000")
+        for spec in (quiet, faulted):
+            worker.call(("add", spec))
+        quiet_syncs = count_syncs(worker.runtimes["quiet"].core)
+        faulted_syncs = count_syncs(worker.runtimes[faulted.tenant].core)
+        series = 12
+        block = -(-DEFER_SAMPLES // series)
+        for t in range(block + 1):
+            worker.call(
+                (
+                    "ingest",
+                    "quiet",
+                    TickBatch(
+                        time=t,
+                        samples=[
+                            MetricSample(f"c{i}", Metric.CPU_USAGE, t, 1.0)
+                            for i in range(series)
+                        ],
+                        performance=0.01,
+                    ),
+                )
+            )
+            if t < len(batches):
+                worker.call(("ingest", faulted.tenant, batches[t]))
+        # The quiet tenant syncs once, on the tick that makes it owe a
+        # block: the horizon is that tick + 1.
+        assert quiet_syncs == [block]
+        # The faulted tenant's 4 series owe less than a block in all
+        # 60 ticks; its one sync is the one its diagnosis makes.
+        assert len(batches) * 4 < DEFER_SAMPLES
+        (incident,) = [e[3] for e in events.items if e[0] == "incident"]
+        assert faulted_syncs == [incident.dispatched_tick + 1] == [47]
