@@ -341,8 +341,8 @@ def expectations_met(args: argparse.Namespace, incidents) -> bool:
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Run a tenant-fleet manifest through the sharded fleet layer."""
     import dataclasses
-    import json as json_module
 
+    from repro.common.jsonl import JsonlWriter
     from repro.fleet import HashRing, load_manifest, run_manifest
 
     manifest = load_manifest(args.manifest)
@@ -367,18 +367,13 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         return 0
 
     sinks = []
-    handle = None
-    if args.incidents:
-        handle = open(args.incidents, "w")
-
-        def jsonl_sink(tenant, incident, _handle=handle):
-            json_module.dump(
-                {"tenant": tenant, **incident.to_dict()}, _handle
+    writer = JsonlWriter(args.incidents) if args.incidents else None
+    if writer is not None:
+        sinks.append(
+            lambda tenant, incident: writer.write(
+                {"tenant": tenant, **incident.to_dict()}
             )
-            _handle.write("\n")
-            _handle.flush()
-
-        sinks.append(jsonl_sink)
+        )
 
     print(
         f"fleet: {len(manifest.tenants)} tenants x {manifest.components} "
@@ -388,8 +383,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     try:
         result = run_manifest(manifest, args.ticks, sinks=sinks)
     finally:
-        if handle is not None:
-            handle.close()
+        if writer is not None:
+            writer.close()
     supervisor = result.supervisor
     incidents = supervisor.incidents
     total = sum(len(v) for v in incidents.values())

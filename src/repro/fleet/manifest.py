@@ -15,6 +15,10 @@ injected faults::
       "faults": [{"tenant": "tenant-0042", "at": 45, "component": 2}]
     }
 
+The keys each part may set are listed in ``_KEYS``; any other key (a
+typo such as ``"shard"``) is refused with :class:`ConfigurationError`,
+never ignored.
+
 :func:`run_manifest` is the driver behind ``repro fleet`` and the CI
 fleet job: build the supervisor, register every tenant, stream ``ticks``
 of synthetic telemetry, drain, and hand back the closed supervisor for
@@ -81,7 +85,6 @@ class FleetManifest:
     slo_sustain: int = 5
     seed: int = 0
     queue_depth: int = 1024
-    tenant_budget: int = 4
     faults: Tuple[FaultPlan, ...] = ()
 
     def validate(self) -> "FleetManifest":
@@ -121,7 +124,6 @@ class FleetManifest:
             shards=self.shards,
             backend=self.backend,
             queue_depth=self.queue_depth,
-            tenant_budget=self.tenant_budget,
         )
 
     def tenant_specs(self) -> List[TenantSpec]:
@@ -150,18 +152,48 @@ def load_manifest(path) -> FleetManifest:
     return manifest_from_dict(document)
 
 
+#: The keys each part of a manifest may set; anything else is refused,
+#: so a typo cannot silently run the default in its place.
+_KEYS = {
+    "the manifest": (
+        "shards", "backend", "queue_depth", "defaults", "tenants",
+        "generate", "faults",
+    ),
+    "defaults": (
+        "components", "metrics", "look_back_window", "min_segment",
+        "analysis_grace", "service_cooldown", "slo_threshold",
+        "slo_sustain", "seed",
+    ),
+    "generate": ("count", "prefix"),
+    "a faults entry": ("tenant", "at", "component"),
+}
+
+
+def _check_keys(part: str, entry: Dict) -> None:
+    if not isinstance(entry, dict):
+        raise ConfigurationError(f"{part} must be a JSON object")
+    unknown = sorted(set(entry) - set(_KEYS[part]))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown key(s) in {part}: {', '.join(map(repr, unknown))}"
+        )
+
+
 def manifest_from_dict(document: Dict) -> FleetManifest:
     """Build a manifest from a parsed JSON document."""
-    if not isinstance(document, dict):
-        raise ConfigurationError("the manifest must be a JSON object")
+    _check_keys("the manifest", document)
     defaults = document.get("defaults", {})
+    _check_keys("defaults", defaults)
     tenants: List[str] = [str(t) for t in document.get("tenants", [])]
     generate = document.get("generate")
     if generate:
+        _check_keys("generate", generate)
         count = int(generate.get("count", 0))
         prefix = str(generate.get("prefix", "tenant"))
         width = max(4, len(str(max(count - 1, 0))))
         tenants.extend(f"{prefix}-{i:0{width}d}" for i in range(count))
+    for entry in document.get("faults", ()):
+        _check_keys("a faults entry", entry)
     faults = tuple(
         FaultPlan(
             tenant=str(entry["tenant"]),
@@ -184,7 +216,6 @@ def manifest_from_dict(document: Dict) -> FleetManifest:
         slo_sustain=int(defaults.get("slo_sustain", 5)),
         seed=int(defaults.get("seed", 0)),
         queue_depth=int(document.get("queue_depth", 1024)),
-        tenant_budget=int(document.get("tenant_budget", 4)),
         faults=faults,
     )
     return manifest.validate()

@@ -16,7 +16,8 @@
   (see ``tests/fleet/test_rebalance.py``).
 
 Two interchangeable backends run the same
-:class:`~repro.fleet.worker.ShardWorker` code:
+:class:`~repro.fleet.worker.ShardWorker` code, and on both a shard
+diagnoses every trigger a tick released before its next command:
 
 * ``"thread"`` (default) — a shard is a worker driven on the caller's
   thread. ``ingest()`` returns once the tick, and any diagnosis it
@@ -85,15 +86,12 @@ class FleetConfig:
             shard queue before shedding the batch with a counted drop.
             ``0`` sheds immediately. Thread shards never shed a batch
             and ignore it.
-        tenant_budget: Max diagnosis triggers one tenant may have
-            queued on its shard before new ones are shed.
     """
 
     shards: int = 4
     backend: str = "thread"
     queue_depth: int = 1024
     route_timeout: float = 0.5
-    tenant_budget: int = 4
 
     def validate(self) -> "FleetConfig":
         if self.shards < 1:
@@ -113,8 +111,6 @@ class FleetConfig:
             raise ConfigurationError("queue_depth must be >= 1")
         if self.route_timeout < 0:
             raise ConfigurationError("route_timeout must be >= 0 seconds")
-        if self.tenant_budget < 1:
-            raise ConfigurationError("tenant_budget must be >= 1")
         return self
 
 
@@ -144,23 +140,16 @@ class FleetMetrics:
             "Incidents diagnosed per tenant",
             ("tenant",),
         )
-        self.diagnosis_shed = registry.counter(
-            "fchain_fleet_diagnosis_shed_total",
-            "Diagnosis triggers shed by per-tenant budgets",
-            ("shard",),
-        )
 
 
 class _InlineShard:
     """A thread-backend shard: its worker runs on the caller's thread."""
 
     def __init__(self, index: int, config: FleetConfig, events) -> None:
-        self.worker = ShardWorker(
-            index, events, tenant_budget=config.tenant_budget
-        )
+        self.worker = ShardWorker(index, events)
 
     def send(self, command, timeout: Optional[float] = None) -> bool:
-        self.worker.call(command)
+        self.worker.handle(command)
         return True
 
     def join(self) -> None:
@@ -176,7 +165,7 @@ class _ProcessShard:
         self.commands = context.Queue(maxsize=config.queue_depth)
         self.runner = context.Process(
             target=shard_worker_main,
-            args=(index, self.commands, events, config.tenant_budget),
+            args=(index, self.commands, events),
             name=f"fchain-fleet-shard-{index}",
             daemon=True,
         )
@@ -452,18 +441,11 @@ class FleetSupervisor:
                 signal.set()
         elif kind == "drained":
             _, shard, stats = event
-            self._absorb_stats(shard, stats)
+            self.shard_stats[shard] = stats
+            self.tenant_stats.update(stats["tenants"])
         elif kind == "error":
             _, shard, tenant, message = event
             self.failures.append((shard, tenant, message))
-
-    def _absorb_stats(self, shard: int, stats: Dict) -> None:
-        self.shard_stats[shard] = stats
-        shed = stats.get("shed_total", 0)
-        if shed:
-            self.metrics.diagnosis_shed.inc(shed, shard=str(shard))
-        for tenant, entry in stats.get("tenants", {}).items():
-            self.tenant_stats[tenant] = entry
 
     # ------------------------------------------------------------------
     # Shutdown

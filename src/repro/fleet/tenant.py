@@ -6,10 +6,10 @@ A *tenant* is one monitored application: its own tolerant
 detector, ticked by the same :class:`~repro.service.tick.TickCore` the
 single-app :class:`~repro.service.pipeline.OnlinePipeline` drives — one
 rule set, two drivers. Where the pipeline diagnoses a released trigger
-right after its tick, :class:`TenantRuntime` leaves that to its caller:
-``process()`` returns the triggers the core released and
-``diagnose()`` runs one, so the shard worker can dispatch *fairly
-across its tenants* (see :mod:`repro.fleet.worker`). Every tick a
+inside its ``process()`` call, :class:`TenantRuntime` leaves that to its
+caller: ``process()`` returns the triggers the core released and
+``diagnose()`` runs one, which the shard worker does right after the
+tick (see :mod:`repro.fleet.worker`). Every tick a
 tenant processes defers its warm sync until the models owe a block or
 the tenant is diagnosed, on either backend. What the runtime adds to
 the core is how a tenant is built from its picklable
@@ -143,8 +143,8 @@ class TenantRuntime:
         return self.core.topology
 
     def process(self, batch: TickBatch) -> List[Trigger]:
-        """One tick of the core; returns the ready triggers — the
-        caller owns queueing them (with its own budget and fairness).
+        """One tick of the core; returns the ready triggers, which the
+        caller diagnoses.
 
         A shard tenant always defers its warm sync: its models sync
         when they owe a block, and :meth:`diagnose` and relocation catch

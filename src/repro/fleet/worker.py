@@ -6,28 +6,22 @@ command tuple (``add``, ``ingest``, ``export``, ``drain``) and the worker
 reports event tuples to a receiver, so the same class serves both fleet
 backends (the supervisor picks):
 
-* **thread** — :meth:`ShardWorker.call` runs one command on the
-  caller's thread and then diagnoses every trigger it released; the
-  events go straight to the supervisor. A thread shard is a call: there
-  is no shard thread and no queue, so the supervisor's ``ingest``
-  returns once the tick, and any diagnosis it released, have run.
-* **process** — :meth:`ShardWorker.serve` is a forked worker's loop over
-  a bounded command queue. When no command is waiting it diagnoses the
-  next ready trigger; otherwise it handles one command, then diagnoses
-  at most one trigger.
+* **thread** — the supervisor calls :meth:`ShardWorker.handle` on its
+  own thread and the events go straight to it. A thread shard is a
+  call: there is no shard thread and no queue, so the supervisor's
+  ``ingest`` returns once the tick, and any diagnosis it released, have
+  run.
+* **process** — :meth:`ShardWorker.serve` is a forked worker's loop that
+  handles the commands of a bounded queue one after another.
 
-Either way the shard's one thread runs its commands and its diagnoses,
-and a tenant defers its warm sync until its models owe a block or it is
-diagnosed (see :meth:`~repro.service.tick.TickCore.process`). Two
-mechanisms keep one tenant's diagnosis storm from starving its
-neighbours:
-
-* **bounded per-tenant budget** — each tenant may have at most
-  ``tenant_budget`` triggers waiting; excess triggers are shed with a
-  counted drop (the storm folds into the incidents that do run);
-* **fair round-robin dispatch** — the worker cycles over tenants that
-  have work, taking one trigger per visit, so a tenant with a deep
-  backlog cannot monopolize the shard's diagnoses.
+Either way a shard has one rule, the single-app pipeline's: an ingest
+diagnoses every trigger its tick released before it returns, so no
+trigger ever waits between commands. ``OnlinePipeline.process`` plus its
+inline diagnosis is :meth:`ShardWorker._handle_ingest` for one tenant. A
+tenant defers its warm sync until its models owe a block or it is
+diagnosed (see :meth:`~repro.service.tick.TickCore.process`). A tenant's
+diagnosis storm is folded by its own service cooldown, and a diagnosis
+holds only its own shard.
 
 The trade-off: a diagnosis (~10–80 ms of ``localize``) holds its shard's
 ingest meanwhile — on the thread backend, the caller's ``ingest``. A
@@ -40,33 +34,25 @@ other and with the caller.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Dict
 
 from repro.fleet.tenant import TenantRuntime, TenantSnapshot, TenantSpec
 from repro.service.tick import Trigger
 
 
 class ShardWorker:
-    """Command dispatch + fair diagnosis for one shard's tenants.
+    """Command dispatch and inline diagnosis for one shard's tenants.
 
     Args:
         shard: This shard's index (stamped on every event).
         events: Receiver of event tuples: an object with a ``put``
             method (a queue) or a plain callable.
-        tenant_budget: Max triggers one tenant may have queued before
-            new ones are shed.
     """
 
-    def __init__(self, shard: int, events, *, tenant_budget: int = 4) -> None:
+    def __init__(self, shard: int, events) -> None:
         self.shard = shard
         self.emit = getattr(events, "put", events)
-        self.tenant_budget = tenant_budget
         self.runtimes: Dict[str, TenantRuntime] = {}
-        # Only tenants with queued triggers, in round-robin order: an
-        # empty queue is dropped, so "is any trigger ready" is one test.
-        self._queues: "OrderedDict[str, Deque[Trigger]]" = OrderedDict()
-        self.shed: Dict[str, int] = {}
         self.diagnosed = 0
         self.ingest_ignored = 0
 
@@ -89,27 +75,10 @@ class ShardWorker:
             self.emit(("error", self.shard, None, f"unknown command {kind!r}"))
         return True
 
-    def call(self, command) -> None:
-        """Thread backend: one command on the caller's thread, then every
-        trigger it released, round-robin. No further command can be
-        queued while the caller waits in here, so this is
-        :meth:`serve`'s idle rule."""
-        self.handle(command)
-        while self._queues:
-            self._diagnose_next()
-
     def serve(self, commands) -> None:
-        """Process backend: consume commands until ``drain``, diagnosing
-        ready triggers between them (one per command while more are
-        queued, all of them when idle); then flush and return."""
-        while True:
-            if self._queues and not _backlogged(commands):
-                self._diagnose_next()
-                continue
-            if not self.handle(commands.get()):
-                return
-            if self._queues:
-                self._diagnose_next()
+        """Process backend: handle commands until ``drain``."""
+        while self.handle(commands.get()):
+            pass
 
     def _handle_ingest(self, tenant: str, batch) -> None:
         runtime = self.runtimes.get(tenant)
@@ -124,7 +93,7 @@ class ShardWorker:
             self.emit(("error", self.shard, tenant, repr(error)))
             return
         for trigger in ready:
-            self._enqueue(tenant, trigger)
+            self._diagnose(tenant, runtime, trigger)
 
     def _handle_add(self, payload) -> None:
         try:
@@ -150,11 +119,8 @@ class ShardWorker:
                 ("error", self.shard, tenant, "export of unknown tenant")
             )
             return
-        # Triggers already released here are diagnosed here, so the
-        # snapshot's incident count includes them; the snapshot itself
-        # carries only the triggers still waiting for grace data.
-        for trigger in self._queues.pop(tenant, ()):
-            self._diagnose(tenant, runtime, trigger)
+        # Every released trigger was diagnosed by its ingest, so the
+        # snapshot carries only the triggers still waiting for grace data.
         try:
             snapshot = runtime.export_state()
         except Exception as error:  # keep serving in place
@@ -167,46 +133,12 @@ class ShardWorker:
     def _handle_drain(self) -> None:
         for tenant, runtime in self.runtimes.items():
             for trigger in runtime.core.flush_pending():
-                # Drain-time triggers bypass the budget, mirroring the
-                # pipeline's blocking put on close().
-                self._enqueue(tenant, trigger, budgeted=False)
-        while self._queues:
-            self._diagnose_next()
+                self._diagnose(tenant, runtime, trigger)
         stats = self._stats()
         for runtime in self.runtimes.values():
             runtime.close()
         self.runtimes.clear()
         self.emit(("drained", self.shard, stats))
-
-    # ------------------------------------------------------------------
-    # Fair diagnosis
-    # ------------------------------------------------------------------
-    def _enqueue(
-        self, tenant: str, trigger: Trigger, *, budgeted: bool = True
-    ) -> None:
-        pending = self._queues.get(tenant)
-        if pending is None:
-            pending = self._queues[tenant] = deque()
-        elif budgeted and len(pending) >= self.tenant_budget:
-            self.shed[tenant] = self.shed.get(tenant, 0) + 1
-            return
-        pending.append(trigger)
-
-    def _next_trigger(self) -> Optional[Tuple[str, Trigger]]:
-        """Round-robin: the first tenant with work, rotated to the back."""
-        if not self._queues:
-            return None
-        tenant, pending = next(iter(self._queues.items()))
-        trigger = pending.popleft()
-        if pending:
-            self._queues.move_to_end(tenant)
-        else:
-            del self._queues[tenant]
-        return tenant, trigger
-
-    def _diagnose_next(self) -> None:
-        tenant, trigger = self._next_trigger()
-        self._diagnose(tenant, self.runtimes[tenant], trigger)
 
     def _diagnose(
         self, tenant: str, runtime: TenantRuntime, trigger: Trigger
@@ -230,32 +162,21 @@ class ShardWorker:
                 "ticks": core.ticks,
                 "triggered": core.triggered,
                 "incidents": core.incident_count,
-                # Read by the journey benchmark; always 0.
+                # Both read by the journey benchmark; both always 0.
                 "warm_sync_skipped": 0,
-                "shed": self.shed.get(tenant, 0),
+                "shed": 0,
             }
         return {
             "shard": self.shard,
             "diagnosed": self.diagnosed,
-            "shed_total": sum(self.shed.values()),
             "ingest_ignored": self.ingest_ignored,
             "tenants": tenants,
         }
 
 
-def _backlogged(commands) -> bool:
-    """Whether more commands are already waiting on the shard's queue."""
-    try:
-        return commands.qsize() > 0
-    except NotImplementedError:  # multiprocessing queues on macOS
-        return False
-
-
-def shard_worker_main(
-    shard: int, commands, events, tenant_budget: int
-) -> None:
+def shard_worker_main(shard: int, commands, events) -> None:
     """Process-backend entry point (module-level for fork picklability)."""
-    ShardWorker(shard, events, tenant_budget=tenant_budget).serve(commands)
+    ShardWorker(shard, events).serve(commands)
 
 
 __all__ = ["ShardWorker", "shard_worker_main"]

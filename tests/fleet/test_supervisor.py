@@ -2,11 +2,10 @@
 
 Small fleets (a handful of tenants, short synthetic runs) exercise the
 full supervisor → shard worker → tenant runtime path on both backends;
-the budget/fairness mechanics are unit-tested directly on
+the shard's tick-then-diagnose rule is unit-tested directly on
 :class:`ShardWorker` so the assertions are deterministic.
 """
 
-import queue
 import threading
 import time
 
@@ -27,7 +26,7 @@ from repro.fleet.supervisor import fork_available
 from repro.monitoring.slo import LatencySLO
 from repro.obs.registry import MetricsRegistry
 from repro.service.sources import TickBatch
-from repro.service.tick import DEFER_SAMPLES, Trigger
+from repro.service.tick import DEFER_SAMPLES
 from tests.service.test_tick import count_syncs
 
 
@@ -60,8 +59,30 @@ class TestConfigValidation:
             FleetConfig(shards=0).validate()
         with pytest.raises(ConfigurationError, match="queue_depth"):
             FleetConfig(queue_depth=0).validate()
-        with pytest.raises(ConfigurationError, match="tenant_budget"):
-            FleetConfig(tenant_budget=0).validate()
+
+    @pytest.mark.parametrize(
+        "document, key",
+        [
+            ({"tenant_budget": 4}, "tenant_budget"),
+            ({"shard": 8}, "shard"),
+            ({"defaults": {"component": 4}}, "component"),
+            ({"generate": {"count": 2, "prefx": "t"}}, "prefx"),
+            (
+                {"faults": [{"tenant": "t-0000", "at": 1, "comp": 1}]},
+                "comp",
+            ),
+        ],
+    )
+    def test_manifest_refuses_unknown_keys(self, document, key):
+        base = {"generate": {"count": 2, "prefix": "t"}}
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            manifest_from_dict({**base, **document})
+
+    @pytest.mark.parametrize("part", ["defaults", "generate", "faults"])
+    def test_manifest_parts_must_be_objects(self, part):
+        document = {"tenants": ["t"], part: [3]}
+        with pytest.raises(ConfigurationError, match="JSON object"):
+            manifest_from_dict(document)
 
 
 class TestRoutingAndLifecycle:
@@ -280,41 +301,6 @@ class _Events:
         self.items.append(item)
 
 
-class TestShardWorkerFairness:
-    def _worker(self, budget=4):
-        # Queueing alone diagnoses nothing: only the serve loop does.
-        return ShardWorker(0, _Events(), tenant_budget=budget)
-
-    def test_budget_sheds_excess_triggers(self):
-        worker = self._worker(budget=2)
-        for i in range(5):
-            worker._enqueue("noisy", Trigger(i, 0.0))
-        assert len(worker._queues["noisy"]) == 2
-        assert worker.shed["noisy"] == 3
-
-    def test_drain_triggers_bypass_budget(self):
-        worker = self._worker(budget=1)
-        worker._enqueue("t", Trigger(0, 0.0))
-        worker._enqueue("t", Trigger(1, 0.0), budgeted=False)
-        assert len(worker._queues["t"]) == 2
-
-    def test_dispatch_is_round_robin_across_tenants(self):
-        worker = self._worker()
-        for tick in range(3):
-            worker._enqueue("a", Trigger(tick, 0.0))
-        worker._enqueue("b", Trigger(0, 0.0))
-        worker._enqueue("c", Trigger(0, 0.0))
-        order = []
-        while True:
-            item = worker._next_trigger()
-            if item is None:
-                break
-            order.append(item[0])
-        # One trigger per visit: a's backlog cannot monopolize the
-        # shard's diagnoses while b and c wait.
-        assert order == ["a", "b", "c", "a", "a"]
-
-
 def _faulted_tenant(tenant):
     """The spec of a one-tenant fleet faulted at t = 40, and its 60
     ticks: the violation is at 42, the trigger released at 46."""
@@ -325,7 +311,7 @@ def _faulted_tenant(tenant):
 
 
 class _Commands:
-    """A command queue whose ``qsize`` reports the commands left."""
+    """A command queue that hands out a fixed list of commands."""
 
     def __init__(self, commands):
         self.commands = list(commands)
@@ -333,12 +319,9 @@ class _Commands:
     def get(self):
         return self.commands.pop(0)
 
-    def qsize(self):
-        return len(self.commands)
-
 
 class TestShardServeLoop:
-    """The serve loop is the shard's only thread and diagnoses itself."""
+    """A shard diagnoses a trigger inside the ingest that released it."""
 
     TENANT = "t-0000"
 
@@ -365,28 +348,19 @@ class TestShardServeLoop:
         assert position == incident.dispatched_tick
         assert kinds[:position] == ["error"] * position
 
-    def test_an_idle_shard_diagnoses_without_another_command(self):
+    def test_an_ingest_diagnoses_before_it_returns(self):
         spec, batches = self._tenant()
-        events = queue.Queue()
+        events = _Events()
         worker = ShardWorker(0, events)
-        worker._handle_add(spec)
-        for batch in batches:
-            worker._handle_ingest(self.TENANT, batch)
-            if worker._queues:
-                break
-        assert worker.diagnosed == 0
-        commands = queue.Queue()
-        runner = threading.Thread(target=worker.serve, args=(commands,))
-        runner.start()
-        try:
-            # No command follows and nothing closes the shard.
-            event = events.get(timeout=30.0)
-            assert event[0] == "incident"
-            assert event[3].violation_tick == 42
-        finally:
-            commands.put(("drain",))
-            runner.join(timeout=30.0)
-        assert not runner.is_alive()
+        worker.handle(("add", spec))
+        for batch in batches[:46]:
+            worker.handle(("ingest", self.TENANT, batch))
+        assert events.items == [] and worker.diagnosed == 0
+        # Tick 46 ends the violation's grace: its ingest diagnoses.
+        worker.handle(("ingest", self.TENANT, batches[46]))
+        ((kind, _, tenant, incident),) = events.items
+        assert (kind, tenant) == ("incident", self.TENANT)
+        assert incident.violation_tick == 42
         assert worker.diagnosed == 1
 
 
@@ -415,8 +389,8 @@ class TestShardWarmSyncDeferral:
         return synced
 
     def test_a_backlogged_shard_defers(self):
-        # 30 ticks of 12 samples owe far less than a block, and every
-        # ingest had another command queued behind it.
+        # 30 ticks of 12 samples owe far less than a block, so the
+        # served shard never syncs.
         assert self._synced() == []
 
     def test_a_shard_tenant_first_syncs_at_a_block_or_its_diagnosis(self):
@@ -428,13 +402,13 @@ class TestShardWarmSyncDeferral:
         quiet = TenantSpec(tenant="quiet", detector=LatencySLO(0.1))
         faulted, batches = _faulted_tenant("t-0000")
         for spec in (quiet, faulted):
-            worker.call(("add", spec))
+            worker.handle(("add", spec))
         quiet_syncs = count_syncs(worker.runtimes["quiet"].core)
         faulted_syncs = count_syncs(worker.runtimes[faulted.tenant].core)
         series = 12
         block = -(-DEFER_SAMPLES // series)
         for t in range(block + 1):
-            worker.call(
+            worker.handle(
                 (
                     "ingest",
                     "quiet",
@@ -449,7 +423,7 @@ class TestShardWarmSyncDeferral:
                 )
             )
             if t < len(batches):
-                worker.call(("ingest", faulted.tenant, batches[t]))
+                worker.handle(("ingest", faulted.tenant, batches[t]))
         # The quiet tenant syncs once, on the tick that makes it owe a
         # block: the horizon is that tick + 1.
         assert quiet_syncs == [block]

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.cli import SCHEMES, _build_schemes, main
@@ -130,3 +133,24 @@ def test_serve_runs_quietly_without_fault(capsys):
     assert code == 0, out
     assert "no incidents" in out
     assert "40 ticks" in out
+
+
+def test_fleet_appends_to_its_incidents_file(tmp_path, capsys):
+    manifest = (
+        pathlib.Path(__file__).resolve().parents[1]
+        / "benchmarks" / "manifests" / "fleet_soak.json"
+    )
+    incidents_path = tmp_path / "incidents.jsonl"
+    incidents_path.write_text('{"earlier": "run"}\n')
+    code = main(
+        [
+            "fleet", str(manifest), "--ticks", "60",
+            "--incidents", str(incidents_path),
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 0, out
+    first, *added = incidents_path.read_text().splitlines()
+    assert json.loads(first) == {"earlier": "run"}
+    (record,) = [json.loads(line) for line in added]
+    assert record["tenant"] == "t-0007"
